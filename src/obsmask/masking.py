@@ -120,9 +120,13 @@ def decide_maskable_oracle(obs, tol: float = DECISION_ATOL) -> MaskabilityVerdic
     Tr(sigma O) over all states sweeps [lambda_min, lambda_max]; so O is
     maskable iff that interval contains 1.
     """
-    eig = eig_hermitian(obs)
-    lo = float(eig.eigenvalues[0])
-    hi = float(eig.eigenvalues[-1])
+    return _oracle_verdict(eig_hermitian(obs).eigenvalues, tol)
+
+
+def _oracle_verdict(eigenvalues: np.ndarray, tol: float) -> MaskabilityVerdict:
+    """The oracle's verdict from the ascending eigenvalues of the observable."""
+    lo = float(eigenvalues[0])
+    hi = float(eigenvalues[-1])
     return MaskabilityVerdict(
         maskable=(lo <= 1.0 + tol) and (1.0 <= hi + tol),
         method="oracle",
@@ -150,13 +154,13 @@ def build_constant_masker(obs, tol: float = DECISION_ATOL) -> KrausChannel:
     onto the whole eigenspace, which keeps the construction independent of
     the eigensolver's basis choice (O = I yields the maximally mixed state).
     """
-    verdict = decide_maskable_oracle(obs, tol)
+    eig = eig_hermitian(obs)
+    vals, vecs = eig.eigenvalues, eig.eigenvectors
+    verdict = _oracle_verdict(vals, tol)
     if not verdict.maskable:
         raise NotMaskableError(
             f"1 is outside the eigenvalue range {verdict.eig_range}"
         )
-    eig = eig_hermitian(obs)
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
     lo, hi = vals[0], vals[-1]
 
     def eigenspace_state(target):

@@ -1,3 +1,11 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,6 +60,71 @@ class TestSymmetricTensor:
         vals = bloch.symmetric_tensor(3).values
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
             assert algebra.max_norm(vals - vals.transpose(perm)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_matches_dense_reference(self, d):
+        g = bloch.generator_basis(d).matrices
+        reference = np.einsum("iab,jbc,kca->ijk", g, g, g, optimize=True).real / 2.0
+        assert algebra.max_norm(bloch.symmetric_tensor(d).values - reference) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_totally_symmetric(self, d):
+        vals = bloch.symmetric_tensor(d).values
+        for perm in itertools.permutations(range(3)):
+            assert algebra.max_norm(vals - vals.transpose(perm)) < 1e-12
+
+    def test_sparse_entries_distinct_and_nonzero(self):
+        t = bloch.symmetric_tensor(6)
+        assert len(np.unique(t.index, axis=0)) == len(t.index) == len(t.data)
+        assert np.all(t.data != 0.0)
+
+    def test_rejects_small_dimension(self):
+        with pytest.raises(ValueError):
+            bloch.symmetric_tensor(1)
+
+    def test_concurrent_cold_requests_share_one_build(self):
+        d = 9
+        with bloch._cache_lock:
+            bloch._tensor_cache.pop(d, None)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = []
+
+        def request():
+            barrier.wait(timeout=10)
+            results.append(bloch.symmetric_tensor(d))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == workers
+        assert all(r is bloch.symmetric_tensor(d) for r in results)
+
+    def test_cold_d16_build_memory(self):
+        # A dense build of this tensor peaks near 900 MB, the sparse one near 6 MB.
+        probe = (
+            "import json, tracemalloc\n"
+            "tracemalloc.start()\n"
+            "from obsmask import bloch\n"
+            "bloch.symmetric_tensor(16)\n"
+            "print(json.dumps(tracemalloc.get_traced_memory()[1] / 2**20))\n"
+        )
+        src = str(Path(bloch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        peak_mb = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert peak_mb < 32.0
 
 
 class TestStateCodec:
@@ -164,5 +237,15 @@ class TestPositivity:
         rng = np.random.default_rng(41)
         for _ in range(50):
             b = bloch.BlochVector(3, rng.normal(size=8) * 0.3)
+            vals, _ = bloch.positivity_conditions(b)
+            assert abs(bloch.cubic_condition_value(b) - 6.0 * vals[1]) < 1e-10
+
+    @pytest.mark.parametrize("d", [4, 8, 12, 16])
+    def test_cubic_matches_6e3(self, d):
+        rng = np.random.default_rng(300 + d)
+        radius = np.sqrt((d - 1) / (2.0 * d))
+        for _ in range(20):
+            v = rng.normal(size=d * d - 1)
+            b = bloch.BlochVector(d, v / np.linalg.norm(v) * radius * rng.uniform(0, 1))
             vals, _ = bloch.positivity_conditions(b)
             assert abs(bloch.cubic_condition_value(b) - 6.0 * vals[1]) < 1e-10

@@ -141,6 +141,19 @@ class TestConstantMasker:
         with pytest.raises(NotMaskableError):
             masking.build_constant_masker(0.4 * S1)
 
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(m, *args):
+            calls.append(m)
+            return algebra.eig_hermitian(m, *args)
+
+        monkeypatch.setattr(masking, "eig_hermitian", counting)
+        masking.build_constant_masker(S3)
+        with pytest.raises(NotMaskableError, match=r"outside the eigenvalue range \(-0\.4\d*, 0\.4\d*\)"):
+            masking.build_constant_masker(0.4 * S1)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_maskable_verify(self, d):
         rng = np.random.default_rng(60 + d)
