@@ -119,6 +119,18 @@ def eig_hermitian(m, tol: float = HERMITICITY_ATOL) -> HermitianEig:
     return HermitianEig(eigenvalues=vals, eigenvectors=vecs)
 
 
+def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal pair spanning the plane orthogonal to a unit
+    3-vector: the coordinate axis least aligned with it, projected, then the
+    cross product."""
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.abs(normal)))] = 1.0
+    e1 = seed - normal * np.dot(normal, seed)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    return e1, e2
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product, first factor major."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -165,11 +177,14 @@ def schmidt(psi, dims: tuple[int, int], tol: float = HERMITICITY_ATOL) -> Schmid
     return SchmidtData(coefficients=s[:r], left_vectors=left, right_vectors=right)
 
 
-def _require_orthonormal(vectors: np.ndarray, what: str, tol: float) -> None:
-    gram = dagger(vectors) @ vectors
-    dev = max_norm(gram - np.eye(vectors.shape[1]))
+def require_orthonormal(vectors, what: str, tol: float) -> np.ndarray:
+    """Stack the vectors as columns, validate their Gram matrix against the
+    identity within ``tol`` (max-norm), and return the stacked array."""
+    cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    dev = max_norm(dagger(cols) @ cols - np.eye(cols.shape[1]))
     if dev > tol:
         raise NotOrthonormalError(f"{what} family deviates from orthonormal by {dev:.3e}")
+    return cols
 
 
 def _gram_schmidt_completion(vectors: np.ndarray, d: int) -> np.ndarray:
@@ -202,16 +217,14 @@ def unitary_completion(
     """
     if not pairs:
         return np.eye(d, dtype=complex)
-    ins = np.column_stack([np.asarray(p[0], dtype=complex).reshape(-1) for p in pairs])
-    outs = np.column_stack([np.asarray(p[1], dtype=complex).reshape(-1) for p in pairs])
+    if len(pairs) > d:
+        raise InconsistentDimensionsError(f"{len(pairs)} pairs exceed dimension {d}")
+    ins = require_orthonormal([p[0] for p in pairs], "input", tol)
+    outs = require_orthonormal([p[1] for p in pairs], "output", tol)
     if ins.shape[0] != d or outs.shape[0] != d:
         raise InconsistentDimensionsError(
             f"pair vectors live in dims {ins.shape[0]}/{outs.shape[0]}, expected {d}"
         )
-    if len(pairs) > d:
-        raise InconsistentDimensionsError(f"{len(pairs)} pairs exceed dimension {d}")
-    _require_orthonormal(ins, "input", tol)
-    _require_orthonormal(outs, "output", tol)
     full_in = _gram_schmidt_completion(ins, d)
     full_out = _gram_schmidt_completion(outs, d)
     return full_out @ dagger(full_in)

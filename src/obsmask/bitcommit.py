@@ -8,7 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, eig_hermitian, max_norm, partial_trace, unitary_completion
+from . import samplers
+from .algebra import (
+    ORTHONORMALITY_ATOL,
+    dagger,
+    eig_hermitian,
+    max_norm,
+    partial_trace,
+    require_orthonormal,
+    unitary_completion,
+)
 from .channels import KrausChannel, apply_adjoint, require_density
 from .errors import (
     BadSpectrumError,
@@ -76,13 +85,9 @@ def commitment_pair_from_vectors(psi0, psi1, dims: tuple[int, int]) -> Commitmen
 
 
 def _check_family(vectors, r: int, name: str) -> np.ndarray:
-    cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    cols = require_orthonormal(vectors, name, ORTHONORMALITY_ATOL)
     if cols.shape[1] < r:
         raise NotOrthonormalError(f"{name} supplies {cols.shape[1]} vectors, need {r}")
-    gram = dagger(cols) @ cols
-    dev = max_norm(gram - np.eye(cols.shape[1]))
-    if dev > 1e-9:
-        raise NotOrthonormalError(f"{name} deviates from orthonormal by {dev:.3e}")
     return cols
 
 
@@ -181,15 +186,18 @@ def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
     return KrausChannel(input_dim=d, output_dim=d, kraus=tuple(ops))
 
 
-def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
+def random_commitment_pair(rng: np.random.Generator, d: int) -> CommitmentPair:
+    """Perfectly concealing d x d pair with Schmidt weights bounded away from 0
+    and Haar-random bases: the pair the demo draws."""
+    lam = rng.random(d) + 0.2
+    lam /= lam.sum()
+    ua0, ua1, ub = (samplers.haar_unitary(rng, d) for _ in range(3))
+    return make_commitment_pair(
+        lam,
+        [ua0[:, i] for i in range(d)],
+        [ua1[:, i] for i in range(d)],
+        [ub[:, i] for i in range(d)],
+    )
 
 
 def no_bit_commitment_demo(d: int, seed: int, n_observables: int = 20) -> RunReport:
@@ -203,15 +211,7 @@ def no_bit_commitment_demo(d: int, seed: int, n_observables: int = 20) -> RunRep
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     rng = np.random.default_rng(seed)
-    lam = rng.random(d) + 0.2
-    lam /= lam.sum()
-    ua0, ua1, ub = (_haar_unitary(rng, d) for _ in range(3))
-    pair = make_commitment_pair(
-        lam,
-        [ua0[:, i] for i in range(d)],
-        [ua1[:, i] for i in range(d)],
-        [ub[:, i] for i in range(d)],
-    )
+    pair = random_commitment_pair(rng, d)
     gap = concealment_gap(pair)
     marginal_gap = max_norm(pair.marginal_b0 - pair.marginal_b1)
     cheat = cheating_unitary(pair)
@@ -224,7 +224,7 @@ def no_bit_commitment_demo(d: int, seed: int, n_observables: int = 20) -> RunRep
     rescaled_masked = 0
     rescaled_total = 0
     for _ in range(n_observables):
-        obs = _random_hermitian(rng, d)
+        obs = samplers.hermitian(rng, d)
         expectation = float(np.trace(rho_b @ obs).real)
         out = apply_adjoint(channel, obs)
         residual = max_norm(out - expectation * np.eye(d))

@@ -2,7 +2,8 @@
 verification as a subcommand.
 
 Exit codes: 0 when the computation ran (mathematical verdicts live in the
-report), 2 on input or parse errors, 3 on numerical failure.
+report), 1 when ``selftest`` finds a failed invariant, 2 on input or parse
+errors, 3 on numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, bitcommit, bloch, comask, fileio, masking
+from . import bitcommit, bloch, comask, fileio, invariants, masking
 from .errors import (
     InfeasibleError,
     NoAffineSolutionError,
@@ -87,13 +88,12 @@ def _cmd_mask(args) -> RunReport:
     report = RunReport()
     report.add("command", "mask")
     report.add("dim", coeffs.dimension)
-    verdict = masking.decide_maskable_oracle(matrix)
+    verdict, channel = masking.oracle_masker(matrix, masking.DECISION_ATOL)
     report.add("maskable", verdict.maskable)
     report.add("eig_range", verdict.eig_range)
-    if not verdict.maskable:
+    if channel is None:
         report.add("note", "no masker exists; output not written")
         return report
-    channel = masking.build_constant_masker(matrix)
     Path(args.out).write_text(fileio.render_kraus(channel), encoding="utf-8")
     report.add("kraus_count", len(channel.kraus))
     report.add("adjoint_residual", masking.verify_masking(channel, matrix))
@@ -199,129 +199,20 @@ def _cmd_bitcommit_demo(args) -> RunReport:
     return report
 
 
-def _selftest_suites():
-    """Quick invariant sweeps; each yields (name, passed, failed)."""
-    rng = np.random.default_rng(2024)
-
-    def random_hermitian(d):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return (g + g.conj().T) / 2
-
-    def random_density(d):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = g @ g.conj().T
-        return rho / np.trace(rho).real
-
-    def suite_algebra():
-        ok = bad = 0
-        for d in (2, 3, 4):
-            for _ in range(50):
-                m = random_hermitian(d)
-                eig = algebra.eig_hermitian(m)
-                if algebra.max_norm(eig.reconstruct() - m) < 1e-10:
-                    ok += 1
-                else:
-                    bad += 1
-        return ok, bad
-
-    def suite_bloch():
-        ok = bad = 0
-        for d in (2, 3, 4):
-            for _ in range(50):
-                rho = random_density(d)
-                b = bloch.state_to_bloch(rho)
-                good = algebra.max_norm(bloch.bloch_to_state(b) - rho) < 1e-10
-                vals, positive = bloch.positivity_conditions(b)
-                good = good and positive
-                good = good and abs(
-                    2 * vals[0] - ((d - 1) / d - 2 * np.dot(b.b, b.b))
-                ) < 1e-10
-                ok, bad = (ok + 1, bad) if good else (ok, bad + 1)
-        return ok, bad
-
-    def suite_oracle():
-        ok = bad = 0
-        for _ in range(500):
-            obs = random_hermitian(2)
-            c = bloch.observable_coeffs(obs)
-            if abs(c.a_norm() - abs(1 - c.a0)) < 1e-9:
-                continue
-            agree = (
-                masking.decide_maskable_qubit(c).maskable
-                == masking.decide_maskable_oracle(obs).maskable
-            )
-            ok, bad = (ok + 1, bad) if agree else (ok, bad + 1)
-        return ok, bad
-
-    def suite_maskers():
-        ok = bad = 0
-        for d in (2, 3):
-            built = 0
-            while built < 25:
-                obs = random_hermitian(d) * 2
-                if not masking.decide_maskable_oracle(obs).maskable:
-                    continue
-                built += 1
-                chan = masking.build_constant_masker(obs)
-                good = masking.verify_masking(chan, obs) < 1e-9
-                ok, bad = (ok + 1, bad) if good else (ok, bad + 1)
-        return ok, bad
-
-    def suite_nohiding():
-        ok = bad = 0
-        for _ in range(50):
-            v = rng.normal(size=3)
-            rep = masking.verify_nohiding(v / np.linalg.norm(v))
-            ok, bad = (ok + 1, bad) if rep.verified else (ok, bad + 1)
-        return ok, bad
-
-    def suite_comask():
-        ok = bad = 0
-        for d in (2, 3):
-            for k in (0, 1, 2):
-                for _ in range(10):
-                    pts = [
-                        bloch.state_to_bloch(random_density(d)).b
-                        for _ in range(k + 1)
-                    ]
-                    desc = comask.comask_general(pts, d)
-                    good = desc.affine_dim == d * d - k - 1
-                    ok, bad = (ok + 1, bad) if good else (ok, bad + 1)
-        return ok, bad
-
-    def suite_bitcommit():
-        ok = bad = 0
-        for d in (2, 3):
-            for seed in range(5):
-                rep = bitcommit.no_bit_commitment_demo(d, seed, n_observables=5)
-                good = (
-                    rep.get("concealment_gap") < 1e-10
-                    and rep.get("cheat_feasible")
-                    and rep.get("cheat_fidelity") > 1 - 1e-9
-                )
-                ok, bad = (ok + 1, bad) if good else (ok, bad + 1)
-        return ok, bad
-
-    return [
-        ("algebra_eig_reconstruction", suite_algebra),
-        ("bloch_codecs_and_positivity", suite_bloch),
-        ("qubit_oracle_agreement", suite_oracle),
-        ("constant_maskers_verify", suite_maskers),
-        ("nohiding_swap_identity", suite_nohiding),
-        ("comask_dimension_formula", suite_comask),
-        ("bitcommit_mechanics", suite_bitcommit),
-    ]
-
-
 def _cmd_selftest(_args) -> RunReport:
     report = RunReport()
     report.add("command", "selftest")
+    rng = np.random.default_rng(2024)
     total_pass = total_fail = 0
-    for name, suite in _selftest_suites():
-        ok, bad = suite()
+    for inv in invariants.REGISTRY.values():
+        ok = bad = 0
+        for setting, count in inv.selftest:
+            passed, failed = inv.run(rng, setting, count)
+            ok += passed
+            bad += failed
         total_pass += ok
         total_fail += bad
-        report.add(name, f"{ok} passed, {bad} failed")
+        report.add(inv.name, f"{ok} passed, {bad} failed")
     report.add("total_passed", total_pass)
     report.add("total_failed", total_fail)
     report.add("all_passed", total_fail == 0)

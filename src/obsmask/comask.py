@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger
+from .algebra import dagger, plane_frame
 from .bloch import BlochVector, ObservableCoeffs, bloch_to_state, positivity_conditions, state_to_bloch
 from .errors import (
     DegenerateLineError,
@@ -127,16 +127,6 @@ def _require_qubit_state(b, what: str = "point") -> np.ndarray:
     return arr
 
 
-def _orthogonal_pair(b: np.ndarray) -> np.ndarray:
-    """Two orthonormal 3-vectors perpendicular to b, chosen deterministically."""
-    unit = b / np.linalg.norm(b)
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(unit)))] = 1.0
-    e1 = seed - unit * np.dot(unit, seed)
-    e1 /= np.linalg.norm(e1)
-    return np.stack([e1, np.cross(unit, e1)])
-
-
 def comask_from_point(b) -> ComaskDescription:
     """Plane of traceless qubit observables masked onto the single state b.
 
@@ -148,7 +138,7 @@ def comask_from_point(b) -> ComaskDescription:
             "maximally mixed output: a . 0 = 1/2 has no solution"
         )
     particular = arr / (2.0 * np.dot(arr, arr))
-    dirs = _orthogonal_pair(arr)
+    dirs = plane_frame(arr / np.linalg.norm(arr))
     coeff_set = AffineSet(
         ambient_dim=4,
         base_point=_lift(0.0, particular),

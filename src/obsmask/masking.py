@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, eig_hermitian, max_norm, tensor
+from .algebra import dagger, eig_hermitian, max_norm, plane_frame, tensor
 from .bloch import ObservableCoeffs, generator_basis
 from .channels import (
     KrausChannel,
@@ -58,7 +58,7 @@ class OutputDisk:
 
     def point(self, radial_fraction: float, angle: float) -> np.ndarray:
         """A point of the disk at fraction in [0, 1] of the radius."""
-        e1, e2 = _plane_frame(self.normal)
+        e1, e2 = plane_frame(self.normal)
         offset = self.radius * radial_fraction * (np.cos(angle) * e1 + np.sin(angle) * e2)
         return self.center + offset
 
@@ -70,16 +70,6 @@ class NoHidingReport:
     swap_residual: float  # || U'^dag (O (x) I) U' - I (x) sigma3 ||_max
     recovery_residual: float  # || w^dag sigma3 w - O ||_max
     verified: bool
-
-
-def _plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane orthogonal to normal."""
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(normal)))] = 1.0
-    e1 = seed - normal * np.dot(normal, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    return e1, e2
 
 
 def _require_unit_vector(n) -> np.ndarray:
@@ -154,13 +144,22 @@ def build_constant_masker(obs, tol: float = DECISION_ATOL) -> KrausChannel:
     onto the whole eigenspace, which keeps the construction independent of
     the eigensolver's basis choice (O = I yields the maximally mixed state).
     """
+    verdict, channel = oracle_masker(obs, tol)
+    if channel is None:
+        raise NotMaskableError(
+            f"1 is outside the eigenvalue range {verdict.eig_range}"
+        )
+    return channel
+
+
+def oracle_masker(obs, tol: float) -> tuple[MaskabilityVerdict, KrausChannel | None]:
+    """The oracle's verdict and, when maskable, the constant masker of
+    ``build_constant_masker``, both from one eigendecomposition."""
     eig = eig_hermitian(obs)
     vals, vecs = eig.eigenvalues, eig.eigenvectors
     verdict = _oracle_verdict(vals, tol)
     if not verdict.maskable:
-        raise NotMaskableError(
-            f"1 is outside the eigenvalue range {verdict.eig_range}"
-        )
+        return verdict, None
     lo, hi = vals[0], vals[-1]
 
     def eigenspace_state(target):
@@ -173,7 +172,7 @@ def build_constant_masker(obs, tol: float = DECISION_ATOL) -> KrausChannel:
     else:
         p = (1.0 - lo) / (hi - lo)
         sigma0 = p * eigenspace_state(hi) + (1.0 - p) * eigenspace_state(lo)
-    return constant_channel(sigma0, vecs.shape[0])
+    return verdict, constant_channel(sigma0, vecs.shape[0])
 
 
 def rotation_unitary(n) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsmask import algebra
+from obsmask import algebra, samplers
 from obsmask.errors import (
     DimensionMismatchError,
     InconsistentDimensionsError,
@@ -11,6 +11,7 @@ from obsmask.errors import (
     NotNormalizedError,
     NotOrthonormalError,
 )
+from obsmask.invariants import REGISTRY
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -18,17 +19,6 @@ S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
-
-
-def random_hermitian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
-
-
-def random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestEigHermitian:
@@ -55,7 +45,7 @@ class TestEigHermitian:
     def test_reconstruction_and_orthonormality(self, d):
         rng = np.random.default_rng(11 + d)
         for _ in range(20):
-            m = random_hermitian(rng, d)
+            m = samplers.hermitian(rng, d)
             eig = algebra.eig_hermitian(m)
             assert algebra.max_norm(eig.reconstruct() - m) < 1e-10
             gram = algebra.dagger(eig.eigenvectors) @ eig.eigenvectors
@@ -64,7 +54,7 @@ class TestEigHermitian:
 
     def test_phase_convention(self):
         rng = np.random.default_rng(5)
-        m = random_hermitian(rng, 4)
+        m = samplers.hermitian(rng, 4)
         vecs = algebra.eig_hermitian(m).eigenvectors
         for i in range(4):
             first = vecs[np.flatnonzero(np.abs(vecs[:, i]) > 1e-12)[0], i]
@@ -84,7 +74,7 @@ class TestTensor:
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+            a, b = samplers.hermitian(rng, 2), samplers.hermitian(rng, 2)
             lhs = np.trace(algebra.tensor(a, b))
             assert abs(lhs - np.trace(a) * np.trace(b)) < 1e-12
 
@@ -92,7 +82,7 @@ class TestTensor:
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(3)
-        rho, tau = random_density(rng, 2), random_density(rng, 3)
+        rho, tau = samplers.density(rng, 2), samplers.density(rng, 3)
         full = algebra.tensor(rho, tau)
         assert algebra.max_norm(algebra.partial_trace(full, (2, 3), "B") - rho) < 1e-12
         assert algebra.max_norm(algebra.partial_trace(full, (2, 3), "A") - tau) < 1e-12
@@ -105,7 +95,7 @@ class TestPartialTrace:
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(9)
-        m = random_hermitian(rng, 4)
+        m = samplers.hermitian(rng, 4)
         for over in ("A", "B"):
             out = algebra.partial_trace(m, (2, 2), over)
             assert abs(np.trace(out) - np.trace(m)) < 1e-12
@@ -116,7 +106,7 @@ class TestPartialTrace:
 
     def test_double_trace_is_full_trace(self):
         rng = np.random.default_rng(13)
-        m = random_hermitian(rng, 6)
+        m = samplers.hermitian(rng, 6)
         via_a = np.trace(algebra.partial_trace(m, (2, 3), "A"))
         via_b = np.trace(algebra.partial_trace(m, (2, 3), "B"))
         assert abs(via_a - np.trace(m)) < 1e-12
@@ -175,10 +165,7 @@ class TestUnitaryCompletion:
     def test_partial_family_unitary(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            q, _ = np.linalg.qr(g)
-            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            p, _ = np.linalg.qr(h)
+            q, p = samplers.haar_unitary(rng, 4), samplers.haar_unitary(rng, 4)
             pairs = [(q[:, 0], p[:, 0]), (q[:, 1], p[:, 1])]
             u = algebra.unitary_completion(pairs, 4)
             assert algebra.max_norm(algebra.dagger(u) @ u - np.eye(4)) < 1e-10
@@ -198,6 +185,4 @@ class TestUnitaryCompletion:
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31))
 def test_eigh_reconstruction_property(d, seed):
     rng = np.random.default_rng(seed)
-    m = random_hermitian(rng, d)
-    eig = algebra.eig_hermitian(m)
-    assert algebra.max_norm(eig.reconstruct() - m) < 1e-10
+    assert REGISTRY["algebra_eig_reconstruction"].run(rng, d, 1) == (1, 0)

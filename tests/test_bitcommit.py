@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obsmask import algebra, bitcommit, channels
+from obsmask import algebra, bitcommit, channels, samplers
 from obsmask.errors import BadSpectrumError, NotOrthonormalError
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -9,30 +9,6 @@ KET1 = np.array([0, 1], dtype=complex)
 PLUS = (KET0 + KET1) / np.sqrt(2)
 MINUS = (KET0 - KET1) / np.sqrt(2)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def haar_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_pair(rng, d):
-    lam = rng.random(d) + 0.2
-    lam /= lam.sum()
-    ua0, ua1, ub = (haar_unitary(rng, d) for _ in range(3))
-    return bitcommit.make_commitment_pair(
-        lam,
-        [ua0[:, i] for i in range(d)],
-        [ua1[:, i] for i in range(d)],
-        [ub[:, i] for i in range(d)],
-    )
-
-
-def random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestMakeCommitmentPair:
@@ -57,7 +33,7 @@ class TestMakeCommitmentPair:
 
     def test_outputs_normalized(self):
         rng = np.random.default_rng(1)
-        pair = random_pair(rng, 3)
+        pair = bitcommit.random_commitment_pair(rng, 3)
         assert abs(np.linalg.norm(pair.psi0) - 1.0) < 1e-10
         assert abs(np.linalg.norm(pair.psi1) - 1.0) < 1e-10
 
@@ -78,7 +54,7 @@ class TestConcealmentGap:
     def test_constructed_pairs_conceal(self):
         rng = np.random.default_rng(2)
         for d in (2, 3):
-            assert bitcommit.concealment_gap(random_pair(rng, d)) < 1e-10
+            assert bitcommit.concealment_gap(bitcommit.random_commitment_pair(rng, d)) < 1e-10
 
     def test_orthogonal_product_states(self):
         pair = bitcommit.commitment_pair_from_vectors(
@@ -100,7 +76,7 @@ class TestConcealmentGap:
         rng = np.random.default_rng(13)
         for d in (2, 3):
             for _ in range(5):
-                pair = random_pair(rng, d)
+                pair = bitcommit.random_commitment_pair(rng, d)
                 if bitcommit.concealment_gap(pair) < 1e-10:
                     assert algebra.max_norm(pair.marginal_b0 - pair.marginal_b1) < 1e-9
 
@@ -133,7 +109,7 @@ class TestCheatingUnitary:
         rng = np.random.default_rng(4)
         for d in (2, 3, 4):
             for _ in range(5):
-                pair = random_pair(rng, d)
+                pair = bitcommit.random_commitment_pair(rng, d)
                 cheat = bitcommit.cheating_unitary(pair)
                 assert cheat.feasible
                 assert cheat.fidelity > 1.0 - 1e-9
@@ -145,7 +121,7 @@ class TestCheatingUnitary:
     def test_degenerate_spectrum_still_works(self):
         rng = np.random.default_rng(5)
         lam = np.full(3, 1 / 3)
-        ua0, ua1, ub = (haar_unitary(rng, 3) for _ in range(3))
+        ua0, ua1, ub = (samplers.haar_unitary(rng, 3) for _ in range(3))
         pair = bitcommit.make_commitment_pair(
             lam,
             [ua0[:, i] for i in range(3)],
@@ -160,14 +136,14 @@ class TestMeasurePrepareChannel:
     def test_equal_maximally_mixed(self):
         chan = bitcommit.measure_prepare_channel(np.eye(2) / 2, np.eye(2) / 2, 2)
         rng = np.random.default_rng(6)
-        out = channels.apply_forward(chan, random_density(rng, 2))
+        out = channels.apply_forward(chan, samplers.density(rng, 2))
         assert algebra.max_norm(out - np.eye(2) / 2) < 1e-10
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_trace_preserving(self, d):
         rng = np.random.default_rng(7 + d)
         chan = bitcommit.measure_prepare_channel(
-            random_density(rng, d), random_density(rng, d), d
+            samplers.density(rng, d), samplers.density(rng, d), d
         )
         total = sum(algebra.dagger(k) @ k for k in chan.kraus)
         assert algebra.max_norm(total - np.eye(d)) < 1e-10
@@ -175,12 +151,12 @@ class TestMeasurePrepareChannel:
     @pytest.mark.parametrize("d", [2, 3])
     def test_forward_is_measure_and_prepare(self, d):
         rng = np.random.default_rng(17 + d)
-        rho0, rho1 = random_density(rng, d), random_density(rng, d)
+        rho0, rho1 = samplers.density(rng, d), samplers.density(rng, d)
         chan = bitcommit.measure_prepare_channel(rho0, rho1, d)
         proj0 = np.zeros((d, d), complex)
         proj0[0, 0] = 1.0
         for _ in range(5):
-            sigma = random_density(rng, d)
+            sigma = samplers.density(rng, d)
             expected = (
                 np.trace(proj0 @ sigma) * rho0
                 + np.trace((np.eye(d) - proj0) @ sigma) * rho1
@@ -191,11 +167,10 @@ class TestMeasurePrepareChannel:
     def test_equal_states_adjoint_proportional_to_identity(self):
         rng = np.random.default_rng(8)
         for d in (2, 3):
-            rho = random_density(rng, d)
+            rho = samplers.density(rng, d)
             chan = bitcommit.measure_prepare_channel(rho, rho, d)
             for _ in range(5):
-                g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                obs = (g + g.conj().T) / 2
+                obs = samplers.hermitian(rng, d)
                 out = channels.apply_adjoint(chan, obs)
                 c = np.trace(rho @ obs).real
                 assert algebra.max_norm(out - c * np.eye(d)) < 1e-9

@@ -9,18 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch
+from obsmask import algebra, bloch, samplers
 from obsmask.errors import NotHermitianError, NotUnitTraceError
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestGeneratorBasis:
@@ -148,7 +142,7 @@ class TestStateCodec:
     def test_round_trip(self):
         rng = np.random.default_rng(17)
         for d in (2, 3, 4):
-            rho = random_density(rng, d)
+            rho = samplers.density(rng, d)
             back = bloch.bloch_to_state(bloch.state_to_bloch(rho))
             assert algebra.max_norm(back - rho) < 1e-10
 
@@ -188,8 +182,7 @@ class TestObservableCodec:
     def test_round_trip(self):
         rng = np.random.default_rng(29)
         for d in (2, 3, 4):
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            obs = (g + g.conj().T) / 2
+            obs = samplers.hermitian(rng, d)
             back = bloch.coeffs_to_observable(bloch.observable_coeffs(obs))
             assert algebra.max_norm(back - obs) < 1e-10
 
@@ -245,7 +238,7 @@ class TestPositivity:
         rng = np.random.default_rng(300 + d)
         radius = np.sqrt((d - 1) / (2.0 * d))
         for _ in range(20):
-            v = rng.normal(size=d * d - 1)
-            b = bloch.BlochVector(d, v / np.linalg.norm(v) * radius * rng.uniform(0, 1))
+            v = samplers.unit_vector(rng, d * d - 1)
+            b = bloch.BlochVector(d, v * radius * rng.uniform(0, 1))
             vals, _ = bloch.positivity_conditions(b)
             assert abs(bloch.cubic_condition_value(b) - 6.0 * vals[1]) < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obsmask import algebra, channels
+from obsmask import algebra, channels, samplers
 from obsmask.errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -21,33 +21,11 @@ def masker_kraus():
     return (np.array([[1, 0], [0, 0]], complex), np.array([[0, 1], [0, 0]], complex))
 
 
-def random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_hermitian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
-
-
 def random_channel(rng, d, n_kraus):
-    """Random CPTP map from the Stinespring form of a Haar-ish unitary."""
-    g = rng.normal(size=(d * n_kraus, d * n_kraus)) + 1j * rng.normal(
-        size=(d * n_kraus, d * n_kraus)
-    )
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    v = q[:, :d]
+    """Random CPTP map from the Stinespring form of a Haar unitary."""
+    v = samplers.haar_unitary(rng, d * n_kraus)[:, :d]
     ops = [v.reshape(d, n_kraus, d)[:, i, :] for i in range(n_kraus)]
     return channels.KrausChannel(input_dim=d, output_dim=d, kraus=tuple(ops))
-
-
-def random_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestKrausChannel:
@@ -67,20 +45,20 @@ class TestKrausChannel:
 class TestForward:
     def test_identity_channel(self):
         chan = channels.KrausChannel(2, 2, (np.eye(2),))
-        rho = random_density(np.random.default_rng(1), 2)
+        rho = samplers.density(np.random.default_rng(1), 2)
         assert algebra.max_norm(channels.apply_forward(chan, rho) - rho) < 1e-12
 
     def test_masker_sends_everything_to_ket0(self):
         chan = channels.KrausChannel(2, 2, masker_kraus())
         rng = np.random.default_rng(2)
         for _ in range(10):
-            out = channels.apply_forward(chan, random_density(rng, 2))
+            out = channels.apply_forward(chan, samplers.density(rng, 2))
             assert algebra.max_norm(out - np.diag([1.0, 0.0])) < 1e-12
 
     def test_depolarizing_to_maximally_mixed(self):
         chan = channels.constant_channel(np.eye(2) / 2, 2)
         rng = np.random.default_rng(3)
-        out = channels.apply_forward(chan, random_density(rng, 2))
+        out = channels.apply_forward(chan, samplers.density(rng, 2))
         assert algebra.max_norm(out - np.eye(2) / 2) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -106,7 +84,7 @@ class TestAdjoint:
         rng = np.random.default_rng(5)
         for d in (2, 3, 4):
             chan = random_channel(rng, d, 2)
-            rho, obs = random_density(rng, d), random_hermitian(rng, d)
+            rho, obs = samplers.density(rng, d), samplers.hermitian(rng, d)
             lhs = np.trace(channels.apply_forward(chan, rho) @ obs)
             rhs = np.trace(rho @ channels.apply_adjoint(chan, obs))
             assert abs(lhs - rhs) < 1e-10
@@ -122,10 +100,10 @@ class TestConstantChannel:
 
     def test_forward_is_constant(self):
         rng = np.random.default_rng(6)
-        sigma = random_density(rng, 3)
+        sigma = samplers.density(rng, 3)
         chan = channels.constant_channel(sigma, 3)
         for _ in range(5):
-            out = channels.apply_forward(chan, random_density(rng, 3))
+            out = channels.apply_forward(chan, samplers.density(rng, 3))
             assert algebra.max_norm(out - sigma) < 1e-10
 
     def test_invalid_state_rejected(self):
@@ -163,7 +141,7 @@ class TestDilation:
         for d, n in [(2, 2), (3, 2), (2, 4)]:
             chan = random_channel(rng, d, n)
             dil = channels.dilation_from_channel(chan)
-            rho = random_density(rng, d)
+            rho = samplers.density(rng, d)
             lhs = channels.dilation_forward(dil, rho)
             rhs = channels.apply_forward(chan, rho)
             assert algebra.max_norm(lhs - rhs) < 1e-10
@@ -173,7 +151,7 @@ class TestDilation:
         chan = random_channel(rng, 2, 3)
         dil = channels.dilation_from_channel(chan)
         back = channels.kraus_from_dilation(dil)
-        rho = random_density(rng, 2)
+        rho = samplers.density(rng, 2)
         assert (
             algebra.max_norm(
                 channels.apply_forward(back, rho) - channels.apply_forward(chan, rho)
@@ -189,7 +167,7 @@ class TestMaskerDilation:
 
     def test_action_on_basis(self):
         rng = np.random.default_rng(10)
-        u0, u1 = random_unitary(rng, 2), random_unitary(rng, 2)
+        u0, u1 = samplers.haar_unitary(rng, 2), samplers.haar_unitary(rng, 2)
         dil = channels.masker_dilation(u0, u1)
         ket1 = np.array([0, 1], complex)
         ket0 = np.array([1, 0], complex)
@@ -199,7 +177,8 @@ class TestMaskerDilation:
     def test_unitarity_random(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            dil = channels.masker_dilation(random_unitary(rng, 2), random_unitary(rng, 2))
+            u0, u1 = samplers.haar_unitary(rng, 2), samplers.haar_unitary(rng, 2)
+            dil = channels.masker_dilation(u0, u1)
             u = dil.unitary
             assert algebra.max_norm(algebra.dagger(u) @ u - np.eye(4)) < 1e-10
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from obsmask import bloch, fileio
+from obsmask import __version__, algebra, bloch, fileio, masking
 from obsmask.cli import main
 from obsmask.errors import ParseError
+from obsmask.invariants import REGISTRY
 
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -136,6 +137,22 @@ class TestMaskCommand:
         assert not out_path.exists()
 
 
+    def test_one_eigendecomposition(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(m, *args):
+            calls.append(m)
+            return algebra.eig_hermitian(m, *args)
+
+        monkeypatch.setattr(masking, "eig_hermitian", counting)
+        obs = tmp_path / "sz.obs"
+        obs.write_text(SZ_COEFFS)
+        out_path = tmp_path / "sz.kraus"
+        code, _ = run_cli(capsys, "mask", "--observable", str(obs), "--out", str(out_path))
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestNohideCommand:
     def test_z_axis(self, capsys):
         code, out = run_cli(capsys, "nohide", "--theta", "0", "--phi", "0")
@@ -212,6 +229,29 @@ class TestBitcommitDemoCommand:
         assert "cheat_fidelity: 1" in out
         assert "cheat_feasible: true" in out
 
+    def test_pinned_stdout(self, capsys):
+        _, out = run_cli(capsys, "bitcommit-demo", "--dim", "3", "--seed", "11")
+        assert out == f"""version: {__version__}
+command: bitcommit-demo
+demo: bitcommit
+dim: 3
+seed: 11
+concealment_gap: 0
+marginal_gap_max: 0
+cheat_feasible: true
+cheat_fidelity: 1
+hiding_residual_max: 0
+proportionality_checks: 20/20
+masking_matches_unit_expectation: 20/20
+rescaled_observables_masked: 20/20
+note: adjoint outputs are proportional to the identity for every observable; \
+equality with the identity (masking) holds exactly for observables with unit \
+expectation on the commitment marginal
+conclusion: a perfectly concealing, binding protocol would make this channel \
+a universal masker, which does not exist; unconditional bit commitment is \
+therefore impossible
+"""
+
     def test_byte_determinism(self, capsys):
         _, first = run_cli(capsys, "bitcommit-demo", "--dim", "3", "--seed", "11")
         _, second = run_cli(capsys, "bitcommit-demo", "--dim", "3", "--seed", "11")
@@ -224,3 +264,24 @@ class TestSelftestCommand:
         assert code == 0
         assert "all_passed: true" in out
         assert "total_failed: 0" in out
+
+    def test_pinned_stdout(self, capsys):
+        _, out = run_cli(capsys, "selftest")
+        assert out == f"""version: {__version__}
+command: selftest
+algebra_eig_reconstruction: 150 passed, 0 failed
+bloch_codecs_and_positivity: 150 passed, 0 failed
+qubit_oracle_agreement: 500 passed, 0 failed
+constant_maskers_verify: 50 passed, 0 failed
+nohiding_swap_identity: 50 passed, 0 failed
+comask_dimension_formula: 60 passed, 0 failed
+bitcommit_mechanics: 10 passed, 0 failed
+total_passed: 970
+total_failed: 0
+all_passed: true
+"""
+
+    def test_lines_follow_registry(self, capsys):
+        _, out = run_cli(capsys, "selftest")
+        names = [line.split(":")[0] for line in out.splitlines()[2:-3]]
+        assert names == list(REGISTRY)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch, comask
+from obsmask import algebra, bloch, comask, samplers
 from obsmask.errors import (
     DegenerateLineError,
     DegenerateSpanError,
@@ -9,17 +9,11 @@ from obsmask.errors import (
     IdenticalPointsError,
     InfeasibleError,
 )
+from obsmask.invariants import REGISTRY
 
 
 def coeffs(d, a0, a):
     return bloch.ObservableCoeffs(dimension=d, a0=a0, a=np.asarray(a, float))
-
-
-def random_density_bloch(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return bloch.state_to_bloch(rho).b
 
 
 def masking_gap(element, r, d):
@@ -171,21 +165,19 @@ class TestGeneralCase:
 
     def test_two_points_k1(self):
         rng = np.random.default_rng(8)
-        pts = [random_density_bloch(rng, 2) for _ in range(2)]
+        pts = [bloch.state_to_bloch(samplers.density(rng, 2)).b for _ in range(2)]
         desc = comask.comask_general(pts, 2)
         assert desc.affine_dim == 4 - 1 - 1
 
     @pytest.mark.parametrize("d,k", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 2)])
     def test_dimension_formula(self, d, k):
         rng = np.random.default_rng(10 * d + k)
-        pts = [random_density_bloch(rng, d) for _ in range(k + 1)]
-        desc = comask.comask_general(pts, d)
-        assert desc.affine_dim == d * d - k - 1
+        assert REGISTRY["comask_dimension_formula"].run(rng, (d, k), 1) == (1, 0)
 
     def test_elements_mask_all_points(self):
         rng = np.random.default_rng(9)
         for d in (2, 3):
-            pts = [random_density_bloch(rng, d) for _ in range(3)]
+            pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(3)]
             desc = comask.comask_general(pts, d)
             for _ in range(10):
                 el = desc.element(rng.normal(size=desc.affine_dim))
@@ -207,8 +199,8 @@ class TestCounterexample:
         rng = np.random.default_rng(11)
         for d in (2, 3):
             for _ in range(20):
-                b = random_density_bloch(rng, d)
-                bp = random_density_bloch(rng, d)
+                b = bloch.state_to_bloch(samplers.density(rng, d)).b
+                bp = bloch.state_to_bloch(samplers.density(rng, d)).b
                 if np.linalg.norm(b - bp) < 1e-6:
                     continue
                 out = comask.universal_counterexample(b, bp, d)
@@ -245,10 +237,9 @@ class TestCommonOutputState:
         # leaves no common output state
         rng = np.random.default_rng(12)
         for _ in range(5):
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
+            n = samplers.unit_vector(rng, 3)
             b = n / 2
-            bp = random_density_bloch(rng, 2)
+            bp = bloch.state_to_bloch(samplers.density(rng, 2)).b
             if np.linalg.norm(b - bp) < 1e-3:
                 continue
             ce = comask.universal_counterexample(b, bp, 2)

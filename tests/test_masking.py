@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch, channels, masking
+from obsmask import algebra, bloch, channels, masking, samplers
 from obsmask.errors import (
     DimensionMismatchError,
     EmptyDiskError,
     NotMaskableError,
     NotUnitVectorError,
 )
+from obsmask.invariants import REGISTRY
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -19,22 +20,6 @@ SWAP = np.array(
 
 def coeffs(d, a0, a):
     return bloch.ObservableCoeffs(dimension=d, a0=a0, a=np.asarray(a, float))
-
-
-def random_unit3(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def random_hermitian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
-
-
-def random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestQubitCriterion:
@@ -82,22 +67,15 @@ class TestOracle:
 
     def test_agrees_with_qubit_criterion(self):
         rng = np.random.default_rng(3)
-        for _ in range(2000):
-            obs = random_hermitian(rng, 2)
-            c = bloch.observable_coeffs(obs)
-            if abs(c.a_norm() - abs(1.0 - c.a0)) < 1e-9:
-                continue
-            assert (
-                masking.decide_maskable_qubit(c).maskable
-                == masking.decide_maskable_oracle(obs).maskable
-            )
+        _, disagreements = REGISTRY["qubit_oracle_agreement"].run(rng, 2, 2000)
+        assert disagreements == 0
 
 
 class TestNecessaryCondition:
     def test_d2_reduction_matches_plane_criterion(self):
         rng = np.random.default_rng(4)
         for _ in range(500):
-            c = bloch.observable_coeffs(random_hermitian(rng, 2))
+            c = bloch.observable_coeffs(samplers.hermitian(rng, 2))
             if abs(c.a_norm() - abs(1.0 - c.a0)) < 1e-9:
                 continue
             assert masking.necessary_condition_d(c) == masking.decide_maskable_qubit(c).maskable
@@ -109,7 +87,7 @@ class TestNecessaryCondition:
     def test_oracle_maskable_implies_condition(self, d):
         rng = np.random.default_rng(50 + d)
         for _ in range(300):
-            obs = random_hermitian(rng, d)
+            obs = samplers.hermitian(rng, d)
             if masking.decide_maskable_oracle(obs).maskable:
                 assert masking.necessary_condition_d(bloch.observable_coeffs(obs))
 
@@ -128,13 +106,13 @@ class TestConstantMasker:
     def test_diag_3_minus1_targets_maximally_mixed(self):
         chan = masking.build_constant_masker(np.diag([3.0, -1.0]))
         rng = np.random.default_rng(5)
-        out = channels.apply_forward(chan, random_density(rng, 2))
+        out = channels.apply_forward(chan, samplers.density(rng, 2))
         assert algebra.max_norm(out - np.eye(2) / 2) < 1e-10
 
     def test_identity_targets_maximally_mixed(self):
         chan = masking.build_constant_masker(np.eye(2))
         rng = np.random.default_rng(6)
-        out = channels.apply_forward(chan, random_density(rng, 2))
+        out = channels.apply_forward(chan, samplers.density(rng, 2))
         assert algebra.max_norm(out - np.eye(2) / 2) < 1e-10
 
     def test_unmaskable_refused(self):
@@ -157,14 +135,7 @@ class TestConstantMasker:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_maskable_verify(self, d):
         rng = np.random.default_rng(60 + d)
-        built = 0
-        while built < 50:
-            obs = random_hermitian(rng, d) * 2.0
-            if not masking.decide_maskable_oracle(obs).maskable:
-                continue
-            chan = masking.build_constant_masker(obs)
-            assert masking.verify_masking(chan, obs) < 1e-9
-            built += 1
+        assert REGISTRY["constant_maskers_verify"].run(rng, d, 50) == (50, 0)
 
 
 class TestRotationUnitary:
@@ -181,7 +152,7 @@ class TestRotationUnitary:
     def test_random_directions(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            n = random_unit3(rng)
+            n = samplers.unit_vector(rng, 3)
             w = masking.rotation_unitary(n)
             target = n[0] * S1 + n[1] * S2 + n[2] * S3
             assert algebra.max_norm(algebra.dagger(w) @ S3 @ w - target) < 1e-10
@@ -209,12 +180,12 @@ class TestMaskerSwap:
 
     def test_forward_is_constant(self):
         rng = np.random.default_rng(8)
-        n = random_unit3(rng)
+        n = samplers.unit_vector(rng, 3)
         chan, _ = masking.build_masker_swap(n)
         w = masking.rotation_unitary(n)
         target = algebra.dagger(w) @ np.diag([1.0, 0.0]).astype(complex) @ w
         for _ in range(10):
-            out = channels.apply_forward(chan, random_density(rng, 2))
+            out = channels.apply_forward(chan, samplers.density(rng, 2))
             assert algebra.max_norm(out - target) < 1e-10
 
 
@@ -240,21 +211,16 @@ class TestNoHiding:
 
     def test_random_directions_identity_env(self):
         rng = np.random.default_rng(9)
-        for _ in range(25):
-            report = masking.verify_nohiding(random_unit3(rng))
-            assert report.swap_residual < 1e-10
-            assert report.recovery_residual < 1e-10
+        assert REGISTRY["nohiding_swap_identity"].run(rng, 2, 25) == (25, 0)
 
     def test_random_env_unitaries(self):
         rng = np.random.default_rng(10)
-
-        def haar2():
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(g)
-            return q * (np.diag(r) / np.abs(np.diag(r)))
-
         for _ in range(25):
-            report = masking.verify_nohiding(random_unit3(rng), haar2(), haar2())
+            report = masking.verify_nohiding(
+                samplers.unit_vector(rng, 3),
+                samplers.haar_unitary(rng, 2),
+                samplers.haar_unitary(rng, 2),
+            )
             assert report.swap_residual < 1e-10
             assert report.verified
 
@@ -277,7 +243,7 @@ class TestOutputDisk:
     def test_rim_on_bloch_sphere(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a = random_unit3(rng) * rng.uniform(1.0, 4.0)
+            a = samplers.unit_vector(rng, 3) * rng.uniform(1.0, 4.0)
             disk = masking.output_disk(a)
             assert abs(disk.radius**2 + np.dot(disk.center, disk.center) - 0.25) < 1e-12
             rim = disk.point(1.0, rng.uniform(0, 2 * np.pi))
@@ -286,7 +252,7 @@ class TestOutputDisk:
     def test_sampled_points_are_states_and_mask(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            a = random_unit3(rng) * rng.uniform(1.0, 3.0)
+            a = samplers.unit_vector(rng, 3) * rng.uniform(1.0, 3.0)
             disk = masking.output_disk(a)
             for _ in range(5):
                 b = disk.point(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
