@@ -12,13 +12,12 @@ from . import samplers
 from .algebra import (
     ORTHONORMALITY_ATOL,
     dagger,
-    eig_hermitian,
     max_norm,
     partial_trace,
     require_orthonormal,
     unitary_completion,
 )
-from .channels import KrausChannel, apply_adjoint, require_density
+from .channels import KrausChannel, apply_adjoint, require_density, spectral_kraus
 from .errors import (
     BadSpectrumError,
     DimensionMismatchError,
@@ -31,6 +30,9 @@ from .report import RunReport
 # Cheating counts as exact when the completed unitary reproduces the target
 # global state within this max-norm slack.
 CHEAT_ATOL = 1e-8
+
+# Random observables the no-bit-commitment demo drives through its channel.
+DEMO_OBSERVABLES = 20
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,10 @@ class CheatResult:
     feasible: bool
 
 
-def _marginal_b(psi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    return partial_trace(np.outer(psi, psi.conj()), dims, "A")
+def _pair(psi0, psi1, dims: tuple[int, int], spectrum=None) -> CommitmentPair:
+    b0, b1 = (partial_trace(np.outer(psi, psi.conj()), dims, "A") for psi in (psi0, psi1))
+    return CommitmentPair(dim_a=dims[0], dim_b=dims[1], psi0=psi0, psi1=psi1,
+                          marginal_b0=b0, marginal_b1=b1, spectrum=spectrum)
 
 
 def commitment_pair_from_vectors(psi0, psi1, dims: tuple[int, int]) -> CommitmentPair:
@@ -74,14 +78,7 @@ def commitment_pair_from_vectors(psi0, psi1, dims: tuple[int, int]) -> Commitmen
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise NotNormalizedError(f"{name} is not normalized")
         vecs.append(v)
-    return CommitmentPair(
-        dim_a=d_a,
-        dim_b=d_b,
-        psi0=vecs[0],
-        psi1=vecs[1],
-        marginal_b0=_marginal_b(vecs[0], dims),
-        marginal_b1=_marginal_b(vecs[1], dims),
-    )
+    return _pair(vecs[0], vecs[1], dims)
 
 
 def _check_family(vectors, r: int, name: str) -> np.ndarray:
@@ -110,15 +107,7 @@ def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
     roots = np.sqrt(np.clip(weights, 0.0, None))
     psi0 = sum(roots[i] * np.kron(a0[:, i], b[:, i]) for i in range(r))
     psi1 = sum(roots[i] * np.kron(a1[:, i], b[:, i]) for i in range(r))
-    return CommitmentPair(
-        dim_a=d_a,
-        dim_b=d_b,
-        psi0=psi0,
-        psi1=psi1,
-        marginal_b0=_marginal_b(psi0, (d_a, d_b)),
-        marginal_b1=_marginal_b(psi1, (d_a, d_b)),
-        spectrum=weights,
-    )
+    return _pair(psi0, psi1, (d_a, d_b), weights)
 
 
 def concealment_gap(pair: CommitmentPair) -> float:
@@ -163,26 +152,15 @@ def cheating_unitary(pair: CommitmentPair) -> CheatResult:
 def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
     """Channel measuring {|0><0|, I - |0><0|} and preparing rho0 or rho1.
 
-    Kraus operators sqrt(p^i_j) |e^i_j><u^i_k| combine the spectral terms of
-    the prepared states with rank-1 pieces of the POVM effects; for d = 2
-    this is the familiar sqrt(p^i_j) |e^i_j><i| family.
+    Kraus operators sqrt(p^i_j) |e^i_j><k| pair the spectral terms of rho_i
+    with the basis kets of effect i (k = 0, or k >= 1); for d = 2 this is the
+    familiar sqrt(p^i_j) |e^i_j><i| family.
     """
     states = [require_density(rho0), require_density(rho1)]
     for arr in states:
         if arr.shape != (d, d):
             raise DimensionMismatchError(f"state shape {arr.shape} != ({d}, {d})")
-    basis = np.eye(d, dtype=complex)
-    povm_vectors = [[basis[:, 0]], [basis[:, k] for k in range(1, d)]]
-    ops = []
-    for i, arr in enumerate(states):
-        eig = eig_hermitian(arr)
-        for j in range(len(eig.eigenvalues) - 1, -1, -1):
-            p = eig.eigenvalues[j]
-            if p < 1e-12:
-                continue
-            ket = eig.eigenvectors[:, j]
-            for u in povm_vectors[i]:
-                ops.append(np.sqrt(p) * np.outer(ket, u.conj()))
+    ops = spectral_kraus(states[0], d, [0]) + spectral_kraus(states[1], d, range(1, d))
     return KrausChannel(input_dim=d, output_dim=d, kraus=tuple(ops))
 
 
@@ -200,13 +178,14 @@ def random_commitment_pair(rng: np.random.Generator, d: int) -> CommitmentPair:
     )
 
 
-def no_bit_commitment_demo(d: int, seed: int, n_observables: int = 20) -> RunReport:
+def no_bit_commitment_demo(d: int, seed: int) -> RunReport:
     """Run the full reduction at dimension d with a seeded generator (PCG64).
 
     Draws a random full-rank commitment pair, confirms it is perfectly
-    concealing yet not binding, then drives the measure-and-prepare channel
-    built from the (equal) marginals: its adjoint sends every observable to
-    Tr(rho_B O) I, and masks exactly the observables with unit expectation.
+    concealing yet not binding, then drives ``DEMO_OBSERVABLES`` random
+    observables through the measure-and-prepare channel built from the
+    (equal) marginals: its adjoint sends every observable to Tr(rho_B O) I,
+    and masks exactly the observables with unit expectation.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -223,7 +202,7 @@ def no_bit_commitment_demo(d: int, seed: int, n_observables: int = 20) -> RunRep
     masking_consistent = 0
     rescaled_masked = 0
     rescaled_total = 0
-    for _ in range(n_observables):
+    for _ in range(DEMO_OBSERVABLES):
         obs = samplers.hermitian(rng, d)
         expectation = float(np.trace(rho_b @ obs).real)
         out = apply_adjoint(channel, obs)
@@ -248,8 +227,8 @@ def no_bit_commitment_demo(d: int, seed: int, n_observables: int = 20) -> RunRep
     report.add("cheat_feasible", cheat.feasible)
     report.add("cheat_fidelity", cheat.fidelity)
     report.add("hiding_residual_max", hiding_residual)
-    report.add("proportionality_checks", f"{proportional}/{n_observables}")
-    report.add("masking_matches_unit_expectation", f"{masking_consistent}/{n_observables}")
+    report.add("proportionality_checks", f"{proportional}/{DEMO_OBSERVABLES}")
+    report.add("masking_matches_unit_expectation", f"{masking_consistent}/{DEMO_OBSERVABLES}")
     report.add("rescaled_observables_masked", f"{rescaled_masked}/{rescaled_total}")
     report.add(
         "note",

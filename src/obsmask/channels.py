@@ -125,6 +125,23 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
     return sum(dagger(k) @ arr @ k for k in channel.kraus)
 
 
+def spectral_kraus(state, input_dim: int, columns) -> list[np.ndarray]:
+    """Operators sqrt(p_j) |e_j><k| over the nonzero spectral terms of a
+    validated ``state`` (descending weight), then the input indices k in
+    ``columns``."""
+    eig = eig_hermitian(state)
+    ops = []
+    for j in range(len(eig.eigenvalues) - 1, -1, -1):
+        p = eig.eigenvalues[j]
+        if p < 1e-12:
+            continue
+        for k in columns:
+            op = np.zeros((len(eig.eigenvalues), input_dim), dtype=complex)
+            op[:, k] = np.sqrt(p) * eig.eigenvectors[:, j]
+            ops.append(op)
+    return ops
+
+
 def constant_channel(sigma0, input_dim: int) -> KrausChannel:
     """Channel mapping every input state to ``sigma0``.
 
@@ -132,29 +149,14 @@ def constant_channel(sigma0, input_dim: int) -> KrausChannel:
     sigma0 (descending weight) and k = 0..input_dim-1.
     """
     arr = require_density(sigma0)
-    eig = eig_hermitian(arr)
-    ops = []
-    for j in range(len(eig.eigenvalues) - 1, -1, -1):
-        p = eig.eigenvalues[j]
-        if p < 1e-12:
-            continue
-        e_j = eig.eigenvectors[:, j]
-        for k in range(input_dim):
-            op = np.zeros((arr.shape[0], input_dim), dtype=complex)
-            op[:, k] = np.sqrt(p) * e_j
-            ops.append(op)
+    ops = spectral_kraus(arr, input_dim, range(input_dim))
     return KrausChannel(input_dim=input_dim, output_dim=arr.shape[0], kraus=tuple(ops))
 
 
 def isometric_extension(channel: KrausChannel) -> np.ndarray:
     """Isometry V = sum_i E_i (x) |i>_E with one environment level per Kraus op."""
-    n = len(channel.kraus)
-    v = np.zeros((channel.output_dim * n, channel.input_dim), dtype=complex)
-    for i, k in enumerate(channel.kraus):
-        e_i = np.zeros((n, 1), dtype=complex)
-        e_i[i, 0] = 1.0
-        v += tensor(k, e_i)
-    return v
+    # row a * n + i of V is row a of E_i
+    return np.stack(channel.kraus, axis=1).reshape(-1, channel.input_dim)
 
 
 def dilation_from_channel(channel: KrausChannel) -> UnitaryDilation:

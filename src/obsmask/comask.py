@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, plane_frame
+from .algebra import dagger
 from .bloch import BlochVector, ObservableCoeffs, bloch_to_state, positivity_conditions, state_to_bloch
 from .errors import (
     DegenerateLineError,
@@ -60,8 +60,6 @@ class AffineSet:
             raise DimensionMismatchError(
                 f"{w.shape[0]} weights for {self.affine_dim} directions"
             )
-        if self.affine_dim == 0:
-            return self.base_point.copy()
         return self.base_point + w @ self.directions
 
     def contains(self, point, tol: float = 1e-9) -> bool:
@@ -73,22 +71,25 @@ class AffineSet:
         return bool(np.max(np.abs(v), initial=0.0) <= tol)
 
     def slice_coordinate(self, index: int, value: float) -> "AffineSet":
-        """Intersect with the hyperplane {x[index] = value}."""
-        col = self.directions[:, index] if self.affine_dim else np.zeros(0)
+        """Intersect with the hyperplane {x[index] = value}.
+
+        The coordinate is pinned: every sample of the slice has x[index]
+        exactly equal to ``value``.
+        """
+        col = self.directions[:, index]
         offset = value - self.base_point[index]
-        if self.affine_dim == 0 or np.max(np.abs(col)) <= 1e-12:
-            if abs(offset) > 1e-9:
-                raise ValueError("slice misses the set")
-            return self
-        w0 = offset * col / np.dot(col, col)
-        base = self.base_point + w0 @ self.directions
-        # weight combinations keeping the coordinate fixed: null space of col
-        null_rows = np.linalg.svd(col.reshape(1, -1))[2][1:]
-        return AffineSet(
-            ambient_dim=self.ambient_dim,
-            base_point=base,
-            directions=null_rows @ self.directions,
-        )
+        if np.max(np.abs(col), initial=0.0) > 1e-12:
+            w0 = offset * col / np.dot(col, col)
+            base = self.base_point + w0 @ self.directions
+            # weight combinations keeping the coordinate fixed: null space of col
+            dirs = np.linalg.svd(col.reshape(1, -1))[2][1:] @ self.directions
+        elif abs(offset) <= 1e-9:
+            base, dirs = self.base_point.copy(), self.directions.copy()
+        else:
+            raise ValueError("slice misses the set")
+        base[index] = value
+        dirs[:, index] = 0.0
+        return AffineSet(ambient_dim=self.ambient_dim, base_point=base, directions=dirs)
 
 
 @dataclass(frozen=True)
@@ -96,14 +97,13 @@ class ComaskDescription:
     """Affine set of observables (a0, a) masked by one common channel.
 
     ``coefficient_set`` lives in the (a0, a) space of dimension d^2 with a0
-    as the leading coordinate.  ``a0_fixed`` records the a0 = 0 convention of
-    the qubit point/line/planar cases.
+    as the leading coordinate.  The qubit point/line/planar cases hold the
+    a0 = 0 slice of the general set, so their elements have a0 exactly 0.
     """
 
     kind: str  # "singleton" | "line" | "plane" | "general"
     dimension: int
     coefficient_set: AffineSet
-    a0_fixed: float | None = None
 
     @property
     def affine_dim(self) -> int:
@@ -114,102 +114,60 @@ class ComaskDescription:
         return ObservableCoeffs(dimension=self.dimension, a0=float(vec[0]), a=vec[1:])
 
 
-def _lift(a0: float, vec: np.ndarray) -> np.ndarray:
-    return np.concatenate(([a0], vec))
-
-
-def _require_qubit_state(b, what: str = "point") -> np.ndarray:
-    arr = np.asarray(b, dtype=float).reshape(-1)
-    if arr.shape != (3,):
-        raise DimensionMismatchError(f"{what} must be a Bloch 3-vector")
-    if np.linalg.norm(arr) > 0.5 + 1e-9:
-        raise InvalidStateError(f"{what} lies outside the Bloch ball")
-    return arr
+def _traceless_slice(general: ComaskDescription, kind: str, miss: Exception):
+    """The a0 = 0 slice of a qubit ``comask_general`` result; raises ``miss``
+    when the set holds no traceless observable."""
+    try:
+        coeff_set = general.coefficient_set.slice_coordinate(0, 0.0)
+    except ValueError as exc:
+        raise miss from exc
+    return ComaskDescription(kind=kind, dimension=2, coefficient_set=coeff_set)
 
 
 def comask_from_point(b) -> ComaskDescription:
-    """Plane of traceless qubit observables masked onto the single state b.
-
-    The set is {a + m : m . b = 0} with particular solution a = b / (2|b|^2).
-    """
-    arr = _require_qubit_state(b)
-    if np.linalg.norm(arr) < 1e-9:
-        raise DegenerateStateError(
-            "maximally mixed output: a . 0 = 1/2 has no solution"
-        )
-    particular = arr / (2.0 * np.dot(arr, arr))
-    dirs = plane_frame(arr / np.linalg.norm(arr))
-    coeff_set = AffineSet(
-        ambient_dim=4,
-        base_point=_lift(0.0, particular),
-        directions=np.stack([_lift(0.0, d) for d in dirs]),
-    )
-    return ComaskDescription(
-        kind="plane", dimension=2, coefficient_set=coeff_set, a0_fixed=0.0
-    )
+    """Plane {a : a . b = 1/2} of traceless qubit observables masked onto the
+    state b: the a0 = 0 slice of ``comask_general([b], 2)``, based at
+    b / (2|b|^2).  Refused for the maximally mixed state."""
+    general = comask_general([b], 2)
+    degenerate = DegenerateStateError("maximally mixed output: a . 0 = 1/2 has no solution")
+    if np.linalg.norm(np.asarray(b, dtype=float)) < 1e-9:
+        raise degenerate
+    return _traceless_slice(general, "plane", degenerate)
 
 
 def comask_from_line(p, q) -> ComaskDescription:
-    """Line of traceless qubit observables masked onto the segment [p, q].
+    """Line of traceless qubit observables masked onto the segment [p, q]:
+    the a0 = 0 slice of ``comask_general([p, q], 2)``.
 
-    The free direction is the unit normal of the plane spanned by the
-    position vectors of the segment; refused when p, q and the origin are
-    collinear (no unique normal).
+    The free direction is the normal of the plane spanned by the position
+    vectors of the segment; refused when p, q and the origin are collinear
+    (no unique normal).
     """
-    p_arr = _require_qubit_state(p, "endpoint p")
-    q_arr = _require_qubit_state(q, "endpoint q")
+    general = comask_general([p, q], 2)
+    p_arr, q_arr = (np.asarray(v, dtype=float).reshape(-1) for v in (p, q))
     if np.linalg.norm(p_arr - q_arr) < 1e-9:
         raise IdenticalPointsError("segment endpoints coincide")
-    cross = np.cross(p_arr, q_arr)
-    norm = np.linalg.norm(cross)
+    collinear = DegenerateLineError("segment is collinear with the origin; normal not unique")
+    norm = np.linalg.norm(np.cross(p_arr, q_arr))
     if norm < 1e-9 * max(np.linalg.norm(p_arr) * np.linalg.norm(q_arr), 1e-30):
-        raise DegenerateLineError(
-            "segment is collinear with the origin; normal not unique"
-        )
-    n_perp = cross / norm
-    particular, *_ = np.linalg.lstsq(
-        np.stack([p_arr, q_arr]), np.array([0.5, 0.5]), rcond=None
-    )
-    residual = np.max(np.abs(np.stack([p_arr, q_arr]) @ particular - 0.5))
-    if residual > 1e-9:
-        raise InconsistentConstraintsError(
-            f"no coefficient vector masks both endpoints (residual {residual:.3e})"
-        )
-    coeff_set = AffineSet(
-        ambient_dim=4,
-        base_point=_lift(0.0, particular),
-        directions=_lift(0.0, n_perp).reshape(1, 4),
-    )
-    return ComaskDescription(
-        kind="line", dimension=2, coefficient_set=coeff_set, a0_fixed=0.0
-    )
+        raise collinear
+    return _traceless_slice(general, "line", collinear)
 
 
 def comask_from_planar(points) -> ComaskDescription:
-    """Singleton observable masked onto a genuinely 2-dimensional output set."""
-    arrs = [_require_qubit_state(pt, f"point {i}") for i, pt in enumerate(points)]
-    if len(arrs) < 3:
-        raise DegenerateSpanError("planar case needs at least 3 points")
-    stacked = np.stack(arrs)
-    diffs = stacked[1:] - stacked[0]
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    rank = int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))
+    """Singleton observable masked onto a genuinely 2-dimensional output set:
+    the a0 = 0 slice of ``comask_general(points, 2)``.
+
+    Refused when the points span affine dimension below 2; inconsistent
+    when no plane a . b = 1/2 holds them all.
+    """
+    pts = list(points)
+    general = comask_general(pts, 2) if pts else None
+    rank = 3 - general.affine_dim if general else -1  # the empty set has dimension -1
     if rank < 2:
-        raise DegenerateSpanError(
-            f"points span affine dimension {rank}; use the line or point case"
-        )
-    solution, *_ = np.linalg.lstsq(stacked, np.full(len(arrs), 0.5), rcond=None)
-    residual = np.max(np.abs(stacked @ solution - 0.5))
-    if residual > 1e-9:
-        raise InconsistentConstraintsError(
-            f"points do not lie on one masking plane (residual {residual:.3e})"
-        )
-    coeff_set = AffineSet(
-        ambient_dim=4, base_point=_lift(0.0, solution), directions=np.zeros((0, 4))
-    )
-    return ComaskDescription(
-        kind="singleton", dimension=2, coefficient_set=coeff_set, a0_fixed=0.0
-    )
+        raise DegenerateSpanError(f"points span affine dimension {rank} < 2; not a planar set")
+    inconsistent = InconsistentConstraintsError("points do not lie on one masking plane")
+    return _traceless_slice(general, "singleton", inconsistent)
 
 
 def comask_general(points, d: int) -> ComaskDescription:
@@ -225,9 +183,7 @@ def comask_general(points, d: int) -> ComaskDescription:
     for i, pt in enumerate(points):
         vec = np.asarray(pt, dtype=float).reshape(-1)
         if vec.shape != (n,):
-            raise DimensionMismatchError(
-                f"point {i} has length {vec.shape[0]}, expected {n}"
-            )
+            raise DimensionMismatchError(f"point {i} has length {vec.shape[0]}, expected {n}")
         _, positive = positivity_conditions(BlochVector(d, vec))
         if not positive:
             raise InvalidStateError(f"point {i} is not a valid state")
@@ -235,19 +191,15 @@ def comask_general(points, d: int) -> ComaskDescription:
     if not arrs:
         raise ValueError("need at least one output state")
     b0 = arrs[0]
-    diffs = np.stack(arrs[1:]) - b0 if len(arrs) > 1 else np.zeros((0, n))
-    if diffs.shape[0]:
-        _, svals, vh = np.linalg.svd(diffs, full_matrices=True)
+    if len(arrs) > 1:
+        _, svals, vh = np.linalg.svd(np.stack(arrs[1:]) - b0, full_matrices=True)
         k = int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))
     else:
-        vh = np.eye(n)
-        k = 0
-    v_basis = vh[:k]
-    w_basis = vh[k:]
-    m = b0 - v_basis.T @ (v_basis @ b0) if k else b0
-    base = _lift(d / 2.0, np.zeros(n))
-    dirs = np.stack([_lift(-d * float(np.dot(w, m)), w) for w in w_basis]) \
-        if w_basis.shape[0] else np.zeros((0, n + 1))
+        vh, k = np.eye(n), 0
+    v_basis, w_basis = vh[:k], vh[k:]
+    m = b0 - v_basis.T @ (v_basis @ b0)
+    dirs = np.column_stack([-d * (w_basis @ m), w_basis])
+    base = np.concatenate(([d / 2.0], np.zeros(n)))
     coeff_set = AffineSet(ambient_dim=n + 1, base_point=base, directions=dirs)
     return ComaskDescription(kind="general", dimension=d, coefficient_set=coeff_set)
 

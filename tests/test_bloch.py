@@ -11,6 +11,7 @@ import pytest
 
 from obsmask import algebra, bloch, samplers
 from obsmask.errors import NotHermitianError, NotUnitTraceError
+from obsmask.invariants import REGISTRY
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -209,22 +210,10 @@ class TestPositivity:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_agrees_with_min_eigenvalue(self, d):
+        # the verdict against the minimum eigenvalue, the e_2 ball identity
+        # and the codec round trip, as the registry entry defines them
         rng = np.random.default_rng(100 + d)
-        for _ in range(500):
-            b = bloch.BlochVector(d, rng.normal(size=d * d - 1) * rng.uniform(0, 0.6))
-            _, verdict = bloch.positivity_conditions(b)
-            min_eig = np.linalg.eigvalsh(bloch.bloch_to_state(b))[0]
-            assert verdict == (min_eig >= -1e-9) or abs(min_eig) < 1e-7
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_e2_ball_identity(self, d):
-        rng = np.random.default_rng(200 + d)
-        for _ in range(100):
-            b = bloch.BlochVector(d, rng.normal(size=d * d - 1) * 0.3)
-            vals, _ = bloch.positivity_conditions(b)
-            lhs = 2.0 * vals[0]
-            rhs = (d - 1) / d - 2.0 * np.dot(b.b, b.b)
-            assert abs(lhs - rhs) < 1e-10
+        assert REGISTRY["bloch_codecs_and_positivity"].run(rng, d, 500) == (500, 0)
 
     def test_cubic_matches_6e3_at_d3(self):
         rng = np.random.default_rng(41)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch, comask, samplers
+from obsmask import algebra, bloch, comask, masking, samplers
 from obsmask.errors import (
     DegenerateLineError,
     DegenerateSpanError,
     DegenerateStateError,
+    DimensionMismatchError,
     IdenticalPointsError,
+    InconsistentConstraintsError,
     InfeasibleError,
+    InvalidStateError,
 )
 from obsmask.invariants import REGISTRY
 
@@ -19,6 +22,21 @@ def coeffs(d, a0, a):
 def masking_gap(element, r, d):
     """Deviation of the masking equation a0/d + a.r = 1/2 at output state r."""
     return element.a0 / d + float(np.dot(element.a, r)) - 0.5
+
+
+def min_norm(points):
+    """Minimum-norm a with a . r = 1/2 at every point r."""
+    return np.linalg.lstsq(np.stack(points), np.full(len(points), 0.5), rcond=None)[0]
+
+
+def assert_traceless_set(got, base, directions, rng):
+    """The AffineSet ``got`` is {(0, base + w . directions)}: the same base
+    point, and each set contains the other's samples."""
+    dirs = np.reshape(directions, (-1, 3))
+    want = comask.AffineSet(4, np.r_[0.0, base], np.column_stack([np.zeros(len(dirs)), dirs]))
+    assert algebra.max_norm(got.base_point - want.base_point) < 1e-12
+    for w in rng.normal(size=(5, len(dirs))) * 3:
+        assert want.contains(got.sample(w)) and got.contains(want.sample(w))
 
 
 class TestAffineSet:
@@ -41,6 +59,17 @@ class TestAffineSet:
         sliced = s.slice_coordinate(0, 0.0)
         assert sliced.affine_dim == 0
         assert np.allclose(sliced.base_point, [0.0, -1.0])
+
+    def test_slice_pins_coordinate_exactly(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            s = comask.AffineSet(5, rng.normal(size=5), rng.normal(size=(3, 5)))
+            index, value = int(rng.integers(5)), float(rng.normal())
+            sliced = s.slice_coordinate(index, value)
+            assert all(sliced.sample(w)[index] == value for w in rng.normal(size=(5, 2)) * 10)
+        # a coordinate the directions do not move, off the value by less than 1e-9
+        s = comask.AffineSet(3, np.array([0.3 + 1e-10, 1.0, 2.0]), np.array([[0.0, 1.0, 1.0]]))
+        assert s.slice_coordinate(0, 0.3).sample([4.0])[0] == 0.3
 
 
 class TestPointCase:
@@ -155,13 +184,10 @@ class TestGeneralCase:
         desc = comask.comask_general([[0.0, 0.0, 0.5]], 2)
         assert desc.affine_dim == 3
         assert desc.kind == "general"
-        # a0 = 0 slice recovers the point-case plane
+        # the a0 = 0 slice is the closed-form plane {a : a . b = 1/2}
         sliced = desc.coefficient_set.slice_coordinate(0, 0.0)
-        plane = comask.comask_from_point([0.0, 0.0, 0.5]).coefficient_set
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            assert plane.contains(sliced.sample(rng.normal(size=sliced.affine_dim)))
-            assert sliced.contains(plane.sample(rng.normal(size=2)))
+        assert_traceless_set(sliced, [0.0, 0.0, 1.0], np.eye(3)[:2], rng)
 
     def test_two_points_k1(self):
         rng = np.random.default_rng(8)
@@ -183,6 +209,55 @@ class TestGeneralCase:
                 el = desc.element(rng.normal(size=desc.affine_dim))
                 for r in pts:
                     assert abs(masking_gap(el, r, d)) < 1e-10
+
+
+def test_qubit_cases_match_closed_forms():
+    # reference copies of the closed forms the qubit cases were once solved
+    # by: b / (2|b|^2) and the minimum-norm solutions of a . r = 1/2
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        b, p, q = (samplers.unit_vector(rng, 3) * rng.uniform(0.1, 0.5) for _ in range(3))
+        plane = comask.comask_from_point(b).coefficient_set
+        frame = algebra.plane_frame(b / np.linalg.norm(b))
+        assert_traceless_set(plane, b / (2 * b @ b), frame, rng)
+        n = np.cross(p, q)
+        if np.linalg.norm(n) > 1e-2:
+            line = comask.comask_from_line(p, q).coefficient_set
+            assert_traceless_set(line, min_norm([p, q]), n / np.linalg.norm(n), rng)
+        disk = masking.output_disk(samplers.unit_vector(rng, 3) * rng.uniform(1.1, 5.0))
+        pts = [disk.point(rng.uniform(0.1, 1), rng.uniform(0, 2 * np.pi)) for _ in range(5)]
+        singleton = comask.comask_from_planar(pts).coefficient_set
+        assert_traceless_set(singleton, min_norm(pts), [], rng)
+
+
+POINT, LINE, PLANAR = comask.comask_from_point, comask.comask_from_line, comask.comask_from_planar
+
+
+@pytest.mark.parametrize("case,args,error", [
+    (POINT, ([0, 0, 0],), DegenerateStateError),
+    (POINT, ([1e-10, 0, 0],), DegenerateStateError),
+    (POINT, ([0, 0, 0.6],), InvalidStateError),
+    (POINT, ([0, 0.3],), DimensionMismatchError),
+    (LINE, ([0.1, 0, 0], [0.1, 0, 0]), IdenticalPointsError),
+    (LINE, ([0, 0, 0.4], [0, 0, 0.2]), DegenerateLineError),
+    (LINE, ([0, 0, 0.4], [0, 0, -0.2]), DegenerateLineError),
+    (LINE, ([0, 0, 0.4], [2.5e-11, 0, 0.2]), DegenerateLineError),  # |p x q| = 1e-11
+    (LINE, ([0, 0, 0], [0, 0, 0.2]), DegenerateLineError),
+    (LINE, ([0, 0, 0.6], [0.1, 0, 0.2]), InvalidStateError),
+    (LINE, ([0, 0.4], [0.1, 0, 0.2]), DimensionMismatchError),
+    (PLANAR, ([],), DegenerateSpanError),
+    (PLANAR, ([[0.1, 0, 0.2], [0, 0.1, 0.2]],), DegenerateSpanError),
+    (PLANAR, ([[0.1, 0, 0.2], [0, 0.1, 0.9]],), InvalidStateError),
+    (PLANAR, ([[-0.3, 0, 0.25], [0, 0, 0.25], [0.3, 0, 0.25]],), DegenerateSpanError),
+    (PLANAR, ([[0, 0, -0.3], [0, 0, 0.1], [0, 0, 0.3]],), DegenerateSpanError),
+    (PLANAR, ([[0.1, 0, 0], [0, 0.1, 0], [0.1, 0.1, 0]],), InconsistentConstraintsError),
+    (PLANAR, ([[.1, 0, .1], [0, .1, .1], [.1, .1, .1], [0, 0, .3]],), InconsistentConstraintsError),
+    (PLANAR, ([[0.1, 0, 0.1], [0, 0.1, 0.1], [0.1, 0.1, 0.9]],), InvalidStateError),
+    (PLANAR, ([[0.1, 0, 0.1], [0, 0.1], [0.1, 0.1, 0.1]],), DimensionMismatchError),
+])
+def test_qubit_case_errors(case, args, error):
+    with pytest.raises(error):
+        case(*args)
 
 
 class TestCounterexample:
