@@ -215,6 +215,16 @@ class TestPositivity:
         rng = np.random.default_rng(100 + d)
         assert REGISTRY["bloch_codecs_and_positivity"].run(rng, d, 500) == (500, 0)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_e2_ball_identity(self, d):
+        rng = np.random.default_rng(200 + d)
+        for _ in range(100):
+            b = bloch.BlochVector(d, rng.normal(size=d * d - 1) * 0.3)
+            vals, _ = bloch.positivity_conditions(b)
+            lhs = 2.0 * vals[0]
+            rhs = (d - 1) / d - 2.0 * np.dot(b.b, b.b)
+            assert abs(lhs - rhs) < 1e-10
+
     def test_cubic_matches_6e3_at_d3(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
