@@ -160,8 +160,10 @@ def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
     for arr in states:
         if arr.shape != (d, d):
             raise DimensionMismatchError(f"state shape {arr.shape} != ({d}, {d})")
-    ops = spectral_kraus(states[0], d, [0]) + spectral_kraus(states[1], d, range(1, d))
-    return KrausChannel(input_dim=d, output_dim=d, kraus=tuple(ops))
+    ops = np.concatenate(
+        (spectral_kraus(states[0], d, [0]), spectral_kraus(states[1], d, range(1, d)))
+    )
+    return KrausChannel(input_dim=d, output_dim=d, kraus=ops)
 
 
 def random_commitment_pair(rng: np.random.Generator, d: int) -> CommitmentPair:

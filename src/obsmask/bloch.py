@@ -175,6 +175,17 @@ def symmetric_tensor(d: int) -> SymmetricTensor:
     return _memoized(_tensor_cache, d, _build_tensor)
 
 
+def _coordinates(arr: np.ndarray) -> np.ndarray:
+    """Tr(M g_i) / 2 for each generator g_i of a d x d matrix M."""
+    g = generator_basis(arr.shape[0]).matrices
+    return np.einsum("kab,ba->k", g, arr).real / 2.0
+
+
+def _expansion(coords, d: int) -> np.ndarray:
+    """sum_i coords_i g_i over the generators of dimension d."""
+    return np.einsum("k,kab->ab", coords, generator_basis(d).matrices)
+
+
 def state_to_bloch(rho) -> BlochVector:
     """Bloch coordinates b_i = Tr(rho g_i) / 2 of a unit-trace Hermitian matrix."""
     arr = require_hermitian(rho)
@@ -182,30 +193,25 @@ def state_to_bloch(rho) -> BlochVector:
     tr = np.trace(arr).real
     if abs(tr - 1.0) > 1e-10:
         raise NotUnitTraceError(f"trace is {tr!r}, not 1")
-    g = generator_basis(d).matrices
-    b = np.einsum("kab,ba->k", g, arr).real / 2.0
-    return BlochVector(dimension=d, b=b)
+    return BlochVector(dimension=d, b=_coordinates(arr))
 
 
 def bloch_to_state(b: BlochVector) -> np.ndarray:
     """Matrix I/d + sum_i b_i g_i; Hermitian unit-trace, positivity not implied."""
-    g = generator_basis(b.dimension).matrices
-    return np.eye(b.dimension) / b.dimension + np.einsum("k,kab->ab", b.b, g)
+    return np.eye(b.dimension) / b.dimension + _expansion(b.b, b.dimension)
 
 
 def observable_coeffs(obs) -> ObservableCoeffs:
     """Coefficients a0 = Tr(O)/d, a_i = Tr(O g_i)/2 of a Hermitian matrix."""
     arr = require_hermitian(obs)
     d = arr.shape[0]
-    g = generator_basis(d).matrices
-    a = np.einsum("kab,ba->k", g, arr).real / 2.0
-    return ObservableCoeffs(dimension=d, a0=float(np.trace(arr).real) / d, a=a)
+    a0 = float(np.trace(arr).real) / d
+    return ObservableCoeffs(dimension=d, a0=a0, a=_coordinates(arr))
 
 
 def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:
     """Matrix a0 I + sum_i a_i g_i."""
-    g = generator_basis(c.dimension).matrices
-    return c.a0 * np.eye(c.dimension) + np.einsum("k,kab->ab", np.asarray(c.a, float), g)
+    return c.a0 * np.eye(c.dimension) + _expansion(np.asarray(c.a, float), c.dimension)
 
 
 def _elementary_symmetric(power_sums: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ isometric extension, and unitary dilations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,31 +58,43 @@ def require_density(rho, tol: float = CHANNEL_ATOL) -> np.ndarray:
 class KrausChannel:
     """A CPTP map held as an ordered, trace-preserving Kraus family.
 
+    ``kraus`` is one read-only complex array of shape (n, output_dim,
+    input_dim) with E_i = kraus[i], copied once at construction.  Its memory
+    is laid out as the isometric extension (row a * n + i of V is row a of
+    E_i), so ``isometric_extension`` is a view and the forward and adjoint
+    actions are two matrix products each.
+
     Kraus ordering is preserved as given (golden tests depend on it);
     the channel's action must not.
     """
 
     input_dim: int
     output_dim: int
-    kraus: tuple = field(default_factory=tuple)
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
+        if len(self.kraus) == 0:
             raise InvalidChannelError("empty Kraus family")
-        for k in ops:
-            if k.shape != (self.output_dim, self.input_dim):
-                raise InvalidChannelError(
-                    f"Kraus operator shape {k.shape} != "
-                    f"({self.output_dim}, {self.input_dim})"
-                )
-        total = sum(dagger(k) @ k for k in ops)
-        dev = max_norm(total - np.eye(self.input_dim))
+        expected = (self.output_dim, self.input_dim)
+        try:
+            ops = np.asarray(self.kraus, dtype=complex)
+            shape = ops.shape[1:]
+        except ValueError:  # a ragged family: name its first misfit
+            shape = next(filter(expected.__ne__, map(np.shape, self.kraus)))
+        if shape != expected:
+            raise InvalidChannelError(
+                f"Kraus operator shape {shape} != "
+                f"({self.output_dim}, {self.input_dim})"
+            )
+        kraus = ops.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
+        v = isometric_extension(self)
+        dev = max_norm(dagger(v) @ v - np.eye(self.input_dim))
         if dev > CHANNEL_ATOL:
             raise InvalidChannelError(
                 f"sum E^dag E deviates from identity by {dev:.3e}"
             )
-        object.__setattr__(self, "kraus", ops)
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,11 @@ def apply_forward(channel: KrausChannel, rho) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {arr.shape} != ({channel.input_dim}, {channel.input_dim})"
         )
-    return sum(k @ arr @ dagger(k) for k in channel.kraus)
+    v = isometric_extension(channel)
+    # row a of ``rows`` is row a of every E_i; (V rho) regrouped the same way
+    # holds (E_i rho)[a, :], so one product sums over i and the columns
+    rows = v.reshape(channel.output_dim, -1)
+    return (v @ arr).reshape(rows.shape) @ dagger(rows)
 
 
 def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
@@ -122,24 +138,25 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
             f"observable shape {arr.shape} != "
             f"({channel.output_dim}, {channel.output_dim})"
         )
-    return sum(dagger(k) @ arr @ k for k in channel.kraus)
+    v = isometric_extension(channel)
+    # O applied to the regrouped rows gives O E_i stacked like V, so
+    # V^dag of it sums E_i^dag O E_i
+    rows = v.reshape(channel.output_dim, -1)
+    return dagger(v) @ (arr @ rows).reshape(v.shape)
 
 
-def spectral_kraus(state, input_dim: int, columns) -> list[np.ndarray]:
-    """Operators sqrt(p_j) |e_j><k| over the nonzero spectral terms of a
-    validated ``state`` (descending weight), then the input indices k in
-    ``columns``."""
+def spectral_kraus(state, input_dim: int, columns) -> np.ndarray:
+    """Stack of operators sqrt(p_j) |e_j><k| over the nonzero spectral terms
+    of a validated ``state`` (descending weight), then the input indices k
+    in ``columns``."""
     eig = eig_hermitian(state)
-    ops = []
-    for j in range(len(eig.eigenvalues) - 1, -1, -1):
-        p = eig.eigenvalues[j]
-        if p < 1e-12:
-            continue
-        for k in columns:
-            op = np.zeros((len(eig.eigenvalues), input_dim), dtype=complex)
-            op[:, k] = np.sqrt(p) * eig.eigenvectors[:, j]
-            ops.append(op)
-    return ops
+    terms = np.flatnonzero(eig.eigenvalues >= 1e-12)[::-1]
+    amplitudes = np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]
+    d = len(eig.eigenvalues)
+    ops = np.zeros((len(terms), len(columns), d, input_dim), dtype=complex)
+    # assigned, not multiplied by unit vectors, so zero entries stay +0.0
+    ops[:, np.arange(len(columns)), :, columns] = amplitudes.T
+    return ops.reshape(-1, d, input_dim)
 
 
 def constant_channel(sigma0, input_dim: int) -> KrausChannel:
@@ -150,13 +167,14 @@ def constant_channel(sigma0, input_dim: int) -> KrausChannel:
     """
     arr = require_density(sigma0)
     ops = spectral_kraus(arr, input_dim, range(input_dim))
-    return KrausChannel(input_dim=input_dim, output_dim=arr.shape[0], kraus=tuple(ops))
+    return KrausChannel(input_dim=input_dim, output_dim=arr.shape[0], kraus=ops)
 
 
 def isometric_extension(channel: KrausChannel) -> np.ndarray:
-    """Isometry V = sum_i E_i (x) |i>_E with one environment level per Kraus op."""
+    """Isometry V = sum_i E_i (x) |i>_E with one environment level per Kraus
+    op; a read-only view of the channel's Kraus stack."""
     # row a * n + i of V is row a of E_i
-    return np.stack(channel.kraus, axis=1).reshape(-1, channel.input_dim)
+    return channel.kraus.transpose(1, 0, 2).reshape(-1, channel.input_dim)
 
 
 def dilation_from_channel(channel: KrausChannel) -> UnitaryDilation:
@@ -173,12 +191,8 @@ def dilation_from_channel(channel: KrausChannel) -> UnitaryDilation:
     dim = d * n_env
     env0 = np.zeros(n_env, dtype=complex)
     env0[0] = 1.0
-    pairs = []
-    for j in range(d):
-        ket = np.zeros(d, dtype=complex)
-        ket[j] = 1.0
-        pairs.append((np.kron(ket, env0), v[:, j]))
-    u = unitary_completion(pairs, dim)
+    # row j of kron(I, e0) is |j>_A (x) |e0>_E, and column j of V its image
+    u = unitary_completion(list(zip(np.kron(np.eye(d), env0), v.T)), dim)
     return UnitaryDilation(system_dim=d, env_dim=n_env, unitary=u, env_init=env0)
 
 
@@ -193,8 +207,8 @@ def kraus_from_dilation(dilation: UnitaryDilation) -> KrausChannel:
     """Extract Kraus operators E_i = (I (x) <i|) U (I (x) |e0>)."""
     d, n = dilation.system_dim, dilation.env_dim
     blocks = dilation.unitary.reshape(d, n, d, n)
-    ops = [np.einsum("abj,j->ab", blocks[:, i, :, :], dilation.env_init) for i in range(n)]
-    return KrausChannel(input_dim=d, output_dim=d, kraus=tuple(ops))
+    ops = np.einsum("aibj,j->iab", blocks, dilation.env_init)
+    return KrausChannel(input_dim=d, output_dim=d, kraus=ops)
 
 
 def masker_dilation(u0, u1) -> UnitaryDilation:
@@ -207,13 +221,7 @@ def masker_dilation(u0, u1) -> UnitaryDilation:
     for u in us:
         if u.shape != (2, 2):
             raise DimensionMismatchError(f"expected 2x2 unitaries, got {u.shape}")
-    kets = np.eye(2, dtype=complex)
-    u = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            u += tensor(
-                np.outer(kets[j], kets[i].conj()),
-                us[j] @ np.outer(kets[i], kets[j].conj()),
-            )
+    # U[(j, m), (i, k)] = u_j[m, i] when k = j, else 0
+    u = np.einsum("jmi,jk->jmik", np.stack(us), np.eye(2)).reshape(4, 4)
     env0 = np.array([1.0, 0.0], dtype=complex)
     return UnitaryDilation(system_dim=2, env_dim=2, unitary=u, env_init=env0)

@@ -75,6 +75,17 @@ def _take(tokens: list[_Token], idx: int, what: str) -> _Token:
     return tokens[idx]
 
 
+def _body(tokens: list[_Token], start: int, need: int, what: str, unit: str):
+    """The tokens from ``start`` on, which must number ``need``."""
+    body = tokens[start:]
+    if len(body) != need:
+        tok = body[-1] if body else tokens[0]
+        raise ParseError(
+            f"{what} needs {need} {unit}, found {len(body)}", tok.line, tok.column
+        )
+    return body
+
+
 def parse_document(text: str):
     """Parse one document; returns (kind, value) with kind one of
     'matrix', 'coeffs', 'vector', 'bloch'."""
@@ -85,51 +96,23 @@ def parse_document(text: str):
     if head.text == "matrix":
         rows = _parse_int(_take(tokens, 1, "row count"), "row count")
         cols = _parse_int(_take(tokens, 2, "column count"), "column count")
-        body = tokens[3:]
-        if len(body) != rows * cols:
-            tok = body[-1] if body else head
-            raise ParseError(
-                f"matrix needs {rows * cols} entries, found {len(body)}",
-                tok.line,
-                tok.column,
-            )
+        body = _body(tokens, 3, rows * cols, "matrix", "entries")
         entries = [_parse_complex(t) for t in body]
         return "matrix", np.array(entries, dtype=complex).reshape(rows, cols)
     if head.text == "coeffs":
         d = _parse_int(_take(tokens, 1, "dimension"), "dimension")
-        need = d * d
-        body = tokens[2:]
-        if len(body) != need:
-            tok = body[-1] if body else head
-            raise ParseError(
-                f"coeffs for d={d} needs {need} values, found {len(body)}",
-                tok.line,
-                tok.column,
-            )
+        body = _body(tokens, 2, d * d, f"coeffs for d={d}", "values")
         values = [_parse_real(t, "coefficient") for t in body]
         return "coeffs", ObservableCoeffs(
             dimension=d, a0=values[0], a=np.array(values[1:])
         )
     if head.text == "vector":
         n = _parse_int(_take(tokens, 1, "length"), "length")
-        body = tokens[2:]
-        if len(body) != n:
-            tok = body[-1] if body else head
-            raise ParseError(
-                f"vector needs {n} entries, found {len(body)}", tok.line, tok.column
-            )
+        body = _body(tokens, 2, n, "vector", "entries")
         return "vector", np.array([_parse_complex(t) for t in body], dtype=complex)
     if head.text == "bloch":
         d = _parse_int(_take(tokens, 1, "dimension"), "dimension")
-        need = d * d - 1
-        body = tokens[2:]
-        if len(body) != need:
-            tok = body[-1] if body else head
-            raise ParseError(
-                f"bloch for d={d} needs {need} values, found {len(body)}",
-                tok.line,
-                tok.column,
-            )
+        body = _body(tokens, 2, d * d - 1, f"bloch for d={d}", "values")
         values = [_parse_real(t, "component") for t in body]
         return "bloch", BlochVector(dimension=d, b=np.array(values))
     raise ParseError(

@@ -199,10 +199,7 @@ def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, UnitaryDilatio
     arr = _require_unit_vector(n)
     w = rotation_unitary(arr)
     wd = dagger(w)
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    kraus = tuple(
-        wd @ np.outer(ket0, np.eye(2, dtype=complex)[i]) for i in range(2)
-    )
+    kraus = np.einsum("a,ib->iab", wd[:, 0], np.eye(2))
     channel = KrausChannel(input_dim=2, output_dim=2, kraus=kraus)
     base = masker_dilation(
         np.eye(2) if u0 is None else u0, np.eye(2) if u1 is None else u1

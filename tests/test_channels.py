@@ -41,6 +41,41 @@ class TestKrausChannel:
         with pytest.raises(InvalidChannelError):
             channels.KrausChannel(2, 2, ())
 
+    def test_ragged_rejected(self):
+        with pytest.raises(InvalidChannelError, match=r"shape \(3, 3\) != \(2, 2\)"):
+            channels.KrausChannel(2, 2, (np.eye(2), np.eye(3)))
+
+    def test_kraus_is_a_read_only_copy(self):
+        ops = np.array(masker_kraus())
+        chan = channels.KrausChannel(2, 2, ops)
+        assert chan.kraus.shape == (2, 2, 2) and chan.kraus.dtype == complex
+        with pytest.raises(ValueError):
+            chan.kraus[0, 0, 0] = 5.0
+        ops[0, 0, 0] = 5.0
+        assert chan.kraus[0, 0, 0] == 1.0
+
+
+class TestPerOperatorReference:
+    """The stacked channel layer against per-operator sums."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("count", ["1", "2d", "d^2"])
+    def test_matches_per_operator_sums(self, d, count):
+        n = {"1": 1, "2d": 2 * d, "d^2": d * d}[count]
+        rng = np.random.default_rng(1000 * d + n)
+        # any regrouping of an isometry's rows is a trace-preserving family
+        g = rng.normal(size=(n * d, d)) + 1j * rng.normal(size=(n * d, d))
+        ops = np.linalg.qr(g)[0].reshape(n, d, d)
+        chan = channels.KrausChannel(d, d, ops)
+        rho, obs = samplers.density(rng, d), samplers.hermitian(rng, d)
+        forward = sum(k @ rho @ k.conj().T for k in ops)
+        adjoint = sum(k.conj().T @ obs @ k for k in ops)
+        gram = sum(k.conj().T @ k for k in ops)
+        assert np.array_equal(chan.kraus, ops)
+        assert algebra.max_norm(channels.apply_forward(chan, rho) - forward) < 1e-12
+        assert algebra.max_norm(channels.apply_adjoint(chan, obs) - adjoint) < 1e-12
+        assert algebra.max_norm(channels.apply_adjoint(chan, np.eye(d)) - gram) < 1e-12
+
 
 class TestForward:
     def test_identity_channel(self):

@@ -50,21 +50,51 @@ class TestParsing:
         kind, b = fileio.parse_document("bloch 2 0.0 0.0 0.5\n")
         assert kind == "bloch" and np.allclose(b.b, [0, 0, 0.5])
 
-    def test_render_parse_round_trip_matrix(self):
+    @pytest.mark.parametrize("kind", ["matrix", "coeffs", "bloch", "vector"])
+    def test_render_parse_round_trip(self, kind):
         rng = np.random.default_rng(1)
         m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        text = fileio.render_matrix(m)
-        kind, back = fileio.parse_document(text)
-        assert kind == "matrix"
-        assert np.array_equal(back, m)
-        assert fileio.render_matrix(back) == text
+        # values whose text needs repr precision, and a negative zero
+        fine = np.array([0.1 + 0.2, 1 / 3, -0.0, 2.0**-1074, -1e300, 1.23456789e-2, np.pi, 7.0])
+        render, value, fields = {
+            "matrix": (fileio.render_matrix, m, lambda v: v),
+            "coeffs": (
+                fileio.render_coeffs,
+                bloch.ObservableCoeffs(2, a0=1 / 3, a=np.array([0.1, -0.7, 2.0])),
+                lambda v: (v.dimension, v.a0, *v.a),
+            ),
+            "bloch": (
+                fileio.render_bloch,
+                bloch.BlochVector(3, b=fine),
+                lambda v: (v.dimension, *v.b),
+            ),
+            "vector": (
+                fileio.render_vector,
+                np.array(list(map(complex, fine, fine[::-1]))),
+                lambda v: v,
+            ),
+        }[kind]
+        text = render(value)
+        got_kind, back = fileio.parse_document(text)
+        assert got_kind == kind
+        assert np.array_equal(fields(back), fields(value))
+        assert render(back) == text
 
-    def test_render_parse_round_trip_coeffs(self):
-        c = bloch.ObservableCoeffs(2, a0=1 / 3, a=np.array([0.1, -0.7, 2.0]))
-        kind, back = fileio.parse_document(fileio.render_coeffs(c))
-        assert kind == "coeffs"
-        assert back.a0 == c.a0
-        assert np.array_equal(back.a, c.a)
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("matrix 2 2\n1,0 0,0\n0,0\n", "matrix needs 4 entries, found 3", 3, 1),
+            ("coeffs 2\n  0.5\n", "coeffs for d=2 needs 4 values, found 1", 2, 3),
+            ("vector 3\n0.5,0 0.5,-0.1\n", "vector needs 3 entries, found 2", 2, 7),
+            ("bloch 2\n", "bloch for d=2 needs 3 values, found 0", 1, 1),
+        ],
+        ids=["matrix", "coeffs", "vector", "bloch"],
+    )
+    def test_truncated_document(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            fileio.parse_document(text)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+        assert (exc.value.line, exc.value.column) == (line, column)
 
     def test_bloch_lines(self):
         vectors = fileio.parse_bloch_lines("0 0 0.5\n# comment\n0.1 0.2 0.3\n", 2)
