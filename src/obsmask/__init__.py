@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .algebra import (  # noqa: E402
     HermitianEig,
-    SchmidtData,
     eig_hermitian,
     partial_trace,
-    schmidt,
     tensor,
     unitary_completion,
 )
@@ -75,10 +73,8 @@ from .bitcommit import (  # noqa: E402
 __all__ = [
     "__version__",
     "HermitianEig",
-    "SchmidtData",
     "eig_hermitian",
     "partial_trace",
-    "schmidt",
     "tensor",
     "unitary_completion",
     "BlochVector",

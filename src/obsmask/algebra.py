@@ -1,5 +1,5 @@
 """Dense complex matrix substrate: Hermitian eigendecomposition, tensor
-products, partial trace, Schmidt decomposition, and unitary completion."""
+products, partial trace, and unitary completion."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .errors import (
     DimensionMismatchError,
     InconsistentDimensionsError,
     NotHermitianError,
-    NotNormalizedError,
     NotOrthonormalError,
     NumericalFailureError,
 )
@@ -54,21 +53,16 @@ def require_hermitian(m, tol: float = HERMITICITY_ATOL) -> np.ndarray:
     return arr
 
 
-def phase_factor(v: np.ndarray, tol: float = 1e-12) -> complex:
-    """Unit complex p such that p*v has first nonzero entry real >= 0."""
+def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Rotate a vector's global phase so its first nonzero entry is real >= 0."""
     for entry in v:
         mag = abs(entry)
         if mag > tol:
-            return entry.conjugate() / mag
-    return 1.0 + 0.0j
+            return v * (entry.conjugate() / mag)
+    return v * (1.0 + 0.0j)
 
 
-def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a vector's global phase so its first nonzero entry is real >= 0."""
-    return v * phase_factor(v, tol)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -83,29 +77,6 @@ class HermitianEig:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ dagger(v)
-
-
-@dataclass(frozen=True)
-class SchmidtData:
-    """Schmidt decomposition of a bipartite pure state.
-
-    ``coefficients`` are nonnegative and descending; ``left_vectors`` and
-    ``right_vectors`` are orthonormal columns on the two subsystems, matched
-    index by index, with sum_i c_i (left_i (x) right_i) reconstructing the
-    input exactly (left vectors carry the phase convention, right vectors
-    absorb the counter-phase).
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        terms = [
-            c * np.kron(self.left_vectors[:, i], self.right_vectors[:, i])
-            for i, c in enumerate(self.coefficients)
-        ]
-        return np.sum(terms, axis=0)
 
 
 def eig_hermitian(m, tol: float = HERMITICITY_ATOL) -> HermitianEig:
@@ -150,31 +121,6 @@ def partial_trace(m, dims: tuple[int, int], over: str) -> np.ndarray:
     if over == "B":
         return np.einsum("ijkj->ik", blocks)
     raise ValueError(f"subsystem label must be 'A' or 'B', got {over!r}")
-
-
-def schmidt(psi, dims: tuple[int, int], tol: float = HERMITICITY_ATOL) -> SchmidtData:
-    """Schmidt-decompose a normalized bipartite vector on dims (dA, dB)."""
-    d_a, d_b = dims
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    if vec.size != d_a * d_b:
-        raise DimensionMismatchError(
-            f"vector length {vec.size} does not match dims {d_a}x{d_b}"
-        )
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > tol:
-        raise NotNormalizedError(f"|psi| = {norm!r} is not 1 within {tol:.1e}")
-    u, s, vh = np.linalg.svd(vec.reshape(d_a, d_b))
-    # drop vanishing coefficients so rank-1 inputs yield a single term
-    r = max(1, int(np.sum(s > 1e-12)))
-    left = np.empty((d_a, r), dtype=complex)
-    right = np.empty((d_b, r), dtype=complex)
-    for i in range(r):
-        # left vector carries the phase convention; the right vector absorbs
-        # the counter-phase so each term c_i l_i (x) r_i is unchanged
-        p = phase_factor(u[:, i])
-        left[:, i] = u[:, i] * p
-        right[:, i] = vh[i, :] / p
-    return SchmidtData(coefficients=s[:r], left_vectors=left, right_vectors=right)
 
 
 def require_orthonormal(vectors, what: str, tol: float) -> np.ndarray:

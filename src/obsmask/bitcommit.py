@@ -9,14 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import samplers
-from .algebra import (
-    ORTHONORMALITY_ATOL,
-    dagger,
-    max_norm,
-    partial_trace,
-    require_orthonormal,
-    unitary_completion,
-)
+from .algebra import ORTHONORMALITY_ATOL, dagger, max_norm, require_orthonormal
 from .channels import KrausChannel, apply_adjoint, require_density, spectral_kraus
 from .errors import (
     BadSpectrumError,
@@ -27,20 +20,22 @@ from .errors import (
 from .masking import verify_masking
 from .report import RunReport
 
-# Cheating counts as exact when the completed unitary reproduces the target
-# global state within this max-norm slack.
+# Cheating counts as exact when Alice's unitary reproduces the target
+# coefficient matrix within this max-norm slack.
 CHEAT_ATOL = 1e-8
 
 # Random observables the no-bit-commitment demo drives through its channel.
 DEMO_OBSERVABLES = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommitmentPair:
     """Two bipartite pure states encoding bit values 0 and 1.
 
-    ``spectrum`` holds the shared Schmidt weights when the pair was built
-    from bases; pairs assembled from raw vectors leave it None.
+    psi_x = sum_ij M_x[i, j] |i>_A |j>_B, so ``psi_x.reshape(dim_a, dim_b)``
+    is the coefficient matrix M_x.  ``spectrum`` holds the shared Schmidt
+    weights when the pair was built from bases; pairs assembled from raw
+    vectors leave it None.
     """
 
     dim_a: int
@@ -52,19 +47,26 @@ class CommitmentPair:
     spectrum: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheatResult:
-    """Alice-side unitary connecting the two commitment states."""
+    """Alice's best unitary for turning psi0 into psi1.
+
+    ``fidelity`` is the overlap |<psi1| (U (x) I) |psi0>| it reaches, which
+    is the root fidelity of the two B-marginals; ``feasible`` says whether
+    the cheat is exact.
+    """
 
     unitary_a: np.ndarray
     fidelity: float
     feasible: bool
 
 
-def _pair(psi0, psi1, dims: tuple[int, int], spectrum=None) -> CommitmentPair:
-    b0, b1 = (partial_trace(np.outer(psi, psi.conj()), dims, "A") for psi in (psi0, psi1))
-    return CommitmentPair(dim_a=dims[0], dim_b=dims[1], psi0=psi0, psi1=psi1,
-                          marginal_b0=b0, marginal_b1=b1, spectrum=spectrum)
+def _pair(m0: np.ndarray, m1: np.ndarray, spectrum=None) -> CommitmentPair:
+    """The pair with coefficient matrices m0, m1; rho_B = M^T conj(M)."""
+    b0, b1 = (m.T @ m.conj() for m in (m0, m1))
+    return CommitmentPair(dim_a=m0.shape[0], dim_b=m0.shape[1], psi0=m0.reshape(-1),
+                          psi1=m1.reshape(-1), marginal_b0=b0, marginal_b1=b1,
+                          spectrum=spectrum)
 
 
 def commitment_pair_from_vectors(psi0, psi1, dims: tuple[int, int]) -> CommitmentPair:
@@ -77,8 +79,8 @@ def commitment_pair_from_vectors(psi0, psi1, dims: tuple[int, int]) -> Commitmen
             raise NotNormalizedError(f"{name} has length {v.size}, expected {d_a * d_b}")
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise NotNormalizedError(f"{name} is not normalized")
-        vecs.append(v)
-    return _pair(vecs[0], vecs[1], dims)
+        vecs.append(v.reshape(d_a, d_b))
+    return _pair(vecs[0], vecs[1])
 
 
 def _check_family(vectors, r: int, name: str) -> np.ndarray:
@@ -89,7 +91,7 @@ def _check_family(vectors, r: int, name: str) -> np.ndarray:
 
 
 def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
-    """Build psi_x = sum_i sqrt(lam_i) |a^x_i> (x) |b_i|>.
+    """Build psi_x = sum_i sqrt(lam_i) |a^x_i> (x) |b_i>.
 
     Equal Schmidt spectra against one B-basis force equal B-marginals, the
     perfectly concealing configuration.
@@ -101,13 +103,12 @@ def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
     a0 = _check_family(basis_a0, r, "basis_a0")
     a1 = _check_family(basis_a1, r, "basis_a1")
     b = _check_family(basis_b, r, "basis_b")
-    d_a, d_b = a0.shape[0], b.shape[0]
-    if a1.shape[0] != d_a:
+    if a1.shape[0] != a0.shape[0]:
         raise NotOrthonormalError("basis_a0 and basis_a1 live in different dimensions")
     roots = np.sqrt(np.clip(weights, 0.0, None))
-    psi0 = sum(roots[i] * np.kron(a0[:, i], b[:, i]) for i in range(r))
-    psi1 = sum(roots[i] * np.kron(a1[:, i], b[:, i]) for i in range(r))
-    return _pair(psi0, psi1, (d_a, d_b), weights)
+    # M_x = sum_i sqrt(lam_i) a^x_i b_i^T
+    m0, m1 = ((a[:, :r] * roots) @ b[:, :r].T for a in (a0, a1))
+    return _pair(m0, m1, weights)
 
 
 def concealment_gap(pair: CommitmentPair) -> float:
@@ -118,28 +119,20 @@ def concealment_gap(pair: CommitmentPair) -> float:
 
 
 def cheating_unitary(pair: CommitmentPair) -> CheatResult:
-    """Local Alice unitary carrying psi0 onto psi1 when one exists.
+    """Alice's optimal cheat: the polar factor U of M1 M0^dag.
 
-    Matricizes the states (psi = sum_ij M[i,j] |i>|j>), maps the support of
-    M0 through M1 M0^+, and completes deterministically to a unitary; this
-    stays well defined under degenerate Schmidt spectra where Schmidt-vector
-    matching is ambiguous.  Infeasibility (unequal B-marginals) is a result
-    state, not an error.
+    Acting with U on A turns the coefficient matrix M0 into U M0, whose
+    overlap with psi1 is Tr(M1^dag U M0).  By Uhlmann's theorem the polar
+    factor (U = u vh from one SVD u s vh of M1 M0^dag) maximizes its modulus,
+    at the root fidelity ||sqrt(rho_B0) sqrt(rho_B1)||_1 of the B-marginals.
+    So U M0 = M1 (the cheat is exact) exactly when the marginals are equal,
+    which is perfect concealment.  Infeasibility is a result state, not an
+    error.
     """
     m0 = pair.psi0.reshape(pair.dim_a, pair.dim_b)
     m1 = pair.psi1.reshape(pair.dim_a, pair.dim_b)
-    u, s, vh = np.linalg.svd(m0)
-    rank = int(np.sum(s > 1e-9))
-    support = u[:, :rank]
-    images = m1 @ dagger(vh[:rank]) / s[:rank]
-    # orthonormalize the images; for a genuine local-unitary pair they
-    # already are orthonormal and the QR phase fix leaves them untouched
-    q, r = np.linalg.qr(images)
-    diag = np.diag(r)
-    safe = np.where(np.abs(diag) > 1e-12, diag, 1.0)
-    q = q * (safe / np.abs(safe))
-    pairs = [(support[:, k], q[:, k]) for k in range(rank)]
-    unitary = unitary_completion(pairs, pair.dim_a)
+    u, _, vh = np.linalg.svd(m1 @ dagger(m0))
+    unitary = u @ vh
     residual = max_norm(unitary @ m0 - m1)
     fidelity = float(abs(np.trace(dagger(m1) @ unitary @ m0)))
     return CheatResult(

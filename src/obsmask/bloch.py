@@ -20,7 +20,7 @@ _tensor_cache: dict[int, "SymmetricTensor"] = {}
 _cache_lock = threading.RLock()  # re-entrant: building a tensor memoizes its basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """The d^2 - 1 Hermitian, traceless generators with Tr(g_i g_j) = 2 delta_ij.
 
@@ -36,7 +36,7 @@ class GeneratorBasis:
         return self.matrices.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricTensor:
     """Totally symmetric structure constants g_ijk = Tr({g_i, g_j} g_k) / 4.
 
@@ -61,7 +61,7 @@ class SymmetricTensor:
         return dense
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Real coordinates b of a state rho = I/d + sum_i b_i g_i."""
 
@@ -72,7 +72,7 @@ class BlochVector:
         return float(np.linalg.norm(self.b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableCoeffs:
     """Real coordinates (a0, a) of an observable O = a0 I + sum_i a_i g_i."""
 

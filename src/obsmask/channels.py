@@ -1,5 +1,5 @@
 """Kraus-channel algebra: forward and adjoint action, constant channels,
-isometric extension, and unitary dilations."""
+isometric extension, and the swap-type masker dilation."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    dagger,
-    eig_hermitian,
-    max_norm,
-    partial_trace,
-    require_hermitian,
-    tensor,
-    unitary_completion,
-)
+from .algebra import dagger, eig_hermitian, max_norm, require_hermitian
 from .errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -54,7 +46,7 @@ def require_density(rho, tol: float = CHANNEL_ATOL) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CPTP map held as an ordered, trace-preserving Kraus family.
 
@@ -97,15 +89,14 @@ class KrausChannel:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryDilation:
     """A unitary on system (x) environment realizing a channel with the
-    environment starting in ``env_init`` (default |0>)."""
+    environment starting in |0>."""
 
     system_dim: int
     env_dim: int
     unitary: np.ndarray
-    env_init: np.ndarray
 
     def __post_init__(self):
         require_unitary(self.unitary)
@@ -177,40 +168,6 @@ def isometric_extension(channel: KrausChannel) -> np.ndarray:
     return channel.kraus.transpose(1, 0, 2).reshape(-1, channel.input_dim)
 
 
-def dilation_from_channel(channel: KrausChannel) -> UnitaryDilation:
-    """Embed a channel's isometric extension into a unitary on system+env.
-
-    Requires a square channel.  The unitary sends |j>_A (x) |0>_E to V|j>
-    and is completed deterministically elsewhere.
-    """
-    if channel.input_dim != channel.output_dim:
-        raise DimensionMismatchError("dilation requires input_dim == output_dim")
-    d = channel.input_dim
-    n_env = len(channel.kraus)
-    v = isometric_extension(channel)
-    dim = d * n_env
-    env0 = np.zeros(n_env, dtype=complex)
-    env0[0] = 1.0
-    # row j of kron(I, e0) is |j>_A (x) |e0>_E, and column j of V its image
-    u = unitary_completion(list(zip(np.kron(np.eye(d), env0), v.T)), dim)
-    return UnitaryDilation(system_dim=d, env_dim=n_env, unitary=u, env_init=env0)
-
-
-def dilation_forward(dilation: UnitaryDilation, rho) -> np.ndarray:
-    """Tr_E( U (rho (x) |e0><e0|) U^dag ) for the dilation's environment state."""
-    env = np.outer(dilation.env_init, dilation.env_init.conj())
-    full = dilation.unitary @ tensor(rho, env) @ dagger(dilation.unitary)
-    return partial_trace(full, (dilation.system_dim, dilation.env_dim), "B")
-
-
-def kraus_from_dilation(dilation: UnitaryDilation) -> KrausChannel:
-    """Extract Kraus operators E_i = (I (x) <i|) U (I (x) |e0>)."""
-    d, n = dilation.system_dim, dilation.env_dim
-    blocks = dilation.unitary.reshape(d, n, d, n)
-    ops = np.einsum("aibj,j->iab", blocks, dilation.env_init)
-    return KrausChannel(input_dim=d, output_dim=d, kraus=ops)
-
-
 def masker_dilation(u0, u1) -> UnitaryDilation:
     """The two-qubit unitary U = sum_ij |j><i| (x) u_j |i><j|.
 
@@ -223,5 +180,4 @@ def masker_dilation(u0, u1) -> UnitaryDilation:
             raise DimensionMismatchError(f"expected 2x2 unitaries, got {u.shape}")
     # U[(j, m), (i, k)] = u_j[m, i] when k = j, else 0
     u = np.einsum("jmi,jk->jmik", np.stack(us), np.eye(2)).reshape(4, 4)
-    env0 = np.array([1.0, 0.0], dtype=complex)
-    return UnitaryDilation(system_dim=2, env_dim=2, unitary=u, env_init=env0)
+    return UnitaryDilation(system_dim=2, env_dim=2, unitary=u)

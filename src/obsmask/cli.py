@@ -162,7 +162,7 @@ def _cmd_common_state(args) -> RunReport:
         return report
     b = bloch.state_to_bloch(rho)
     residual = max(
-        abs(c.a0 / d + float(np.dot(c.a, b.b)) - 0.5) for c in coeff_list
+        abs(c.a0 / 2 + float(np.dot(c.a, b.b)) - 0.5) for c in coeff_list
     )
     report.add("feasible", True)
     report.add("state_bloch", b.b)
@@ -187,8 +187,8 @@ def _cmd_counterexample(args) -> RunReport:
     report.add("dim", d)
     report.add("a0", out.a0)
     report.add("a", out.a)
-    report.add("value_at_bprime", out.a0 / d + float(np.dot(out.a, bp.b)))
-    report.add("value_at_b", out.a0 / d + float(np.dot(out.a, b.b)))
+    report.add("value_at_bprime", out.a0 / 2 + float(np.dot(out.a, bp.b)))
+    report.add("value_at_b", out.a0 / 2 + float(np.dot(out.a, b.b)))
     report.add("margin", abs(float(np.dot(out.a, b.b - bp.b))))
     return report
 

@@ -27,7 +27,7 @@ from .errors import (
 RANK_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSet:
     """Base point plus a linearly independent direction family (rows)."""
 
@@ -92,7 +92,7 @@ class AffineSet:
         return AffineSet(ambient_dim=self.ambient_dim, base_point=base, directions=dirs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComaskDescription:
     """Affine set of observables (a0, a) masked by one common channel.
 
@@ -173,10 +173,11 @@ def comask_from_planar(points) -> ComaskDescription:
 def comask_general(points, d: int) -> ComaskDescription:
     """All observables (a0, a) masked onto a given set of output states.
 
-    Decomposes the affine hull of the points (dimension k) into a direction
-    space V and the orthogonal offset m; members satisfy a ⊥ V and
-    a0/d - 1/2 + a.m = 0.  The result has affine dimension d^2 - k - 1 and
-    is never empty.
+    Tr(rho O) = a0 + 2 a.b, so O masks the state b (Tr(rho O) = 1) exactly
+    when a0/2 + a.b = 1/2.  Decomposes the affine hull of the points
+    (dimension k) into a direction space V and the orthogonal offset m;
+    members satisfy a ⊥ V and a0 = 1 - 2 a.m.  The result has affine
+    dimension d^2 - k - 1 and is never empty.
     """
     n = d * d - 1
     arrs = []
@@ -198,8 +199,8 @@ def comask_general(points, d: int) -> ComaskDescription:
         vh, k = np.eye(n), 0
     v_basis, w_basis = vh[:k], vh[k:]
     m = b0 - v_basis.T @ (v_basis @ b0)
-    dirs = np.column_stack([-d * (w_basis @ m), w_basis])
-    base = np.concatenate(([d / 2.0], np.zeros(n)))
+    dirs = np.column_stack([-2.0 * (w_basis @ m), w_basis])
+    base = np.concatenate(([1.0], np.zeros(n)))
     coeff_set = AffineSet(ambient_dim=n + 1, base_point=base, directions=dirs)
     return ComaskDescription(kind="general", dimension=d, coefficient_set=coeff_set)
 
@@ -208,8 +209,8 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     """Observable masked at b_prime but provably not at b.
 
     Takes a along the difference of the two Bloch vectors and fixes
-    a0 = (1/2 - a . b') d, so the masking equation holds at b' and fails at b
-    by exactly |b - b'|.
+    a0 = 1 - 2 a . b', so the masking equation a0/2 + a . b = 1/2 holds at
+    b' and fails at b by exactly |b - b'|.
     """
     n = d * d - 1
     b_arr = np.asarray(b, dtype=float).reshape(-1)
@@ -220,7 +221,7 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     if gap < 1e-9:
         raise IdenticalPointsError("the two output states coincide")
     a = (b_arr - bp_arr) / gap
-    a0 = (0.5 - float(np.dot(a, bp_arr))) * d
+    a0 = 1.0 - 2.0 * float(np.dot(a, bp_arr))
     return ObservableCoeffs(dimension=d, a0=a0, a=a)
 
 
@@ -235,12 +236,13 @@ def find_common_output_state(
     """Search for one state masking every observable in the list.
 
     Alternates projections between the affine set of Bloch vectors solving
-    all masking equations and the positive unit-trace matrices (projected by
-    eigenvalue clipping and trace renormalization).  Returns a density
-    matrix meeting every constraint within ``constraint_tol``; raises
-    ``NoAffineSolutionError`` when the linear system itself is inconsistent
-    and ``InfeasibleError`` (carrying the final gap between the sets) when
-    the iteration stalls or the cap is reached.
+    all masking equations a0/2 + a.b = 1/2 and the positive unit-trace
+    matrices (projected by eigenvalue clipping and trace renormalization).
+    Returns a density matrix meeting every constraint within
+    ``constraint_tol``; raises ``NoAffineSolutionError`` when the linear
+    system itself is inconsistent and ``InfeasibleError`` (carrying the
+    final gap between the sets) when the iteration stalls or the cap is
+    reached.
     """
     obs_list = list(observables)
     if not obs_list:
@@ -252,7 +254,7 @@ def find_common_output_state(
                 f"observable dimension {c.dimension} != {d}"
             )
     rows = np.stack([np.asarray(c.a, dtype=float) for c in obs_list])
-    rhs = np.array([0.5 - c.a0 / d for c in obs_list])
+    rhs = np.array([0.5 - c.a0 / 2 for c in obs_list])
     pinv = np.linalg.pinv(rows, rcond=RANK_RTOL)
     b = pinv @ rhs
     if np.max(np.abs(rows @ b - rhs)) > 1e-9:

@@ -44,7 +44,7 @@ class MaskabilityVerdict:
     eig_range: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputDisk:
     """The disk of valid output Bloch vectors masking a qubit observable.
 
@@ -125,13 +125,14 @@ def _oracle_verdict(eigenvalues: np.ndarray, tol: float) -> MaskabilityVerdict:
 
 
 def necessary_condition_d(c: ObservableCoeffs, tol: float = DECISION_ATOL) -> bool:
-    """Ball-constraint necessary condition |a| >= |d - 2 a0| / sqrt(2d(d-1)).
+    """Ball-constraint necessary condition |a| >= |1 - a0| sqrt(d / (2(d-1))).
 
-    Necessary in every dimension; also sufficient only at d = 2, where it
-    reduces to the plane criterion.
+    A masked state b solves a0/2 + a.b = 1/2 inside the ball of states,
+    |b| <= sqrt((d-1) / (2d)).  Necessary in every dimension; also
+    sufficient only at d = 2, where it reduces to the plane criterion.
     """
     d = c.dimension
-    threshold = abs(d - 2.0 * c.a0) / np.sqrt(2.0 * d * (d - 1))
+    threshold = abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1)))
     return c.a_norm() >= threshold - tol
 
 
@@ -205,10 +206,7 @@ def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, UnitaryDilatio
         np.eye(2) if u0 is None else u0, np.eye(2) if u1 is None else u1
     )
     unitary = tensor(wd, np.eye(2)) @ base.unitary
-    dilation = UnitaryDilation(
-        system_dim=2, env_dim=2, unitary=unitary, env_init=base.env_init
-    )
-    return channel, dilation
+    return channel, UnitaryDilation(system_dim=2, env_dim=2, unitary=unitary)
 
 
 def verify_masking(channel: KrausChannel, obs) -> float:

@@ -150,8 +150,12 @@ def test_criterion_7_universal_counterexample():
                 continue
             done += 1
             out = comask.universal_counterexample(b, bp, d)
-            at_bp = out.a0 / d + float(np.dot(out.a, bp)) - 0.5
-            at_b = out.a0 / d + float(np.dot(out.a, b)) - 0.5
+            # (Tr(rho O) - 1) / 2 from the matrices, at b' and at b
+            obs = bloch.coeffs_to_observable(out)
+            at_bp, at_b = (
+                (np.trace(bloch.bloch_to_state(bloch.BlochVector(d, v)) @ obs).real - 1.0) / 2
+                for v in (bp, b)
+            )
             if abs(at_bp) > 1e-10:
                 failures.append(f"d={d}: masking equation off at b' by {at_bp:.3e}")
             if abs(at_b) <= 1e-6:

@@ -8,7 +8,6 @@ from obsmask.errors import (
     DimensionMismatchError,
     InconsistentDimensionsError,
     NotHermitianError,
-    NotNormalizedError,
     NotOrthonormalError,
 )
 from obsmask.invariants import REGISTRY
@@ -111,44 +110,6 @@ class TestPartialTrace:
         via_b = np.trace(algebra.partial_trace(m, (2, 3), "B"))
         assert abs(via_a - np.trace(m)) < 1e-12
         assert abs(via_b - np.trace(m)) < 1e-12
-
-
-class TestSchmidt:
-    def test_bell_state(self):
-        phi = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / np.sqrt(2)
-        data = algebra.schmidt(phi, (2, 2))
-        assert np.allclose(data.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_product_vector_single_coefficient(self):
-        plus = (KET0 + KET1) / np.sqrt(2)
-        data = algebra.schmidt(np.kron(KET0, plus), (2, 2))
-        assert data.coefficients.shape == (1,)
-        assert abs(data.coefficients[0] - 1.0) < 1e-12
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(21)
-        for d_a, d_b in [(2, 2), (2, 3), (3, 4)]:
-            psi = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
-            psi /= np.linalg.norm(psi)
-            data = algebra.schmidt(psi, (d_a, d_b))
-            assert np.linalg.norm(data.reconstruct() - psi) < 1e-10
-            assert abs(np.sum(data.coefficients**2) - 1.0) < 1e-10
-
-    def test_coefficients_match_marginal_spectra(self):
-        rng = np.random.default_rng(23)
-        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
-        psi /= np.linalg.norm(psi)
-        data = algebra.schmidt(psi, (2, 3))
-        rho = np.outer(psi, psi.conj())
-        for over, keep in (("B", 2), ("A", 3)):
-            marg = algebra.partial_trace(rho, (2, 3), over)
-            spectrum = algebra.eig_hermitian(marg).eigenvalues[::-1]
-            r = len(data.coefficients)
-            assert np.allclose(data.coefficients**2, spectrum[:r], atol=1e-10)
-
-    def test_not_normalized(self):
-        with pytest.raises(NotNormalizedError):
-            algebra.schmidt(np.array([1.0, 0, 0, 1.0]), (2, 2))
 
 
 class TestUnitaryCompletion:

@@ -131,6 +131,48 @@ class TestCheatingUnitary:
         cheat = bitcommit.cheating_unitary(pair)
         assert cheat.feasible and cheat.fidelity > 1 - 1e-9
 
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_low_rank_concealing_pair(self, d, r):
+        rng = np.random.default_rng(30 + 10 * d + r)
+        lam = rng.random(r) + 0.2
+        lam /= lam.sum()
+        ua0, ua1, ub = (samplers.haar_unitary(rng, d) for _ in range(3))
+        pair = bitcommit.make_commitment_pair(
+            lam, *([u[:, i] for i in range(r)] for u in (ua0, ua1, ub))
+        )
+        cheat = bitcommit.cheating_unitary(pair)
+        u = cheat.unitary_a
+        m0, m1 = (psi.reshape(d, d) for psi in (pair.psi0, pair.psi1))
+        assert cheat.feasible
+        assert algebra.max_norm(u @ m0 - m1) < 1e-10
+        assert algebra.max_norm(algebra.dagger(u) @ u - np.eye(d)) < 1e-10
+
+
+def _psd_sqrt(rho):
+    vals, vecs = np.linalg.eigh(rho)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_cheat_reaches_uhlmann_fidelity(d):
+    """On non-concealing pairs the cheat's overlap is the root fidelity
+    F = ||sqrt(rho_B0) sqrt(rho_B1)||_1 of the B-marginals (Uhlmann), and
+    the concealment gap D obeys Fuchs-van de Graaf: 1 - F <= D <= sqrt(1 - F^2)."""
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        v0, v1 = rng.normal(size=(2, d * d)) + 1j * rng.normal(size=(2, d * d))
+        pair = bitcommit.commitment_pair_from_vectors(
+            v0 / np.linalg.norm(v0), v1 / np.linalg.norm(v1), (d, d)
+        )
+        root = _psd_sqrt(pair.marginal_b0) @ _psd_sqrt(pair.marginal_b1)
+        fidelity = float(np.sum(np.linalg.svd(root, compute_uv=False)))
+        cheat = bitcommit.cheating_unitary(pair)
+        assert abs(cheat.fidelity - fidelity) < 1e-10
+        gap = bitcommit.concealment_gap(pair)
+        assert 1.0 - fidelity - 1e-12 <= gap <= np.sqrt(1.0 - fidelity**2) + 1e-12
+        assert not cheat.feasible
+
 
 class TestMeasurePrepareChannel:
     def test_equal_maximally_mixed(self):

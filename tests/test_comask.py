@@ -20,8 +20,10 @@ def coeffs(d, a0, a):
 
 
 def masking_gap(element, r, d):
-    """Deviation of the masking equation a0/d + a.r = 1/2 at output state r."""
-    return element.a0 / d + float(np.dot(element.a, r)) - 0.5
+    """(Tr(rho O) - 1) / 2 for the observable ``element`` at output state r,
+    from the matrices; 0 exactly when the element masks r."""
+    rho = bloch.bloch_to_state(bloch.BlochVector(d, np.asarray(r, float)))
+    return (np.trace(rho @ bloch.coeffs_to_observable(element)).real - 1.0) / 2
 
 
 def min_norm(points):
@@ -209,6 +211,24 @@ class TestGeneralCase:
                 el = desc.element(rng.normal(size=desc.affine_dim))
                 for r in pts:
                     assert abs(masking_gap(el, r, d)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_trace_equation_from_matrices(d):
+    """Comask elements mask every given state, and the counterexample masks
+    b': |Tr(rho O) - 1| <= 1e-10 ||O|| with rho and O built as matrices."""
+    rng = np.random.default_rng(80 + d)
+    pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(3)]
+
+    def deviation(c, b):
+        return abs(2 * masking_gap(c, b, d)) / np.linalg.norm(bloch.coeffs_to_observable(c), 2)
+
+    desc = comask.comask_general(pts, d)
+    for _ in range(5):
+        el = desc.element(rng.normal(size=desc.affine_dim))
+        assert max(deviation(el, b) for b in pts) <= 1e-10
+    out = comask.universal_counterexample(pts[0], pts[1], d)
+    assert deviation(out, pts[1]) <= 1e-10
 
 
 def test_qubit_cases_match_closed_forms():

@@ -92,6 +92,15 @@ class TestNecessaryCondition:
                 assert masking.necessary_condition_d(bloch.observable_coeffs(obs))
 
 
+    def test_d3_maskable_spectrum_passes(self):
+        # 1 lies in [0.335, 1.119]: maskable, so the necessary condition holds
+        rng = np.random.default_rng(61)
+        u = samplers.haar_unitary(rng, 3)
+        obs = (u * [0.335, 0.805, 1.119]) @ u.conj().T
+        assert masking.decide_maskable_oracle(obs).maskable
+        assert masking.necessary_condition_d(bloch.observable_coeffs(obs))
+
+
 class TestConstantMasker:
     def test_sigma3_kraus_family(self):
         chan = masking.build_constant_masker(S3)
