@@ -175,15 +175,29 @@ def symmetric_tensor(d: int) -> SymmetricTensor:
     return _memoized(_tensor_cache, d, _build_tensor)
 
 
+def _real_generators(d: int) -> np.ndarray:
+    """The generator stack as a (d^2 - 1, 2 d^2) float64 view: row i holds
+    the entries of g_i, flattened, as interleaved (re, im) pairs."""
+    g = generator_basis(d).matrices
+    return g.reshape(len(g), d * d).view(float)
+
+
 def _coordinates(arr: np.ndarray) -> np.ndarray:
-    """Tr(M g_i) / 2 for each generator g_i of a d x d matrix M."""
-    g = generator_basis(arr.shape[0]).matrices
-    return np.einsum("kab,ba->k", g, arr).real / 2.0
+    """Tr(M g_i) / 2 for each generator g_i of a d x d matrix M.
+
+    Row i of the real generator view dotted with the (re, im) pairs of M
+    is Re sum_ab g_i[a, b] conj(M[a, b]), which equals Re Tr(g_i M) term by
+    term for Hermitian g_i: one real matrix product for all generators.
+    """
+    flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1).view(float)
+    return _real_generators(arr.shape[0]) @ flat / 2.0
 
 
 def _expansion(coords, d: int) -> np.ndarray:
-    """sum_i coords_i g_i over the generators of dimension d."""
-    return np.einsum("k,kab->ab", coords, generator_basis(d).matrices)
+    """sum_i coords_i g_i over the generators of dimension d, as one real
+    matrix product read back as complex."""
+    flat = np.asarray(coords, dtype=float) @ _real_generators(d)
+    return flat.view(complex).reshape(d, d)
 
 
 def state_to_bloch(rho) -> BlochVector:
@@ -215,16 +229,19 @@ def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:
 
 
 def _elementary_symmetric(power_sums: np.ndarray) -> np.ndarray:
-    """e_1..e_n from power sums p_1..p_n via Newton's identities."""
-    n = len(power_sums)
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for k in range(1, n + 1):
+    """e_1..e_n from power sums p_1..p_n via Newton's identities, run on
+    Python floats (the recursion is scalar, so numpy scalars only add
+    overhead)."""
+    p = power_sums.tolist()
+    e = [1.0]
+    for k in range(1, len(p) + 1):
         acc = 0.0
+        sign = 1.0
         for i in range(1, k + 1):
-            acc += (-1.0) ** (i - 1) * e[k - i] * power_sums[i - 1]
-        e[k] = acc / k
-    return e[1:]
+            acc += sign * e[k - i] * p[i - 1]
+            sign = -sign
+        e.append(acc / k)
+    return np.array(e[1:])
 
 
 def positivity_conditions(b: BlochVector, tol: float = POSITIVITY_ATOL):

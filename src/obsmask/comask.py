@@ -27,9 +27,27 @@ from .errors import (
 RANK_RTOL = 1e-9
 
 
+def _certified_independent(dirs: np.ndarray) -> bool:
+    """Exact O(k N) certificate that the rows of ``dirs`` pass the
+    singular-value test: some columns form a permuted identity (one column
+    per row, holding 1 in that row and 0 elsewhere), so sigma_min >= 1,
+    while sigma_max <= ||dirs||_F < 1 / (2 RANK_RTOL).  The factor 2 leaves
+    room for the rounding of a computed SVD."""
+    if not np.linalg.norm(dirs) < 0.5 / RANK_RTOL:
+        return False
+    units = (dirs == 1.0) & ((dirs != 0.0).sum(axis=0) == 1)
+    return bool(units.any(axis=1).all())
+
+
 @dataclass(frozen=True, eq=False)
 class AffineSet:
-    """Base point plus a linearly independent direction family (rows)."""
+    """Base point plus a linearly independent direction family (rows).
+
+    Independence is checked on construction: by the exact certificate of
+    ``_certified_independent`` when the directions carry a permuted identity
+    block (as ``comask_general``'s echelon directions do), otherwise by the
+    smallest singular value exceeding RANK_RTOL times the largest.
+    """
 
     ambient_dim: int
     base_point: np.ndarray
@@ -42,7 +60,7 @@ class AffineSet:
             raise DimensionMismatchError(
                 f"base point has length {base.shape[0]}, expected {self.ambient_dim}"
             )
-        if dirs.shape[0]:
+        if dirs.shape[0] and not _certified_independent(dirs):
             svals = np.linalg.svd(dirs, compute_uv=False)
             if svals[-1] <= RANK_RTOL * svals[0]:
                 raise ValueError("directions are not linearly independent")
@@ -64,7 +82,12 @@ class AffineSet:
 
     def contains(self, point, tol: float = 1e-9) -> bool:
         """Whether ``point`` lies in the set within max-norm ``tol``."""
-        v = np.asarray(point, dtype=float).reshape(-1) - self.base_point
+        x = np.asarray(point, dtype=float).reshape(-1)
+        if x.shape[0] != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"point has length {x.shape[0]}, expected {self.ambient_dim}"
+            )
+        v = x - self.base_point
         if self.affine_dim:
             q = np.linalg.qr(self.directions.T)[0]
             v = v - q @ (q.T @ v)
@@ -73,16 +96,19 @@ class AffineSet:
     def slice_coordinate(self, index: int, value: float) -> "AffineSet":
         """Intersect with the hyperplane {x[index] = value}.
 
-        The coordinate is pinned: every sample of the slice has x[index]
-        exactly equal to ``value``.
+        The slice is based at its point nearest the base point, found by an
+        orthogonal projection through a QR of the directions, so the result
+        depends on the set and not on the basis chosen for it.  Its
+        directions are orthonormal, and the coordinate is pinned: every
+        sample of the slice has x[index] exactly equal to ``value``.
         """
-        col = self.directions[:, index]
         offset = value - self.base_point[index]
-        if np.max(np.abs(col), initial=0.0) > 1e-12:
-            w0 = offset * col / np.dot(col, col)
-            base = self.base_point + w0 @ self.directions
-            # weight combinations keeping the coordinate fixed: null space of col
-            dirs = np.linalg.svd(col.reshape(1, -1))[2][1:] @ self.directions
+        if np.max(np.abs(self.directions[:, index]), initial=0.0) > 1e-12:
+            q = np.linalg.qr(self.directions.T)[0]
+            row = q[index]
+            base = self.base_point + q @ (offset * row / np.dot(row, row))
+            # directions keeping the coordinate fixed: null space of row
+            dirs = np.linalg.svd(row.reshape(1, -1))[2][1:] @ q.T
         elif abs(offset) <= 1e-9:
             base, dirs = self.base_point.copy(), self.directions.copy()
         else:
@@ -170,14 +196,34 @@ def comask_from_planar(points) -> ComaskDescription:
     return _traceless_slice(general, "singleton", inconsistent)
 
 
+def _pivoted_echelon(v: np.ndarray):
+    """Gauss-Jordan on the full-rank rows of ``v`` (k x n), each row pivoting
+    on its largest remaining entry.  Returns (r, piv) with r[:, piv] exactly
+    the identity and r spanning the same rows as v."""
+    r = v.copy()
+    piv = np.empty(len(r), dtype=np.intp)
+    for i, row in enumerate(r):
+        j = piv[i] = np.argmax(np.abs(row))
+        row /= row[j]
+        col = r[:, j].copy()
+        col[i] = 0.0
+        r -= col[:, None] * row
+    return r, piv
+
+
 def comask_general(points, d: int) -> ComaskDescription:
     """All observables (a0, a) masked onto a given set of output states.
 
     Tr(rho O) = a0 + 2 a.b, so O masks the state b (Tr(rho O) = 1) exactly
-    when a0/2 + a.b = 1/2.  Decomposes the affine hull of the points
-    (dimension k) into a direction space V and the orthogonal offset m;
-    members satisfy a ⊥ V and a0 = 1 - 2 a.m.  The result has affine
-    dimension d^2 - k - 1 and is never empty.
+    when a0/2 + a.b = 1/2.  With V the direction space of the affine hull
+    of the points b0, b1, ... (dimension k, from one reduced SVD of the
+    differences b_i - b0), members satisfy a ⊥ V and a0 = 1 - 2 a.b0.  The
+    directions are built in reduced row echelon form in O(d^4): Gauss-Jordan
+    on V gives R with k pivot columns, R[:, piv] = I; each of the other
+    d^2 - 1 - k coordinates of a gets one direction with a 1 there,
+    a[piv] = -R[:, free]^T and a0 = -2 a.b0.  For k = 0 that is
+    [-2 b0 | I].  The result is based at (1, 0), has affine dimension
+    d^2 - k - 1 and is never empty, and no d^2-sized matrix is decomposed.
     """
     n = d * d - 1
     arrs = []
@@ -192,14 +238,19 @@ def comask_general(points, d: int) -> ComaskDescription:
     if not arrs:
         raise ValueError("need at least one output state")
     b0 = arrs[0]
+    v = np.zeros((0, n))
     if len(arrs) > 1:
-        _, svals, vh = np.linalg.svd(np.stack(arrs[1:]) - b0, full_matrices=True)
-        k = int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))
-    else:
-        vh, k = np.eye(n), 0
-    v_basis, w_basis = vh[:k], vh[k:]
-    m = b0 - v_basis.T @ (v_basis @ b0)
-    dirs = np.column_stack([-2.0 * (w_basis @ m), w_basis])
+        _, svals, vh = np.linalg.svd(np.stack(arrs[1:]) - b0, full_matrices=False)
+        v = vh[: int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))]
+    r, piv = _pivoted_echelon(v)
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    coupling = r[:, free]  # a[piv] = -coupling.T for the free unit vectors
+    dirs = np.zeros((free.size, n + 1))
+    dirs[:, 0] = -2.0 * (b0[free] - coupling.T @ b0[piv])
+    dirs[np.arange(free.size), 1 + free] = 1.0
+    dirs[:, 1 + piv] = -coupling.T
     base = np.concatenate(([1.0], np.zeros(n)))
     coeff_set = AffineSet(ambient_dim=n + 1, base_point=base, directions=dirs)
     return ComaskDescription(kind="general", dimension=d, coefficient_set=coeff_set)

@@ -82,11 +82,19 @@ def _require_unit_vector(n) -> np.ndarray:
     return arr
 
 
+def _ball_bound_holds(c: ObservableCoeffs, a_norm: float, tol: float):
+    """|1 - a0| sqrt(d / (2(d-1))) <= |a| + tol, the ball bound behind both
+    the necessary condition and, at d = 2, the plane criterion."""
+    d = c.dimension
+    return abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1))) <= a_norm + tol
+
+
 def decide_maskable_qubit(c: ObservableCoeffs, tol: float = DECISION_ATOL) -> MaskabilityVerdict:
     """Bloch-plane criterion for qubit observables: maskable iff |1 - a0| <= |a|.
 
-    The degenerate direction a = 0 is maskable exactly when a0 = 1 (the
-    expectation Tr(rho O) = a0 for every state).
+    That is the ball bound of ``necessary_condition_d`` at d = 2, where it is
+    also sufficient.  The degenerate direction a = 0 is maskable exactly
+    when a0 = 1 (the expectation Tr(rho O) = a0 for every state).
     """
     if c.dimension != 2:
         raise DimensionMismatchError(f"qubit criterion needs d=2, got d={c.dimension}")
@@ -95,11 +103,10 @@ def decide_maskable_qubit(c: ObservableCoeffs, tol: float = DECISION_ATOL) -> Ma
         return MaskabilityVerdict(
             maskable=abs(c.a0 - 1.0) <= tol, method="bloch-criterion"
         )
-    distance = abs(1.0 - c.a0) / (2.0 * a_norm)
     return MaskabilityVerdict(
-        maskable=abs(1.0 - c.a0) <= a_norm + tol,
+        maskable=bool(_ball_bound_holds(c, a_norm, tol)),
         method="bloch-criterion",
-        plane_distance=distance,
+        plane_distance=abs(1.0 - c.a0) / (2.0 * a_norm),
     )
 
 
@@ -131,9 +138,7 @@ def necessary_condition_d(c: ObservableCoeffs, tol: float = DECISION_ATOL) -> bo
     |b| <= sqrt((d-1) / (2d)).  Necessary in every dimension; also
     sufficient only at d = 2, where it reduces to the plane criterion.
     """
-    d = c.dimension
-    threshold = abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1)))
-    return c.a_norm() >= threshold - tol
+    return _ball_bound_holds(c, c.a_norm(), tol)
 
 
 def build_constant_masker(obs, tol: float = DECISION_ATOL) -> KrausChannel:

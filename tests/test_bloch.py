@@ -188,6 +188,50 @@ class TestObservableCodec:
             assert algebra.max_norm(back - obs) < 1e-10
 
 
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_codecs_match_einsum_reference(d):
+    """The matrix-product codecs against a dense einsum over the generator
+    stack: exactly equal at d = 2 (two nonzero terms per coordinate and per
+    entry), and within d eps max|input| above."""
+    rng = np.random.default_rng(400 + d)
+    g = bloch.generator_basis(d).matrices
+    bound = 0.0 if d == 2 else d * EPS
+    for _ in range(20):
+        m = samplers.hermitian(rng, d, scale=rng.uniform(0.01, 100))
+        ref = np.einsum("kab,ba->k", g, m).real / 2.0
+        assert np.max(np.abs(bloch._coordinates(m) - ref)) <= bound * np.max(np.abs(m))
+        c = rng.normal(size=d * d - 1) * rng.uniform(0.01, 100)
+        ref = np.einsum("k,kab->ab", c, g)
+        assert np.max(np.abs(bloch._expansion(c, d) - ref)) <= bound * np.max(np.abs(c))
+
+
+def test_elementary_symmetric_bit_identical():
+    """Newton's recursion on Python floats gives the bits of the numpy loop
+    it replaced, kept here as the reference."""
+
+    def reference(power_sums):
+        n = len(power_sums)
+        e = np.zeros(n + 1)
+        e[0] = 1.0
+        for k in range(1, n + 1):
+            acc = 0.0
+            for i in range(1, k + 1):
+                acc += (-1.0) ** (i - 1) * e[k - i] * power_sums[i - 1]
+            e[k] = acc / k
+        return e[1:]
+
+    rng = np.random.default_rng(47)
+    for d in range(2, 17):
+        for _ in range(50):
+            spectrum = rng.normal(size=d) * rng.uniform(0.01, 10)
+            power_sums = np.array([np.sum(spectrum**p) for p in range(1, d + 1)])
+            for ps in (power_sums, rng.normal(size=d)):
+                assert np.array_equal(bloch._elementary_symmetric(ps), reference(ps))
+
+
 class TestPositivity:
     def test_qubit_boundary(self):
         vals, positive = bloch.positivity_conditions(

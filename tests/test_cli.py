@@ -315,3 +315,199 @@ all_passed: true
         _, out = run_cli(capsys, "selftest")
         names = [line.split(":")[0] for line in out.splitlines()[2:-3]]
         assert names == list(REGISTRY)
+
+
+D2_STATES = ["-0.096 0.042 -0.01", "-0.039 -0.044 0.087", "0.122 -0.097 0.046", "-0.061 0.14 0.126"]
+D3_STATES = [
+    "0.041 0.076 0.005 0.098 -0.015 -0.048 -0.067 -0.082",
+    "0.008 -0.021 0.049 -0.146 -0.016 -0.04 -0.091 0.028",
+    "-0.019 -0.06 -0.087 0.112 0.089 0.032 -0.046 0.134",
+    "0.019 -0.02 0.12 -0.054 0.059 -0.056 -0.072 0.06",
+]
+COMMON_STATE_INPUTS = {
+    "generic": ["coeffs 2 0.2 0.5 -0.3 0.8"],
+    "pair": ["coeffs 2 0 0 0 1", "coeffs 2 0 1 0 1"],
+    "infeasible": ["coeffs 2 0 0 0 1", "coeffs 2 0 1 0 0"],
+    "inconsistent": ["coeffs 2 0 0 0 1", "coeffs 2 0 0 0 2"],
+}
+MASKABLE_INPUTS = {
+    "d2-maskable": "coeffs 2 0.3 0.4 -0.5 0.6",
+    "d2-unmaskable": "coeffs 2 -0.5 0.3 0.2 0.1",
+    "d2-scalar": "coeffs 2 1 0 0 0",
+    "d4-maskable": "coeffs 4 0.25 0.1 -0.2 0.3 0.05 0.4 -0.15 0.2 0.1 -0.3 0.25 0.05 -0.1 0.35 0.2 -0.05",
+    "d4-unmaskable": "coeffs 4 2.5 0.1 -0.2 0.03 0.05 0.04 -0.15 0.02 0.1 -0.03 0.05 0.05 -0.1 0.05 0.02 -0.05",
+}
+# report bodies after the version line, pinned byte for byte; their inputs
+# pass through the comask directions, the Bloch codecs and the qubit criterion
+PINNED_REPORTS = {
+    "comask-d2-k0": """\
+command: comask
+dim: 2
+n_states: 1
+input_affine_dim: 0
+kind: general
+comask_affine_dim: 3
+base_point: 1 0 0 0
+""",
+    "comask-d2-k1": """\
+command: comask
+dim: 2
+n_states: 2
+input_affine_dim: 1
+kind: general
+comask_affine_dim: 2
+base_point: 1 0 0 0
+""",
+    "comask-d2-k2": """\
+command: comask
+dim: 2
+n_states: 3
+input_affine_dim: 2
+kind: general
+comask_affine_dim: 1
+base_point: 1 0 0 0
+""",
+    "comask-d2-k3": """\
+command: comask
+dim: 2
+n_states: 4
+input_affine_dim: 3
+kind: general
+comask_affine_dim: 0
+base_point: 1 0 0 0
+""",
+    "comask-d3-k0": """\
+command: comask
+dim: 3
+n_states: 1
+input_affine_dim: 0
+kind: general
+comask_affine_dim: 8
+base_point: 1 0 0 0 0 0 0 0 0
+""",
+    "comask-d3-k1": """\
+command: comask
+dim: 3
+n_states: 2
+input_affine_dim: 1
+kind: general
+comask_affine_dim: 7
+base_point: 1 0 0 0 0 0 0 0 0
+""",
+    "comask-d3-k2": """\
+command: comask
+dim: 3
+n_states: 3
+input_affine_dim: 2
+kind: general
+comask_affine_dim: 6
+base_point: 1 0 0 0 0 0 0 0 0
+""",
+    "comask-d3-k3": """\
+command: comask
+dim: 3
+n_states: 4
+input_affine_dim: 3
+kind: general
+comask_affine_dim: 5
+base_point: 1 0 0 0 0 0 0 0 0
+""",
+    "common-state-generic": """\
+command: common-state
+dim: 2
+n_observables: 1
+feasible: true
+state_bloch: 0.204081632653 -0.122448979592 0.326530612245
+constraint_residual: 0
+""",
+    "common-state-pair": """\
+command: common-state
+dim: 2
+n_observables: 2
+feasible: true
+state_bloch: 0 0 0.5
+constraint_residual: 0
+""",
+    "common-state-infeasible": """\
+command: common-state
+dim: 2
+n_observables: 2
+feasible: false
+residual: 0.207106781187
+""",
+    "common-state-inconsistent": """\
+command: common-state
+dim: 2
+n_observables: 2
+feasible: false
+reason: masking equations are mutually inconsistent
+""",
+    "maskable-d2-maskable": """\
+command: maskable
+dim: 2
+method: both
+maskable: true
+methods_agree: true
+plane_distance: 0.398862017609
+eig_range: -0.577496438739 1.17749643874
+""",
+    "maskable-d2-unmaskable": """\
+command: maskable
+dim: 2
+method: both
+maskable: false
+methods_agree: true
+plane_distance: 2.00445931434
+eig_range: -0.874165738677 -0.125834261323
+""",
+    "maskable-d2-scalar": """\
+command: maskable
+dim: 2
+method: both
+maskable: true
+methods_agree: true
+eig_range: 1 1
+""",
+    "maskable-d4-maskable": """\
+command: maskable
+dim: 4
+method: both
+maskable: true
+eig_range: -0.459385973935 1.11018760071
+necessary_condition: True
+""",
+    "maskable-d4-unmaskable": """\
+command: maskable
+dim: 4
+method: both
+maskable: false
+eig_range: 2.17459031962 2.82581512958
+necessary_condition: False
+""",
+}
+
+
+def pinned_report_argv(name, tmp_path):
+    """The CLI arguments of the pinned report ``name``, with its input files
+    written under ``tmp_path``."""
+    if name.startswith("comask-"):
+        d, k = int(name[8]), int(name[-1])
+        states = tmp_path / "states.txt"
+        states.write_text("\n".join((D2_STATES, D3_STATES)[d - 2][: k + 1]) + "\n")
+        return ["comask", "--states", str(states), "--dim", str(d)]
+    if name.startswith("common-state-"):
+        paths = []
+        for i, doc in enumerate(COMMON_STATE_INPUTS[name[len("common-state-"):]]):
+            paths.append(tmp_path / f"obs{i}.obs")
+            paths[-1].write_text(doc + "\n")
+        return ["common-state", "--observables", *map(str, paths)]
+    obs = tmp_path / "obs.obs"
+    obs.write_text(MASKABLE_INPUTS[name[len("maskable-"):]] + "\n")
+    return ["maskable", "--observable", str(obs)]
+
+
+@pytest.mark.parametrize("name", list(PINNED_REPORTS))
+def test_pinned_report(name, tmp_path, capsys):
+    code, out = run_cli(capsys, *pinned_report_argv(name, tmp_path))
+    assert code == 0
+    assert out == f"version: {__version__}\n" + PINNED_REPORTS[name]

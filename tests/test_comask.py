@@ -26,6 +26,12 @@ def masking_gap(element, r, d):
     return (np.trace(rho @ bloch.coeffs_to_observable(element)).real - 1.0) / 2
 
 
+def trace_deviation(c, b, d):
+    """|Tr(rho O) - 1| / ||O|| for the observable c at output state b, with
+    rho and O built as matrices."""
+    return abs(2 * masking_gap(c, b, d)) / np.linalg.norm(bloch.coeffs_to_observable(c), 2)
+
+
 def min_norm(points):
     """Minimum-norm a with a . r = 1/2 at every point r."""
     return np.linalg.lstsq(np.stack(points), np.full(len(points), 0.5), rcond=None)[0]
@@ -72,6 +78,58 @@ class TestAffineSet:
         # a coordinate the directions do not move, off the value by less than 1e-9
         s = comask.AffineSet(3, np.array([0.3 + 1e-10, 1.0, 2.0]), np.array([[0.0, 1.0, 1.0]]))
         assert s.slice_coordinate(0, 0.3).sample([4.0])[0] == 0.3
+
+    def test_contains_rejects_wrong_length(self):
+        s = comask.AffineSet(3, [1.0, 1.0, 1.0], np.zeros((0, 3)))
+        for point in ([1.0], [1.0, 1.0], [1.0] * 4):
+            with pytest.raises(DimensionMismatchError):
+                s.contains(point)
+
+    def test_slice_base_is_nearest_point_in_any_basis(self):
+        # the same set under a random change of direction basis slices to
+        # the same base point: the point of the slice nearest the base
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            base, dirs = rng.normal(size=6), rng.normal(size=(3, 6))
+            index, value = int(rng.integers(6)), float(rng.normal())
+            first = comask.AffineSet(6, base, dirs).slice_coordinate(index, value)
+            mixed = comask.AffineSet(6, base, rng.normal(size=(3, 3)) @ dirs)
+            second = mixed.slice_coordinate(index, value)
+            assert algebra.max_norm(first.base_point - second.base_point) < 1e-9
+            # nearest: the offset from the base is orthogonal to the slice
+            offset = first.base_point - base
+            assert np.max(np.abs(first.directions @ offset)) < 1e-9
+            assert all(mixed.contains(first.sample(w)) for w in rng.normal(size=(3, 2)))
+
+
+def svd_independent(dirs):
+    """The singular-value rank test, with no certificate in front of it."""
+    if not len(dirs):
+        return True
+    svals = np.linalg.svd(dirs, compute_uv=False)
+    return svals[-1] > comask.RANK_RTOL * svals[0]
+
+
+def test_unit_column_certificate_is_sound():
+    """Random families with planted permuted identity columns, entries up to
+    1e12 and dependent rows: wherever the certificate accepts, the SVD test
+    accepts too, and every dependent family is refused."""
+    rng = np.random.default_rng(16)
+    certified = 0
+    for trial in range(600):
+        r = int(rng.integers(1, 6))
+        n = r + int(rng.integers(0, 6))
+        dirs = rng.normal(size=(r, n)) * 10.0 ** rng.uniform(-3, 12)
+        if trial % 2:  # plant a permuted identity
+            dirs[:, rng.permutation(n)[:r]] = np.eye(r)[rng.permutation(r)]
+        if r > 1 and trial % 3 == 0:  # make the last row dependent
+            dirs[-1] = rng.normal(size=r - 1) @ dirs[:-1]
+            with pytest.raises(ValueError):
+                comask.AffineSet(n, np.zeros(n), dirs)
+        if comask._certified_independent(dirs):
+            certified += 1
+            assert svd_independent(dirs)
+    assert certified > 100
 
 
 class TestPointCase:
@@ -219,16 +277,48 @@ def test_trace_equation_from_matrices(d):
     b': |Tr(rho O) - 1| <= 1e-10 ||O|| with rho and O built as matrices."""
     rng = np.random.default_rng(80 + d)
     pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(3)]
-
-    def deviation(c, b):
-        return abs(2 * masking_gap(c, b, d)) / np.linalg.norm(bloch.coeffs_to_observable(c), 2)
-
     desc = comask.comask_general(pts, d)
     for _ in range(5):
         el = desc.element(rng.normal(size=desc.affine_dim))
-        assert max(deviation(el, b) for b in pts) <= 1e-10
+        assert max(trace_deviation(el, b, d) for b in pts) <= 1e-10
     out = comask.universal_counterexample(pts[0], pts[1], d)
-    assert deviation(out, pts[1]) <= 1e-10
+    assert trace_deviation(out, pts[1], d) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_general_echelon_directions(d, k):
+    """k + 1 random states, then the same list with one point repeated: the
+    dimension formula, independent directions by the SVD test itself, and
+    elements that mask every state, checked from matrices."""
+    rng = np.random.default_rng(90 + 4 * d + k)
+    pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
+    for points in (pts, pts + [pts[int(rng.integers(k + 1))].copy()]):
+        desc = comask.comask_general(points, d)
+        assert desc.affine_dim == d * d - k - 1
+        assert svd_independent(desc.coefficient_set.directions)
+        for _ in range(3):
+            el = desc.element(rng.normal(size=desc.affine_dim))
+            assert max(trace_deviation(el, b, d) for b in points) <= 1e-10
+
+
+def test_general_never_decomposes_the_direction_matrix(monkeypatch):
+    """At d = 16 the only SVD is of the k x 255 block of differences; the
+    (255 - k) x 256 direction matrix is certified without one."""
+    rows = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(17)
+    for k in range(4):
+        rows.clear()
+        pts = [bloch.state_to_bloch(samplers.density(rng, 16)).b for _ in range(k + 1)]
+        assert comask.comask_general(pts, 16).affine_dim == 255 - k
+        assert all(r <= k for r in rows), rows
 
 
 def test_qubit_cases_match_closed_forms():

@@ -73,12 +73,21 @@ class TestOracle:
 
 class TestNecessaryCondition:
     def test_d2_reduction_matches_plane_criterion(self):
+        # 10^4 random coefficient sets, then a band of +-3 tol around the
+        # boundary |1 - a0| = |a|; the reference is the plane criterion
+        # |1 - a0| <= |a| + tol written out here
         rng = np.random.default_rng(4)
-        for _ in range(500):
-            c = bloch.observable_coeffs(samplers.hermitian(rng, 2))
-            if abs(c.a_norm() - abs(1.0 - c.a0)) < 1e-9:
-                continue
-            assert masking.necessary_condition_d(c) == masking.decide_maskable_qubit(c).maskable
+        tol = masking.DECISION_ATOL
+        cases = [(rng.normal() * 2, rng.normal(size=3) * rng.uniform(0.01, 3)) for _ in range(10_000)]
+        for _ in range(2_000):
+            a = samplers.unit_vector(rng, 3) * rng.uniform(0.01, 3)
+            gap = np.linalg.norm(a) + tol * rng.uniform(-3, 3)
+            cases.append((1.0 + gap * rng.choice([-1.0, 1.0]), a))
+        for a0, a in cases:
+            c = coeffs(2, a0, a)
+            verdict = masking.decide_maskable_qubit(c).maskable
+            assert verdict == masking.necessary_condition_d(c, tol)
+            assert verdict == (abs(1.0 - a0) <= np.linalg.norm(a) + tol)
 
     def test_zero_observable_fails(self):
         assert not masking.necessary_condition_d(coeffs(2, 0.0, [0, 0, 0]))
