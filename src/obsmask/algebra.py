@@ -42,22 +42,22 @@ def max_norm(m) -> float:
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
 
 
-def require_hermitian(m, tol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Validate hermiticity within ``tol`` (max-norm) and return the matrix."""
+def require_hermitian(m) -> np.ndarray:
+    """Validate hermiticity within HERMITICITY_ATOL (max-norm) and return the matrix."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"matrix is {arr.shape}, not square")
     dev = max_norm(arr - dagger(arr))
-    if dev > tol:
-        raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_ATOL:
+        raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL:.1e}")
     return arr
 
 
-def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first nonzero entry is real >= 0."""
     for entry in v:
         mag = abs(entry)
-        if mag > tol:
+        if mag > 1e-12:
             return v * (entry.conjugate() / mag)
     return v * (1.0 + 0.0j)
 
@@ -79,9 +79,9 @@ class HermitianEig:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def eig_hermitian(m, tol: float = HERMITICITY_ATOL) -> HermitianEig:
+def eig_hermitian(m) -> HermitianEig:
     """Eigendecompose a Hermitian matrix; eigenvalues ascending."""
-    arr = require_hermitian(m, tol)
+    arr = require_hermitian(m)
     try:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -123,12 +123,12 @@ def partial_trace(m, dims: tuple[int, int], over: str) -> np.ndarray:
     raise ValueError(f"subsystem label must be 'A' or 'B', got {over!r}")
 
 
-def require_orthonormal(vectors, what: str, tol: float) -> np.ndarray:
+def require_orthonormal(vectors, what: str) -> np.ndarray:
     """Stack the vectors as columns, validate their Gram matrix against the
-    identity within ``tol`` (max-norm), and return the stacked array."""
+    identity within ORTHONORMALITY_ATOL (max-norm), and return the stack."""
     cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
     dev = max_norm(dagger(cols) @ cols - np.eye(cols.shape[1]))
-    if dev > tol:
+    if dev > ORTHONORMALITY_ATOL:
         raise NotOrthonormalError(f"{what} family deviates from orthonormal by {dev:.3e}")
     return cols
 
@@ -149,11 +149,7 @@ def _gram_schmidt_completion(vectors: np.ndarray, d: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def unitary_completion(
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-    d: int,
-    tol: float = ORTHONORMALITY_ATOL,
-) -> np.ndarray:
+def unitary_completion(pairs: list[tuple[np.ndarray, np.ndarray]], d: int) -> np.ndarray:
     """Unitary mapping input_k -> output_k for matched orthonormal families.
 
     The action on the orthogonal complement is fixed deterministically: both
@@ -165,8 +161,8 @@ def unitary_completion(
         return np.eye(d, dtype=complex)
     if len(pairs) > d:
         raise InconsistentDimensionsError(f"{len(pairs)} pairs exceed dimension {d}")
-    ins = require_orthonormal([p[0] for p in pairs], "input", tol)
-    outs = require_orthonormal([p[1] for p in pairs], "output", tol)
+    ins = require_orthonormal([p[0] for p in pairs], "input")
+    outs = require_orthonormal([p[1] for p in pairs], "output")
     if ins.shape[0] != d or outs.shape[0] != d:
         raise InconsistentDimensionsError(
             f"pair vectors live in dims {ins.shape[0]}/{outs.shape[0]}, expected {d}"

@@ -244,13 +244,13 @@ def _elementary_symmetric(power_sums: np.ndarray) -> np.ndarray:
     return np.array(e[1:])
 
 
-def positivity_conditions(b: BlochVector, tol: float = POSITIVITY_ATOL):
+def positivity_conditions(b: BlochVector):
     """Elementary symmetric polynomials e_2..e_d of the reconstructed matrix.
 
     Computed from the power sums Tr(rho^p), p = 1..d, through Newton's
     identities; no eigensolve.  The matrix is positive semidefinite exactly
-    when every value is nonnegative (checked against -tol).  The first value
-    relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.
+    when every value is nonnegative (checked against -POSITIVITY_ATOL).  The
+    first value relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.
     """
     d = b.dimension
     rho = bloch_to_state(b)
@@ -261,7 +261,7 @@ def positivity_conditions(b: BlochVector, tol: float = POSITIVITY_ATOL):
         acc = acc @ rho
         power_sums[p - 1] = np.trace(acc).real
     values = _elementary_symmetric(power_sums)[1:]
-    return values, bool(np.all(values >= -tol))
+    return values, bool(np.all(values >= -POSITIVITY_ATOL))
 
 
 def cubic_condition_value(b: BlochVector) -> float:

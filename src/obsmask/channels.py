@@ -15,33 +15,33 @@ from .errors import (
     NotUnitaryError,
 )
 
-# Trace-preservation slack allowed at construction; invalid channels are
-# refused, never renormalized.
+# Slack allowed in trace preservation, unitarity and density matrices at
+# construction; invalid channels are refused, never renormalized.
 CHANNEL_ATOL = 1e-9
 
 
-def require_unitary(u, tol: float = CHANNEL_ATOL) -> np.ndarray:
-    """Validate unitarity within ``tol`` (max-norm) and return the matrix."""
+def require_unitary(u) -> np.ndarray:
+    """Validate unitarity within CHANNEL_ATOL (max-norm) and return the matrix."""
     arr = np.asarray(u, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotUnitaryError(f"matrix of shape {arr.shape} cannot be unitary")
     dev = max_norm(dagger(arr) @ arr - np.eye(arr.shape[0]))
-    if dev > tol:
-        raise NotUnitaryError(f"max |U^dag U - I| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > CHANNEL_ATOL:
+        raise NotUnitaryError(f"max |U^dag U - I| = {dev:.3e} exceeds {CHANNEL_ATOL:.1e}")
     return arr
 
 
-def require_density(rho, tol: float = CHANNEL_ATOL) -> np.ndarray:
-    """Validate a density matrix (Hermitian, unit trace, positive within tol)."""
+def require_density(rho) -> np.ndarray:
+    """Validate a density matrix (Hermitian, unit trace, positive within CHANNEL_ATOL)."""
     try:
         arr = require_hermitian(rho)
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from exc
     tr = np.trace(arr).real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > CHANNEL_ATOL:
         raise InvalidStateError(f"trace is {tr!r}, not 1")
     min_eig = float(np.linalg.eigvalsh(arr)[0])
-    if min_eig < -tol:
+    if min_eig < -CHANNEL_ATOL:
         raise InvalidStateError(f"negative eigenvalue {min_eig:.3e}")
     return arr
 

@@ -88,7 +88,7 @@ def _cmd_mask(args) -> RunReport:
     report = RunReport()
     report.add("command", "mask")
     report.add("dim", coeffs.dimension)
-    verdict, channel = masking.oracle_masker(matrix, masking.DECISION_ATOL)
+    verdict, channel = masking.oracle_masker(matrix)
     report.add("maskable", verdict.maskable)
     report.add("eig_range", verdict.eig_range)
     if channel is None:

@@ -26,6 +26,15 @@ from .errors import (
 # rank decisions.
 RANK_RTOL = 1e-9
 
+# The common-state search accepts a state once every masking equation holds
+# within CONSTRAINT_ATOL.  It reports infeasibility after SEARCH_MAX_ITER
+# rounds, or when the gap between the two sets changes by less than
+# STALL_ATOL while it exceeds INFEASIBLE_GAP.
+CONSTRAINT_ATOL = 1e-7
+SEARCH_MAX_ITER = 10_000
+STALL_ATOL = 1e-9
+INFEASIBLE_GAP = 1e-6
+
 
 def _certified_independent(dirs: np.ndarray) -> bool:
     """Exact O(k N) certificate that the rows of ``dirs`` pass the
@@ -80,8 +89,8 @@ class AffineSet:
             )
         return self.base_point + w @ self.directions
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        """Whether ``point`` lies in the set within max-norm ``tol``."""
+    def contains(self, point) -> bool:
+        """Whether ``point`` lies in the set within max-norm 1e-9."""
         x = np.asarray(point, dtype=float).reshape(-1)
         if x.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
@@ -91,7 +100,7 @@ class AffineSet:
         if self.affine_dim:
             q = np.linalg.qr(self.directions.T)[0]
             v = v - q @ (q.T @ v)
-        return bool(np.max(np.abs(v), initial=0.0) <= tol)
+        return bool(np.max(np.abs(v), initial=0.0) <= 1e-9)
 
     def slice_coordinate(self, index: int, value: float) -> "AffineSet":
         """Intersect with the hyperplane {x[index] = value}.
@@ -276,21 +285,14 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     return ObservableCoeffs(dimension=d, a0=a0, a=a)
 
 
-def find_common_output_state(
-    observables,
-    d: int,
-    max_iter: int = 10_000,
-    constraint_tol: float = 1e-7,
-    stall_tol: float = 1e-9,
-    infeasible_gap: float = 1e-6,
-) -> np.ndarray:
+def find_common_output_state(observables, d: int) -> np.ndarray:
     """Search for one state masking every observable in the list.
 
     Alternates projections between the affine set of Bloch vectors solving
     all masking equations a0/2 + a.b = 1/2 and the positive unit-trace
     matrices (projected by eigenvalue clipping and trace renormalization).
     Returns a density matrix meeting every constraint within
-    ``constraint_tol``; raises ``NoAffineSolutionError`` when the linear
+    CONSTRAINT_ATOL; raises ``NoAffineSolutionError`` when the linear
     system itself is inconsistent and ``InfeasibleError`` (carrying the
     final gap between the sets) when the iteration stalls or the cap is
     reached.
@@ -313,7 +315,7 @@ def find_common_output_state(
 
     gap = np.inf
     prev_gap = None
-    for _ in range(max_iter):
+    for _ in range(SEARCH_MAX_ITER):
         rho = bloch_to_state(BlochVector(d, b))
         vals, vecs = np.linalg.eigh(rho)
         clipped = np.clip(vals, 0.0, None)
@@ -323,16 +325,16 @@ def find_common_output_state(
         else:
             rho_psd = (vecs * (clipped / total)) @ dagger(vecs)
         b_psd = state_to_bloch(rho_psd).b
-        if np.max(np.abs(rows @ b_psd - rhs)) < constraint_tol:
+        if np.max(np.abs(rows @ b_psd - rhs)) < CONSTRAINT_ATOL:
             return rho_psd
         b_next = b_psd - pinv @ (rows @ b_psd - rhs)
         gap = float(np.linalg.norm(b_next - b_psd))
-        if prev_gap is not None and abs(gap - prev_gap) < stall_tol and gap > infeasible_gap:
+        if prev_gap is not None and abs(gap - prev_gap) < STALL_ATOL and gap > INFEASIBLE_GAP:
             raise InfeasibleError(
                 f"projections stalled at set distance {gap:.3e}", residual=gap
             )
         prev_gap = gap
         b = b_next
     raise InfeasibleError(
-        f"no common state after {max_iter} iterations (gap {gap:.3e})", residual=gap
+        f"no common state after {SEARCH_MAX_ITER} iterations (gap {gap:.3e})", residual=gap
     )

@@ -27,6 +27,8 @@ from .errors import (
 # Boundary band for the maskability criteria and the masking-declared
 # threshold on adjoint residuals.
 DECISION_ATOL = 1e-9
+# Largest residual of the two no-hiding identities that counts as verified.
+NOHIDING_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,14 +84,14 @@ def _require_unit_vector(n) -> np.ndarray:
     return arr
 
 
-def _ball_bound_holds(c: ObservableCoeffs, a_norm: float, tol: float):
-    """|1 - a0| sqrt(d / (2(d-1))) <= |a| + tol, the ball bound behind both
-    the necessary condition and, at d = 2, the plane criterion."""
+def _ball_bound_holds(c: ObservableCoeffs, a_norm: float) -> bool:
+    """|1 - a0| sqrt(d / (2(d-1))) <= |a| + DECISION_ATOL, the ball bound
+    behind both the necessary condition and, at d = 2, the plane criterion."""
     d = c.dimension
-    return abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1))) <= a_norm + tol
+    return bool(abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1))) <= a_norm + DECISION_ATOL)
 
 
-def decide_maskable_qubit(c: ObservableCoeffs, tol: float = DECISION_ATOL) -> MaskabilityVerdict:
+def decide_maskable_qubit(c: ObservableCoeffs) -> MaskabilityVerdict:
     """Bloch-plane criterion for qubit observables: maskable iff |1 - a0| <= |a|.
 
     That is the ball bound of ``necessary_condition_d`` at d = 2, where it is
@@ -99,49 +101,49 @@ def decide_maskable_qubit(c: ObservableCoeffs, tol: float = DECISION_ATOL) -> Ma
     if c.dimension != 2:
         raise DimensionMismatchError(f"qubit criterion needs d=2, got d={c.dimension}")
     a_norm = c.a_norm()
-    if a_norm <= tol:
+    if a_norm <= DECISION_ATOL:
         return MaskabilityVerdict(
-            maskable=abs(c.a0 - 1.0) <= tol, method="bloch-criterion"
+            maskable=abs(c.a0 - 1.0) <= DECISION_ATOL, method="bloch-criterion"
         )
     return MaskabilityVerdict(
-        maskable=bool(_ball_bound_holds(c, a_norm, tol)),
+        maskable=_ball_bound_holds(c, a_norm),
         method="bloch-criterion",
         plane_distance=abs(1.0 - c.a0) / (2.0 * a_norm),
     )
 
 
-def decide_maskable_oracle(obs, tol: float = DECISION_ATOL) -> MaskabilityVerdict:
+def decide_maskable_oracle(obs) -> MaskabilityVerdict:
     """Eigenvalue-range oracle, valid in every dimension.
 
     A constant channel onto sigma masks O exactly when Tr(sigma O) = 1, and
     Tr(sigma O) over all states sweeps [lambda_min, lambda_max]; so O is
     maskable iff that interval contains 1.
     """
-    return _oracle_verdict(eig_hermitian(obs).eigenvalues, tol)
+    return _oracle_verdict(eig_hermitian(obs).eigenvalues)
 
 
-def _oracle_verdict(eigenvalues: np.ndarray, tol: float) -> MaskabilityVerdict:
+def _oracle_verdict(eigenvalues: np.ndarray) -> MaskabilityVerdict:
     """The oracle's verdict from the ascending eigenvalues of the observable."""
     lo = float(eigenvalues[0])
     hi = float(eigenvalues[-1])
     return MaskabilityVerdict(
-        maskable=(lo <= 1.0 + tol) and (1.0 <= hi + tol),
+        maskable=(lo <= 1.0 + DECISION_ATOL) and (1.0 <= hi + DECISION_ATOL),
         method="oracle",
         eig_range=(lo, hi),
     )
 
 
-def necessary_condition_d(c: ObservableCoeffs, tol: float = DECISION_ATOL) -> bool:
+def necessary_condition_d(c: ObservableCoeffs) -> bool:
     """Ball-constraint necessary condition |a| >= |1 - a0| sqrt(d / (2(d-1))).
 
     A masked state b solves a0/2 + a.b = 1/2 inside the ball of states,
     |b| <= sqrt((d-1) / (2d)).  Necessary in every dimension; also
     sufficient only at d = 2, where it reduces to the plane criterion.
     """
-    return _ball_bound_holds(c, c.a_norm(), tol)
+    return _ball_bound_holds(c, c.a_norm())
 
 
-def build_constant_masker(obs, tol: float = DECISION_ATOL) -> KrausChannel:
+def build_constant_masker(obs) -> KrausChannel:
     """Constant channel whose adjoint maps the (maskable) observable to I.
 
     The target state mixes the normalized eigenprojectors of lambda_max and
@@ -150,7 +152,7 @@ def build_constant_masker(obs, tol: float = DECISION_ATOL) -> KrausChannel:
     onto the whole eigenspace, which keeps the construction independent of
     the eigensolver's basis choice (O = I yields the maximally mixed state).
     """
-    verdict, channel = oracle_masker(obs, tol)
+    verdict, channel = oracle_masker(obs)
     if channel is None:
         raise NotMaskableError(
             f"1 is outside the eigenvalue range {verdict.eig_range}"
@@ -158,22 +160,22 @@ def build_constant_masker(obs, tol: float = DECISION_ATOL) -> KrausChannel:
     return channel
 
 
-def oracle_masker(obs, tol: float) -> tuple[MaskabilityVerdict, KrausChannel | None]:
+def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     """The oracle's verdict and, when maskable, the constant masker of
     ``build_constant_masker``, both from one eigendecomposition."""
     eig = eig_hermitian(obs)
     vals, vecs = eig.eigenvalues, eig.eigenvectors
-    verdict = _oracle_verdict(vals, tol)
+    verdict = _oracle_verdict(vals)
     if not verdict.maskable:
         return verdict, None
     lo, hi = vals[0], vals[-1]
 
     def eigenspace_state(target):
-        sel = np.abs(vals - target) <= tol
+        sel = np.abs(vals - target) <= DECISION_ATOL
         cols = vecs[:, sel]
         return (cols @ dagger(cols)) / int(np.sum(sel))
 
-    if hi - lo <= tol:
+    if hi - lo <= DECISION_ATOL:
         sigma0 = eigenspace_state(hi)
     else:
         p = (1.0 - lo) / (hi - lo)
@@ -215,12 +217,12 @@ def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, UnitaryDilatio
 
 
 def verify_masking(channel: KrausChannel, obs) -> float:
-    """Max-norm residual || E*(O) - I ||; masking holds below 1e-9."""
+    """Max-norm residual || E*(O) - I ||; masking holds below DECISION_ATOL."""
     out = apply_adjoint(channel, obs)
     return max_norm(out - np.eye(channel.input_dim))
 
 
-def verify_nohiding(n, u0=None, u1=None, tol: float = 1e-10) -> NoHidingReport:
+def verify_nohiding(n, u0=None, u1=None) -> NoHidingReport:
     """Check that masking n.sigma swaps it intact onto the environment.
 
     Verifies U'^dag (n.sigma (x) I) U' = I (x) sigma3 and that the local
@@ -241,7 +243,7 @@ def verify_nohiding(n, u0=None, u1=None, tol: float = 1e-10) -> NoHidingReport:
     return NoHidingReport(
         swap_residual=float(swap_residual),
         recovery_residual=float(recovery_residual),
-        verified=bool(swap_residual < tol and recovery_residual < tol),
+        verified=bool(swap_residual < NOHIDING_ATOL and recovery_residual < NOHIDING_ATOL),
     )
 
 

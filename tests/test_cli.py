@@ -474,7 +474,7 @@ dim: 4
 method: both
 maskable: true
 eig_range: -0.459385973935 1.11018760071
-necessary_condition: True
+necessary_condition: true
 """,
     "maskable-d4-unmaskable": """\
 command: maskable
@@ -482,7 +482,7 @@ dim: 4
 method: both
 maskable: false
 eig_range: 2.17459031962 2.82581512958
-necessary_condition: False
+necessary_condition: false
 """,
 }
 

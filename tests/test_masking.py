@@ -86,11 +86,18 @@ class TestNecessaryCondition:
         for a0, a in cases:
             c = coeffs(2, a0, a)
             verdict = masking.decide_maskable_qubit(c).maskable
-            assert verdict == masking.necessary_condition_d(c, tol)
+            assert verdict == masking.necessary_condition_d(c)
             assert verdict == (abs(1.0 - a0) <= np.linalg.norm(a) + tol)
 
     def test_zero_observable_fails(self):
         assert not masking.necessary_condition_d(coeffs(2, 0.0, [0, 0, 0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_returns_python_bool(self, d):
+        # a numpy bool would print as True/False in the maskable report
+        for a0 in (0.0, 5.0):
+            c = coeffs(d, a0, np.eye(d * d - 1)[0])
+            assert type(masking.necessary_condition_d(c)) is bool
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_oracle_maskable_implies_condition(self, d):
