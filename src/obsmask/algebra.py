@@ -127,6 +127,8 @@ def require_orthonormal(vectors, what: str) -> np.ndarray:
     """Stack the vectors as columns, validate their Gram matrix against the
     identity within ORTHONORMALITY_ATOL (max-norm), and return the stack."""
     cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    if not np.isfinite(cols).all():
+        raise NotOrthonormalError(f"{what} family contains non-finite entries")
     dev = max_norm(dagger(cols) @ cols - np.eye(cols.shape[1]))
     if dev > ORTHONORMALITY_ATOL:
         raise NotOrthonormalError(f"{what} family deviates from orthonormal by {dev:.3e}")

@@ -145,9 +145,9 @@ def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
     familiar sqrt(p^i_j) |e^i_j><i| family.
     """
     states = [require_density(rho0), require_density(rho1)]
-    for arr in states:
-        if arr.shape != (d, d):
-            raise DimensionMismatchError(f"state shape {arr.shape} != ({d}, {d})")
+    for eig in states:
+        if eig.eigenvectors.shape != (d, d):
+            raise DimensionMismatchError(f"state shape {eig.eigenvectors.shape} != ({d}, {d})")
     ops = np.concatenate(
         (spectral_kraus(states[0], d, [0]), spectral_kraus(states[1], d, range(1, d)))
     )

@@ -244,23 +244,37 @@ def _elementary_symmetric(power_sums: np.ndarray) -> np.ndarray:
     return np.array(e[1:])
 
 
+def _power_sums(b: BlochVector) -> np.ndarray:
+    """Power sums p_k = Tr(rho^k), k = 1..d, of the reconstructed matrix
+    (p_1 = 1 by construction).
+
+    Only the powers rho^1..rho^m, m = ceil(d/2), are formed, in m - 1
+    products.  With F their (m, 2 d^2) real view, the Gram product F F^T
+    holds Re Tr(rho^i (rho^j)^dag) = Tr(rho^(i+j)) at [i-1, j-1], since
+    every power is Hermitian; so p_k sits at [floor(k/2) - 1, ceil(k/2) - 1].
+    """
+    d = b.dimension
+    m = (d + 1) // 2
+    powers = np.empty((m, d, d), dtype=complex)
+    powers[0] = bloch_to_state(b)
+    for j in range(1, m):
+        np.matmul(powers[j - 1], powers[0], out=powers[j])
+    flat = powers.reshape(m, d * d).view(float)
+    gram = (flat @ flat.T).tolist()
+    return np.array([1.0] + [gram[k // 2 - 1][(k + 1) // 2 - 1] for k in range(2, d + 1)])
+
+
 def positivity_conditions(b: BlochVector):
     """Elementary symmetric polynomials e_2..e_d of the reconstructed matrix.
 
-    Computed from the power sums Tr(rho^p), p = 1..d, through Newton's
-    identities; no eigensolve.  The matrix is positive semidefinite exactly
-    when every value is nonnegative (checked against -POSITIVITY_ATOL).  The
-    first value relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.
+    Computed from the power sums Tr(rho^k), k = 1..d, through Newton's
+    identities; no eigensolve.  The power sums cost ceil(d/2) - 1 matrix
+    products and one Gram product (``_power_sums``).  The matrix is
+    positive semidefinite exactly when every value is nonnegative (checked
+    against -POSITIVITY_ATOL).  The first value relates to the ball
+    constraint by 2 e_2 = (d-1)/d - 2|b|^2.
     """
-    d = b.dimension
-    rho = bloch_to_state(b)
-    power_sums = np.empty(d)
-    power_sums[0] = 1.0
-    acc = rho
-    for p in range(2, d + 1):
-        acc = acc @ rho
-        power_sums[p - 1] = np.trace(acc).real
-    values = _elementary_symmetric(power_sums)[1:]
+    values = _elementary_symmetric(_power_sums(b))[1:]
     return values, bool(np.all(values >= -POSITIVITY_ATOL))
 
 

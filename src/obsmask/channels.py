@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, eig_hermitian, max_norm, require_hermitian
+from .algebra import HermitianEig, dagger, eig_hermitian, max_norm
 from .errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -25,25 +25,28 @@ def require_unitary(u) -> np.ndarray:
     arr = np.asarray(u, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotUnitaryError(f"matrix of shape {arr.shape} cannot be unitary")
+    if not np.isfinite(arr).all():
+        raise NotUnitaryError("matrix contains non-finite entries")
     dev = max_norm(dagger(arr) @ arr - np.eye(arr.shape[0]))
     if dev > CHANNEL_ATOL:
         raise NotUnitaryError(f"max |U^dag U - I| = {dev:.3e} exceeds {CHANNEL_ATOL:.1e}")
     return arr
 
 
-def require_density(rho) -> np.ndarray:
-    """Validate a density matrix (Hermitian, unit trace, positive within CHANNEL_ATOL)."""
+def require_density(rho) -> HermitianEig:
+    """Validate a density matrix (Hermitian, unit trace, positive within
+    CHANNEL_ATOL) from one eigendecomposition, and return it."""
     try:
-        arr = require_hermitian(rho)
+        eig = eig_hermitian(rho)
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from exc
-    tr = np.trace(arr).real
+    tr = np.sum(eig.eigenvalues)
     if abs(tr - 1.0) > CHANNEL_ATOL:
         raise InvalidStateError(f"trace is {tr!r}, not 1")
-    min_eig = float(np.linalg.eigvalsh(arr)[0])
+    min_eig = float(eig.eigenvalues[0])
     if min_eig < -CHANNEL_ATOL:
         raise InvalidStateError(f"negative eigenvalue {min_eig:.3e}")
-    return arr
+    return eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +81,8 @@ class KrausChannel:
                 f"Kraus operator shape {shape} != "
                 f"({self.output_dim}, {self.input_dim})"
             )
+        if not np.isfinite(ops).all():
+            raise InvalidChannelError("Kraus family contains non-finite entries")
         kraus = ops.transpose(1, 0, 2).copy().transpose(1, 0, 2)
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
@@ -136,11 +141,10 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
     return dagger(v) @ (arr @ rows).reshape(v.shape)
 
 
-def spectral_kraus(state, input_dim: int, columns) -> np.ndarray:
+def spectral_kraus(eig: HermitianEig, input_dim: int, columns) -> np.ndarray:
     """Stack of operators sqrt(p_j) |e_j><k| over the nonzero spectral terms
-    of a validated ``state`` (descending weight), then the input indices k
-    in ``columns``."""
-    eig = eig_hermitian(state)
+    of a state's decomposition ``eig`` (from ``require_density``; descending
+    weight), then the input indices k in ``columns``."""
     terms = np.flatnonzero(eig.eigenvalues >= 1e-12)[::-1]
     amplitudes = np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]
     d = len(eig.eigenvalues)
@@ -156,9 +160,9 @@ def constant_channel(sigma0, input_dim: int) -> KrausChannel:
     Kraus family sqrt(p_j) |e_j><k| over the nonzero spectral terms of
     sigma0 (descending weight) and k = 0..input_dim-1.
     """
-    arr = require_density(sigma0)
-    ops = spectral_kraus(arr, input_dim, range(input_dim))
-    return KrausChannel(input_dim=input_dim, output_dim=arr.shape[0], kraus=ops)
+    eig = require_density(sigma0)
+    ops = spectral_kraus(eig, input_dim, range(input_dim))
+    return KrausChannel(input_dim=input_dim, output_dim=len(eig.eigenvalues), kraus=ops)
 
 
 def isometric_extension(channel: KrausChannel) -> np.ndarray:

@@ -9,6 +9,8 @@ comment.  Rendered files parse back to the same values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bloch import BlochVector, ObservableCoeffs
@@ -47,11 +49,20 @@ def _parse_int(tok: _Token, what: str) -> int:
     return value
 
 
+def _finite(value: float, tok: _Token, what: str) -> float:
+    """``value`` if finite; nan, inf and overflowing literals such as 1e400
+    are refused at their token."""
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what} {tok.text!r}", tok.line, tok.column)
+    return value
+
+
 def _parse_real(tok: _Token, what: str) -> float:
     try:
-        return float(tok.text)
+        value = float(tok.text)
     except ValueError:
         raise ParseError(f"expected number {what}, got {tok.text!r}", tok.line, tok.column)
+    return _finite(value, tok, what)
 
 
 def _parse_complex(tok: _Token) -> complex:
@@ -61,11 +72,12 @@ def _parse_complex(tok: _Token) -> complex:
             f"expected complex entry 're,im', got {tok.text!r}", tok.line, tok.column
         )
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        real, imag = float(parts[0]), float(parts[1])
     except ValueError:
         raise ParseError(
             f"malformed complex entry {tok.text!r}", tok.line, tok.column
         )
+    return complex(_finite(real, tok, "entry"), _finite(imag, tok, "entry"))
 
 
 def _take(tokens: list[_Token], idx: int, what: str) -> _Token:

@@ -3,6 +3,7 @@ output-state disk geometry, and the observable no-hiding check."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ def _require_unit_vector(n) -> np.ndarray:
     if arr.shape != (3,):
         raise NotUnitVectorError(f"expected a real 3-vector, got shape {arr.shape}")
     norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > DECISION_ATOL:
+    if not math.isfinite(norm) or abs(norm - 1.0) > DECISION_ATOL:
         raise NotUnitVectorError(f"|n| = {norm!r} is not 1")
     return arr
 

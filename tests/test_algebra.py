@@ -142,6 +142,12 @@ class TestUnitaryCompletion:
             algebra.unitary_completion([(KET0, KET0)], 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_require_orthonormal_rejects_non_finite(bad):
+    with pytest.raises(NotOrthonormalError, match="input family contains non-finite"):
+        algebra.require_orthonormal([KET0, np.array([bad, 1.0])], "input")
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31))
 def test_eigh_reconstruction_property(d, seed):

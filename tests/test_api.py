@@ -2,6 +2,8 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
+
 import obsmask
 
 
@@ -34,3 +36,39 @@ def test_no_tolerance_or_iteration_parameters():
         if _is_knob(param)
     ]
     assert knobs == []
+
+
+def _validators():
+    return {
+        qualname: func
+        for qualname, func in _public_callables()
+        if qualname.rsplit(".", 1)[1].startswith("require_")
+    }
+
+
+def test_validators_refuse_nan():
+    # `dev > ATOL` is False for nan, so a validator that only measures a
+    # deviation accepts nan; each must refuse non-finite entries first
+    validators = _validators()
+    assert {
+        "obsmask.algebra.require_hermitian",
+        "obsmask.algebra.require_orthonormal",
+        "obsmask.channels.require_unitary",
+        "obsmask.channels.require_density",
+    } <= set(validators)
+    nan_matrix = np.full((2, 2), np.nan, dtype=complex)
+    accepted = []
+    for qualname, func in validators.items():
+        # a NaN matrix of valid shape first; any further required parameter
+        # is a label, given its own name
+        rest = [
+            param.name
+            for param in list(inspect.signature(func).parameters.values())[1:]
+            if param.default is inspect.Parameter.empty
+        ]
+        try:
+            func(nan_matrix, *rest)
+        except ValueError:
+            continue
+        accepted.append(qualname)
+    assert accepted == []

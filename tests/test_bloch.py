@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch, samplers
+from obsmask import algebra, bloch, invariants, samplers
 from obsmask.errors import NotHermitianError, NotUnitTraceError
 from obsmask.invariants import REGISTRY
 
@@ -285,3 +285,65 @@ class TestPositivity:
             b = bloch.BlochVector(d, v * radius * rng.uniform(0, 1))
             vals, _ = bloch.positivity_conditions(b)
             assert abs(bloch.cubic_condition_value(b) - 6.0 * vals[1]) < 1e-10
+
+
+def _spectral_states(rng, d, count):
+    """Full-rank density matrices, pure states and low-rank states with
+    Dirichlet(0.3) weights on ceil(d/2) levels, each in a Haar basis."""
+    rank = (d + 1) // 2
+    for _ in range(count):
+        yield samplers.density(rng, d)
+        u = samplers.haar_unitary(rng, d)
+        yield np.outer(u[:, 0], u[:, 0].conj())
+        weights = np.zeros(d)
+        weights[:rank] = rng.dirichlet(np.full(rank, 0.3))
+        yield (u * weights) @ u.conj().T
+
+
+def _previous_positivity(b):
+    """The d - 1 product path the Gram product replaced: Tr(rho^k) from
+    sequential products and one trace each."""
+    d = b.dimension
+    rho = bloch.bloch_to_state(b)
+    power_sums = np.empty(d)
+    power_sums[0] = 1.0
+    acc = rho
+    for k in range(2, d + 1):
+        acc = acc @ rho
+        power_sums[k - 1] = np.trace(acc).real
+    values = bloch._elementary_symmetric(power_sums)[1:]
+    return values, bool(np.all(values >= -bloch.POSITIVITY_ATOL))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_power_sums_match_spectrum(d):
+    """p_k against sum lambda^k of the eigenvalues, relative to
+    sum |lambda|^k, and e_k against the characteristic polynomial's."""
+    rng = np.random.default_rng(500 + d)
+    for rho in _spectral_states(rng, d, 10):
+        b = bloch.state_to_bloch(rho)
+        lam = np.linalg.eigvalsh(bloch.bloch_to_state(b))
+        k = np.arange(1, d + 1)[:, None]
+        exact = np.sum(lam**k, axis=1)
+        scale = np.sum(np.abs(lam) ** k, axis=1)
+        assert np.all(np.abs(bloch._power_sums(b) - exact) <= 1e-12 * scale)
+        e_ref = np.poly(lam)[2:].real * (-1.0) ** np.arange(2, d + 1)
+        values, positive = bloch.positivity_conditions(b)
+        assert np.max(np.abs(values - e_ref)) <= 1e-12
+        assert positive
+
+
+@pytest.mark.parametrize("d", [5, 8, 12, 16])
+def test_verdicts_match_previous_path(d):
+    """The Gram-product verdicts equal those of the d - 1 product path on
+    acceptance criterion 9's ball sampler (up to 1.2 times the pure-state
+    radius, so non-states are drawn too)."""
+    rng = np.random.default_rng(600 + d)
+    verdicts = []
+    for b in invariants._ball_points(rng, d, 300):
+        values, positive = bloch.positivity_conditions(b)
+        ref_values, ref_positive = _previous_positivity(b)
+        assert positive == ref_positive
+        assert np.max(np.abs(values - ref_values)) <= 1e-14
+        verdicts.append(positive)
+    assert any(verdicts) and not all(verdicts)

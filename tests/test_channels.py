@@ -45,6 +45,13 @@ class TestKrausChannel:
         with pytest.raises(InvalidChannelError, match=r"shape \(3, 3\) != \(2, 2\)"):
             channels.KrausChannel(2, 2, (np.eye(2), np.eye(3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        ops = np.array(masker_kraus())
+        ops[1, 0, 1] = bad
+        with pytest.raises(InvalidChannelError, match="non-finite"):
+            channels.KrausChannel(2, 2, ops)
+
     def test_kraus_is_a_read_only_copy(self):
         ops = np.array(masker_kraus())
         chan = channels.KrausChannel(2, 2, ops)
@@ -152,6 +159,30 @@ class TestConstantChannel:
             channels.constant_channel(np.diag([1.5, -0.5]), 2)
 
 
+class TestRequireDensity:
+    def test_returns_the_eigendecomposition(self):
+        sigma = samplers.density(np.random.default_rng(8), 3)
+        eig = channels.require_density(sigma)
+        ref = algebra.eig_hermitian(sigma)
+        assert np.array_equal(eig.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, ref.eigenvectors)
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.diag([1.5, -0.5]), r"negative eigenvalue -5\.000e-01"),
+            (np.eye(2), r"trace is \S*2\.0\)?, not 1"),
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), r"max \|M - M\^dag\|"),
+            (np.diag([np.nan, 0.5]), "non-finite"),
+            (np.ones(3), "expected a matrix"),
+        ],
+        ids=["negative", "trace", "non-hermitian", "nan", "vector"],
+    )
+    def test_rejections(self, rho, message):
+        with pytest.raises(InvalidStateError, match=message):
+            channels.require_density(rho)
+
+
 class TestIsometricExtension:
     def test_identity_channel(self):
         chan = channels.KrausChannel(2, 2, (np.eye(2),))
@@ -207,3 +238,10 @@ class TestMaskerDilation:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             channels.masker_dilation(np.eye(2) * 2.0, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(NotUnitaryError, match="non-finite"):
+            channels.require_unitary(u)

@@ -96,6 +96,26 @@ class TestParsing:
         assert str(exc.value) == f"line {line}, column {column}: {message}"
         assert (exc.value.line, exc.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("coeffs 2 0\n  nan 0 1\n", "non-finite coefficient 'nan'", 2, 3),
+            ("bloch 2 0 inf 0.5\n", "non-finite component 'inf'", 1, 11),
+            ("matrix 1 2\n1,0 0,1e400\n", "non-finite entry '0,1e400'", 2, 5),
+            ("vector 2\n-inf,0 1,0\n", "non-finite entry '-inf,0'", 2, 1),
+        ],
+        ids=["coeffs-nan", "bloch-inf", "matrix-overflow", "vector-inf"],
+    )
+    def test_non_finite_refused(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            fileio.parse_document(text)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+    def test_non_finite_bloch_line_refused(self):
+        with pytest.raises(ParseError) as exc:
+            fileio.parse_bloch_lines("0 0 0.5\n0.1 NaN 0.2\n", 2)
+        assert (exc.value.line, exc.value.column) == (2, 5)
+
     def test_bloch_lines(self):
         vectors = fileio.parse_bloch_lines("0 0 0.5\n# comment\n0.1 0.2 0.3\n", 2)
         assert len(vectors) == 2
@@ -199,6 +219,40 @@ class TestNohideCommand:
         )
         assert code == 0
         assert "verified: true" in out
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers are input errors (exit 2), not reports of nan."""
+
+    def test_nohide_nan_unitary(self, tmp_path, capsys):
+        u_file = tmp_path / "u.mat"
+        u_file.write_text("matrix 2 2\nnan,0 0,0\n0,0 1,0\n")
+        code, out = run_cli(
+            capsys, "nohide", "--theta", "0", "--phi", "0", "--u0", str(u_file)
+        )
+        assert (code, out) == (2, "")
+
+    def test_nohide_nan_angle(self, capsys):
+        code, out = run_cli(capsys, "nohide", "--theta", "nan", "--phi", "0")
+        assert (code, out) == (2, "")
+
+    def test_maskable_nan_coeffs(self, tmp_path, capsys):
+        obs = tmp_path / "nan.obs"
+        obs.write_text("coeffs 2 nan 0 0 1\n")
+        code, out = run_cli(
+            capsys, "maskable", "--observable", str(obs), "--method", "bloch"
+        )
+        assert (code, out) == (2, "")
+
+    def test_counterexample_nan_bloch(self, tmp_path, capsys):
+        b = tmp_path / "b.bl"
+        b.write_text("bloch 2 nan 0.0 0.5\n")
+        bp = tmp_path / "bp.bl"
+        bp.write_text("bloch 2 0.0 0.0 0.25\n")
+        code, out = run_cli(
+            capsys, "counterexample", "--b", str(b), "--bprime", str(bp), "--dim", "2"
+        )
+        assert (code, out) == (2, "")
 
 
 class TestComaskCommand:

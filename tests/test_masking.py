@@ -157,6 +157,26 @@ class TestConstantMasker:
             masking.build_constant_masker(0.4 * S1)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("obs", [S3, np.diag([3.0, -1.0, 0.5])], ids=["sigma3", "d3"])
+    def test_one_eigh_per_matrix_and_no_eigvalsh(self, obs, monkeypatch):
+        # one eigh for the observable, one for the target state, which
+        # require_density validates and spectral_kraus reads
+        counts = {"eigh": 0, "eigvalsh": 0}
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return counting
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        masking.build_constant_masker(obs)
+        assert counts == {"eigh": 2, "eigvalsh": 0}
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_maskable_verify(self, d):
         rng = np.random.default_rng(60 + d)
@@ -233,6 +253,11 @@ class TestNoHiding:
         report = masking.verify_nohiding([0.0, 0.0, 1.0])
         assert report.swap_residual == 0.0
         assert report.verified
+
+    @pytest.mark.parametrize("n", [[np.nan, 0.0, 1.0], [0.0, 0.0, np.inf]], ids=["nan", "inf"])
+    def test_non_finite_direction_rejected(self, n):
+        with pytest.raises(NotUnitVectorError):
+            masking.verify_nohiding(n)
 
     def test_random_directions_identity_env(self):
         rng = np.random.default_rng(9)
