@@ -26,7 +26,7 @@ def as_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
     return arr
 
@@ -39,7 +39,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def max_norm(m) -> float:
     """Largest entry magnitude (the max-norm used by all residual checks)."""
     arr = np.asarray(m)
-    return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
+    return 0.0 if arr.size == 0 else float(np.abs(arr).max())
+
+
+def _identity_deviation(product: np.ndarray) -> float:
+    """max_norm(product - I) for a square matrix the caller has just made
+    and owns: 1 is subtracted from its diagonal in place."""
+    product.flat[:: product.shape[0] + 1] -= 1.0
+    return max_norm(product)
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -51,15 +58,6 @@ def require_hermitian(m) -> np.ndarray:
     if dev > HERMITICITY_ATOL:
         raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL:.1e}")
     return arr
-
-
-def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first nonzero entry is real >= 0."""
-    for entry in v:
-        mag = abs(entry)
-        if mag > 1e-12:
-            return v * (entry.conjugate() / mag)
-    return v * (1.0 + 0.0j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +84,23 @@ def eig_hermitian(m) -> HermitianEig:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    vecs = np.column_stack([fix_phase(vecs[:, i]) for i in range(vecs.shape[1])])
-    return HermitianEig(eigenvalues=vals, eigenvectors=vecs)
+    # rotate each column so its first entry above 1e-12 in magnitude is real
+    # >= 0: one scan over Python complexes finds the entries, and the phases
+    # are one numpy division, which divides through the reciprocal of the
+    # real magnitude, like a division of numpy scalars (Python's
+    # complex / float would differ by an ulp, and so would np.abs)
+    entries, mags = [], []
+    for col in vecs.T.tolist():
+        for entry in col:
+            mag = abs(entry)
+            if mag > 1e-12:
+                break
+        else:
+            entry, mag = 1.0, 1.0
+        entries.append(entry)
+        mags.append(mag)
+    phases = np.array(entries).conj() / np.array(mags)
+    return HermitianEig(eigenvalues=vals, eigenvectors=vecs * phases)
 
 
 def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +116,14 @@ def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product, first factor major."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, first factor major: one broadcast
+    product of the same entry pairs ``np.kron`` multiplies, reshaped."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatchError(f"expected two matrices, got ndim {a.ndim} and {b.ndim}")
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def partial_trace(m, dims: tuple[int, int], over: str) -> np.ndarray:
@@ -129,7 +148,7 @@ def require_orthonormal(vectors, what: str) -> np.ndarray:
     cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
     if not np.isfinite(cols).all():
         raise NotOrthonormalError(f"{what} family contains non-finite entries")
-    dev = max_norm(dagger(cols) @ cols - np.eye(cols.shape[1]))
+    dev = _identity_deviation(dagger(cols) @ cols)
     if dev > ORTHONORMALITY_ATOL:
         raise NotOrthonormalError(f"{what} family deviates from orthonormal by {dev:.3e}")
     return cols

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import require_hermitian
-from .errors import NotUnitTraceError
+from .errors import InvalidStateError, NotUnitTraceError
 
 # Condition values this far below zero still count as positive (absorbs
 # roundoff at the pure-state boundary).
@@ -206,7 +206,7 @@ def state_to_bloch(rho) -> BlochVector:
     d = arr.shape[0]
     tr = np.trace(arr).real
     if abs(tr - 1.0) > 1e-10:
-        raise NotUnitTraceError(f"trace is {tr!r}, not 1")
+        raise NotUnitTraceError(f"trace is {float(tr)!r}, not 1")
     return BlochVector(dimension=d, b=_coordinates(arr))
 
 
@@ -272,8 +272,11 @@ def positivity_conditions(b: BlochVector):
     products and one Gram product (``_power_sums``).  The matrix is
     positive semidefinite exactly when every value is nonnegative (checked
     against -POSITIVITY_ATOL).  The first value relates to the ball
-    constraint by 2 e_2 = (d-1)/d - 2|b|^2.
+    constraint by 2 e_2 = (d-1)/d - 2|b|^2.  Non-finite coordinates are
+    refused, since every comparison with them is False.
     """
+    if not np.isfinite(b.b).all():
+        raise InvalidStateError("Bloch vector has non-finite coordinates")
     values = _elementary_symmetric(_power_sums(b))[1:]
     return values, bool(np.all(values >= -POSITIVITY_ATOL))
 

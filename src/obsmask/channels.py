@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HermitianEig, dagger, eig_hermitian, max_norm
+from .algebra import HermitianEig, _identity_deviation, dagger, eig_hermitian
 from .errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -27,7 +27,7 @@ def require_unitary(u) -> np.ndarray:
         raise NotUnitaryError(f"matrix of shape {arr.shape} cannot be unitary")
     if not np.isfinite(arr).all():
         raise NotUnitaryError("matrix contains non-finite entries")
-    dev = max_norm(dagger(arr) @ arr - np.eye(arr.shape[0]))
+    dev = _identity_deviation(dagger(arr) @ arr)
     if dev > CHANNEL_ATOL:
         raise NotUnitaryError(f"max |U^dag U - I| = {dev:.3e} exceeds {CHANNEL_ATOL:.1e}")
     return arr
@@ -42,7 +42,7 @@ def require_density(rho) -> HermitianEig:
         raise InvalidStateError(str(exc)) from exc
     tr = np.sum(eig.eigenvalues)
     if abs(tr - 1.0) > CHANNEL_ATOL:
-        raise InvalidStateError(f"trace is {tr!r}, not 1")
+        raise InvalidStateError(f"trace is {float(tr)!r}, not 1")
     min_eig = float(eig.eigenvalues[0])
     if min_eig < -CHANNEL_ATOL:
         raise InvalidStateError(f"negative eigenvalue {min_eig:.3e}")
@@ -87,7 +87,7 @@ class KrausChannel:
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
         v = isometric_extension(self)
-        dev = max_norm(dagger(v) @ v - np.eye(self.input_dim))
+        dev = _identity_deviation(dagger(v) @ v)
         if dev > CHANNEL_ATOL:
             raise InvalidChannelError(
                 f"sum E^dag E deviates from identity by {dev:.3e}"

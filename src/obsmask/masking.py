@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, eig_hermitian, max_norm, plane_frame, tensor
+from .algebra import _identity_deviation, dagger, eig_hermitian, max_norm, plane_frame, tensor
 from .bloch import ObservableCoeffs, generator_basis
 from .channels import (
     KrausChannel,
@@ -16,11 +16,11 @@ from .channels import (
     apply_adjoint,
     constant_channel,
     masker_dilation,
-    require_unitary,
 )
 from .errors import (
     DimensionMismatchError,
     EmptyDiskError,
+    NotHermitianError,
     NotMaskableError,
     NotUnitVectorError,
 )
@@ -81,13 +81,18 @@ def _require_unit_vector(n) -> np.ndarray:
         raise NotUnitVectorError(f"expected a real 3-vector, got shape {arr.shape}")
     norm = np.linalg.norm(arr)
     if not math.isfinite(norm) or abs(norm - 1.0) > DECISION_ATOL:
-        raise NotUnitVectorError(f"|n| = {norm!r} is not 1")
+        raise NotUnitVectorError(f"|n| = {float(norm)!r} is not 1")
     return arr
 
 
 def _ball_bound_holds(c: ObservableCoeffs, a_norm: float) -> bool:
     """|1 - a0| sqrt(d / (2(d-1))) <= |a| + DECISION_ATOL, the ball bound
-    behind both the necessary condition and, at d = 2, the plane criterion."""
+    behind both the necessary condition and, at d = 2, the plane criterion.
+    Refuses non-finite coefficients, on which every comparison is False."""
+    if not (math.isfinite(c.a0) and math.isfinite(a_norm)):
+        raise NotHermitianError(
+            f"observable coefficients are not finite: a0 = {c.a0!r}, |a| = {a_norm!r}"
+        )
     d = c.dimension
     return bool(abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1))) <= a_norm + DECISION_ATOL)
 
@@ -102,12 +107,13 @@ def decide_maskable_qubit(c: ObservableCoeffs) -> MaskabilityVerdict:
     if c.dimension != 2:
         raise DimensionMismatchError(f"qubit criterion needs d=2, got d={c.dimension}")
     a_norm = c.a_norm()
+    maskable = _ball_bound_holds(c, a_norm)  # first: it refuses nan, a = 0 too
     if a_norm <= DECISION_ATOL:
         return MaskabilityVerdict(
             maskable=abs(c.a0 - 1.0) <= DECISION_ATOL, method="bloch-criterion"
         )
     return MaskabilityVerdict(
-        maskable=_ball_bound_holds(c, a_norm),
+        maskable=maskable,
         method="bloch-criterion",
         plane_distance=abs(1.0 - c.a0) / (2.0 * a_norm),
     )
@@ -205,22 +211,25 @@ def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, UnitaryDilatio
     U' = (w^dag (x) I) U with U the swap-type unitary (u0 = u1 = I by
     default; other environment unitaries realize the same channel).
     """
-    arr = _require_unit_vector(n)
-    w = rotation_unitary(arr)
-    wd = dagger(w)
-    kraus = np.einsum("a,ib->iab", wd[:, 0], np.eye(2))
+    w = rotation_unitary(n)
+    kraus = np.einsum("a,ib->iab", dagger(w)[:, 0], np.eye(2))
     channel = KrausChannel(input_dim=2, output_dim=2, kraus=kraus)
+    return channel, _swap_dilation(w, u0, u1)
+
+
+def _swap_dilation(w: np.ndarray, u0, u1) -> UnitaryDilation:
+    """U' = (w^dag (x) I) U of ``build_masker_swap``; u0, u1 are validated
+    once, in ``masker_dilation``, and U' once, as a ``UnitaryDilation``."""
     base = masker_dilation(
         np.eye(2) if u0 is None else u0, np.eye(2) if u1 is None else u1
     )
-    unitary = tensor(wd, np.eye(2)) @ base.unitary
-    return channel, UnitaryDilation(system_dim=2, env_dim=2, unitary=unitary)
+    unitary = tensor(dagger(w), np.eye(2)) @ base.unitary
+    return UnitaryDilation(system_dim=2, env_dim=2, unitary=unitary)
 
 
 def verify_masking(channel: KrausChannel, obs) -> float:
     """Max-norm residual || E*(O) - I ||; masking holds below DECISION_ATOL."""
-    out = apply_adjoint(channel, obs)
-    return max_norm(out - np.eye(channel.input_dim))
+    return _identity_deviation(apply_adjoint(channel, obs))
 
 
 def verify_nohiding(n, u0=None, u1=None) -> NoHidingReport:
@@ -230,16 +239,13 @@ def verify_nohiding(n, u0=None, u1=None) -> NoHidingReport:
     unitary w recovers the observable from the environment side.
     """
     arr = _require_unit_vector(n)
-    u0 = np.eye(2) if u0 is None else require_unitary(u0)
-    u1 = np.eye(2) if u1 is None else require_unitary(u1)
-    _, dilation = build_masker_swap(arr, u0, u1)
+    w = rotation_unitary(arr)
+    up = _swap_dilation(w, u0, u1).unitary
     pauli = generator_basis(2).matrices
     obs = np.einsum("i,iab->ab", arr, pauli)
     sigma3 = pauli[2]
-    up = dilation.unitary
     conj = dagger(up) @ tensor(obs, np.eye(2)) @ up
     swap_residual = max_norm(conj - tensor(np.eye(2), sigma3))
-    w = rotation_unitary(arr)
     recovery_residual = max_norm(dagger(w) @ sigma3 @ w - obs)
     return NoHidingReport(
         swap_residual=float(swap_residual),

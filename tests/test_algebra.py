@@ -59,6 +59,41 @@ class TestEigHermitian:
             first = vecs[np.flatnonzero(np.abs(vecs[:, i]) > 1e-12)[0], i]
             assert abs(first.imag) < 1e-12 and first.real >= 0
 
+    @staticmethod
+    def _per_column_phase_fix(vecs):
+        """Reference phase fix, column by column on numpy scalars: each
+        column's first entry above 1e-12 in magnitude becomes real >= 0."""
+
+        def fix(v):
+            for entry in v:
+                mag = abs(entry)
+                if mag > 1e-12:
+                    return v * (entry.conjugate() / mag)
+            return v * (1.0 + 0.0j)
+
+        return np.column_stack([fix(vecs[:, i]) for i in range(vecs.shape[1])])
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_phase_fix_matches_per_column_loop_bit_for_bit(self, d):
+        rng = np.random.default_rng(600 + d)
+        u = samplers.haar_unitary(rng, d)
+        degenerate = (u * np.round(rng.normal(size=d))) @ u.conj().T
+        block = np.zeros((d, d), dtype=complex)
+        block[0, 0] = 0.3
+        block[1:, 1:] = samplers.hermitian(rng, d - 1)
+        real = rng.normal(size=(d, d))
+        cases = {
+            "complex": samplers.hermitian(rng, d),
+            "real": real + real.T,
+            "degenerate": (degenerate + degenerate.conj().T) / 2,
+            # eigenvectors of the lower block start with an exact zero
+            "block-diagonal": block,
+        }
+        for name, m in cases.items():
+            _, raw = np.linalg.eigh(np.asarray(m, dtype=complex))
+            got = algebra.eig_hermitian(m).eigenvectors
+            assert got.tobytes() == self._per_column_phase_fix(raw).tobytes(), name
+
 
 class TestTensor:
     def test_sigma3_with_identity(self):
@@ -76,6 +111,24 @@ class TestTensor:
             a, b = samplers.hermitian(rng, 2), samplers.hermitian(rng, 2)
             lhs = np.trace(algebra.tensor(a, b))
             assert abs(lhs - np.trace(a) * np.trace(b)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((2, 2), (2, 2)), ((2, 3), (4, 1)), ((1, 4), (3, 2)), ((3, 3), (2, 2)), ((2, 2), (16, 16))],
+    )
+    def test_equals_np_kron_bit_for_bit(self, shape_a, shape_b):
+        rng = np.random.default_rng(sum(shape_a) * 10 + sum(shape_b))
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        for x, y in ((a, b), (a.real, b), (a, b.real), (a.real, b.real)):
+            got = algebra.tensor(x, y)
+            want = np.kron(x.astype(complex), y.astype(complex))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_non_matrices(self):
+        with pytest.raises(DimensionMismatchError):
+            algebra.tensor(KET0, np.eye(2))
 
 
 class TestPartialTrace:

@@ -5,6 +5,8 @@ import pkgutil
 import numpy as np
 
 import obsmask
+from obsmask.bloch import BlochVector, ObservableCoeffs
+from obsmask.errors import ValidationError
 
 
 def _public_callables():
@@ -71,4 +73,60 @@ def test_validators_refuse_nan():
         except ValueError:
             continue
         accepted.append(qualname)
+    assert accepted == []
+
+
+# public callables that take coefficient objects and map them to a matrix,
+# a value or a text, so a NaN passes through to their output; every other
+# such callable decides something and must refuse non-finite coordinates
+_COEFFICIENT_CODECS = {
+    "obsmask.bloch.bloch_to_state",
+    "obsmask.bloch.coeffs_to_observable",
+    "obsmask.bloch.cubic_condition_value",
+    "obsmask.fileio.render_bloch",
+    "obsmask.fileio.render_coeffs",
+}
+
+
+def _nan_coefficients(kind: str):
+    """Coefficient objects of ``kind`` with a NaN or infinite coordinate, at
+    d = 2 and d = 8; the zero direction a = 0 is among them."""
+    objects = []
+    for d in (2, 8):
+        unit, zero = np.eye(d * d - 1)[-1], np.zeros(d * d - 1)
+        nan_a, inf_a = np.where(unit > 0, np.nan, 0.0), np.where(unit > 0, np.inf, 0.0)
+        if kind == "ObservableCoeffs":
+            objects += [
+                ObservableCoeffs(d, np.nan, unit),
+                ObservableCoeffs(d, np.nan, zero),
+                ObservableCoeffs(d, np.inf, unit),
+                ObservableCoeffs(d, 0.5, nan_a),
+            ]
+        else:
+            objects += [BlochVector(d, nan_a), BlochVector(d, inf_a)]
+    return objects
+
+
+def test_decisions_refuse_nan_coefficients():
+    # `x >= bound` is False for nan, so a decision that only compares would
+    # return a confident "no"; each must refuse non-finite coordinates
+    decisions = {}
+    for qualname, func in _public_callables():
+        params = list(inspect.signature(func).parameters.values())
+        kind = str(params[0].annotation) if params else ""
+        if kind in ("ObservableCoeffs", "BlochVector") and qualname not in _COEFFICIENT_CODECS:
+            decisions[qualname] = (func, kind)
+    assert {
+        "obsmask.masking.decide_maskable_qubit",
+        "obsmask.masking.necessary_condition_d",
+        "obsmask.bloch.positivity_conditions",
+    } <= set(decisions)
+    accepted = []
+    for qualname, (func, kind) in decisions.items():
+        for coefficients in _nan_coefficients(kind):
+            try:
+                func(coefficients)
+            except ValidationError:
+                continue
+            accepted.append((qualname, coefficients.dimension))
     assert accepted == []

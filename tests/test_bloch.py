@@ -156,8 +156,9 @@ class TestStateCodec:
         assert np.allclose(out, np.diag([1.5, -0.5]), atol=1e-12)
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(NotUnitTraceError):
+        with pytest.raises(NotUnitTraceError, match=r"trace is 2\.0, not 1") as exc:
             bloch.state_to_bloch(np.eye(2))
+        assert "np.float64" not in str(exc.value)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):

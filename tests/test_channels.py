@@ -179,8 +179,9 @@ class TestRequireDensity:
         ids=["negative", "trace", "non-hermitian", "nan", "vector"],
     )
     def test_rejections(self, rho, message):
-        with pytest.raises(InvalidStateError, match=message):
+        with pytest.raises(InvalidStateError, match=message) as exc:
             channels.require_density(rho)
+        assert "np.float64" not in str(exc.value)
 
 
 class TestIsometricExtension:

@@ -256,8 +256,47 @@ class TestNoHiding:
 
     @pytest.mark.parametrize("n", [[np.nan, 0.0, 1.0], [0.0, 0.0, np.inf]], ids=["nan", "inf"])
     def test_non_finite_direction_rejected(self, n):
-        with pytest.raises(NotUnitVectorError):
+        with pytest.raises(NotUnitVectorError) as exc:
             masking.verify_nohiding(n)
+        assert "np.float64" not in str(exc.value)
+
+    def test_non_unit_message_prints_a_plain_float(self):
+        with pytest.raises(NotUnitVectorError, match=r"\|n\| = 2\.0 is not 1"):
+            masking.verify_nohiding([0.0, 0.0, 2.0])
+
+    def test_validates_each_matrix_once(self, monkeypatch):
+        # user u0/u1 are validated once each (in masker_dilation), the
+        # direction at most twice, and no masker channel is built
+        seen, unit_checks, channels_built = [], [], []
+        require_unitary = channels.require_unitary
+        require_unit_vector = masking._require_unit_vector
+        post_init = channels.KrausChannel.__post_init__
+
+        def spy_unitary(u):
+            seen.append(u)
+            return require_unitary(u)
+
+        def spy_unit_vector(n):
+            unit_checks.append(n)
+            return require_unit_vector(n)
+
+        def spy_post_init(channel):
+            channels_built.append(channel)
+            post_init(channel)
+
+        monkeypatch.setattr(channels, "require_unitary", spy_unitary)
+        monkeypatch.setattr(masking, "_require_unit_vector", spy_unit_vector)
+        monkeypatch.setattr(channels.KrausChannel, "__post_init__", spy_post_init)
+        rng = np.random.default_rng(12)
+        u0, u1 = samplers.haar_unitary(rng, 2), samplers.haar_unitary(rng, 2)
+        report = masking.verify_nohiding(samplers.unit_vector(rng, 3), u0, u1)
+        assert report.verified
+        assert sum(u is u0 for u in seen) == 1
+        assert sum(u is u1 for u in seen) == 1
+        # u0, u1, the swap-type base dilation and the rotated U'
+        assert len(seen) == 4
+        assert len(unit_checks) <= 2
+        assert channels_built == []
 
     def test_random_directions_identity_env(self):
         rng = np.random.default_rng(9)
