@@ -72,6 +72,8 @@ def commitment_pair_from_vectors(psi0, psi1, dims: tuple[int, int]) -> Commitmen
         v = np.asarray(psi, dtype=complex).reshape(-1)
         if v.size != d_a * d_b:
             raise NotNormalizedError(f"{name} has length {v.size}, expected {d_a * d_b}")
+        if not np.isfinite(v).all():
+            raise NotNormalizedError(f"{name} contains non-finite entries")
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise NotNormalizedError(f"{name} is not normalized")
         vecs.append(v.reshape(d_a, d_b))
@@ -92,6 +94,8 @@ def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
     perfectly concealing configuration.
     """
     weights = np.asarray(lam, dtype=float).reshape(-1)
+    if not np.isfinite(weights).all():
+        raise BadSpectrumError("weights contain non-finite entries")
     if np.any(weights < -1e-12) or abs(np.sum(weights) - 1.0) > 1e-9:
         raise BadSpectrumError("weights must be nonnegative and sum to 1")
     r = weights.size

@@ -1,5 +1,5 @@
 """Generator bases of SU(d), Bloch-vector codecs for states and observables,
-and positivity constraints evaluated through Newton's identities."""
+and positivity constraints evaluated from one eigensolve."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from .algebra import require_hermitian
 from .errors import InvalidStateError, NotUnitTraceError
 
-# Condition values this far below zero still count as positive (absorbs
+# A minimum eigenvalue this far below zero still counts as positive (absorbs
 # roundoff at the pure-state boundary).
 POSITIVITY_ATOL = 1e-9
 
@@ -228,57 +228,25 @@ def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:
     return c.a0 * np.eye(c.dimension) + _expansion(np.asarray(c.a, float), c.dimension)
 
 
-def _elementary_symmetric(power_sums: np.ndarray) -> np.ndarray:
-    """e_1..e_n from power sums p_1..p_n via Newton's identities, run on
-    Python floats (the recursion is scalar, so numpy scalars only add
-    overhead)."""
-    p = power_sums.tolist()
-    e = [1.0]
-    for k in range(1, len(p) + 1):
-        acc = 0.0
-        sign = 1.0
-        for i in range(1, k + 1):
-            acc += sign * e[k - i] * p[i - 1]
-            sign = -sign
-        e.append(acc / k)
-    return np.array(e[1:])
-
-
-def _power_sums(b: BlochVector) -> np.ndarray:
-    """Power sums p_k = Tr(rho^k), k = 1..d, of the reconstructed matrix
-    (p_1 = 1 by construction).
-
-    Only the powers rho^1..rho^m, m = ceil(d/2), are formed, in m - 1
-    products.  With F their (m, 2 d^2) real view, the Gram product F F^T
-    holds Re Tr(rho^i (rho^j)^dag) = Tr(rho^(i+j)) at [i-1, j-1], since
-    every power is Hermitian; so p_k sits at [floor(k/2) - 1, ceil(k/2) - 1].
-    """
-    d = b.dimension
-    m = (d + 1) // 2
-    powers = np.empty((m, d, d), dtype=complex)
-    powers[0] = bloch_to_state(b)
-    for j in range(1, m):
-        np.matmul(powers[j - 1], powers[0], out=powers[j])
-    flat = powers.reshape(m, d * d).view(float)
-    gram = (flat @ flat.T).tolist()
-    return np.array([1.0] + [gram[k // 2 - 1][(k + 1) // 2 - 1] for k in range(2, d + 1)])
-
-
 def positivity_conditions(b: BlochVector):
-    """Elementary symmetric polynomials e_2..e_d of the reconstructed matrix.
+    """Elementary symmetric polynomials e_2..e_d of the reconstructed matrix,
+    and whether it is positive semidefinite.
 
-    Computed from the power sums Tr(rho^k), k = 1..d, through Newton's
-    identities; no eigensolve.  The power sums cost ceil(d/2) - 1 matrix
-    products and one Gram product (``_power_sums``).  The matrix is
-    positive semidefinite exactly when every value is nonnegative (checked
-    against -POSITIVITY_ATOL).  The first value relates to the ball
-    constraint by 2 e_2 = (d-1)/d - 2|b|^2.  Non-finite coordinates are
-    refused, since every comparison with them is False.
+    One ``eigvalsh`` gives the spectrum.  The verdict is its minimum
+    checked against -POSITIVITY_ATOL; the values are the coefficients of
+    prod_i (1 + lambda_i t), expanded in place on Python floats (those of
+    ``np.poly`` up to sign, without its per-root overhead).  The first value
+    relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.  Non-finite
+    coordinates are refused, since every comparison with them is False.
     """
     if not np.isfinite(b.b).all():
         raise InvalidStateError("Bloch vector has non-finite coordinates")
-    values = _elementary_symmetric(_power_sums(b))[1:]
-    return values, bool(np.all(values >= -POSITIVITY_ATOL))
+    lam = np.linalg.eigvalsh(bloch_to_state(b))
+    e = [1.0] + [0.0] * b.dimension
+    for i, x in enumerate(lam.tolist(), 1):
+        for k in range(i, 0, -1):
+            e[k] += x * e[k - 1]
+    return np.array(e[2:]), bool(lam[0] >= -POSITIVITY_ATOL)
 
 
 def cubic_condition_value(b: BlochVector) -> float:

@@ -277,6 +277,8 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     bp_arr = np.asarray(b_prime, dtype=float).reshape(-1)
     if b_arr.shape != (n,) or bp_arr.shape != (n,):
         raise DimensionMismatchError(f"expected Bloch vectors of length {n}")
+    if not (np.isfinite(b_arr).all() and np.isfinite(bp_arr).all()):
+        raise InvalidStateError("Bloch vectors have non-finite coordinates")
     gap = np.linalg.norm(b_arr - bp_arr)
     if gap < 1e-9:
         raise IdenticalPointsError("the two output states coincide")

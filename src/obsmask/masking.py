@@ -263,6 +263,8 @@ def output_disk(a) -> OutputDisk:
     arr = np.asarray(a, dtype=float).reshape(-1)
     if arr.shape != (3,):
         raise DimensionMismatchError(f"expected a real 3-vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NotHermitianError("observable coefficients are not finite")
     a_norm = float(np.linalg.norm(arr))
     if a_norm < 1.0 - DECISION_ATOL:
         raise EmptyDiskError(f"|a| = {a_norm!r} < 1: plane misses the Bloch ball")

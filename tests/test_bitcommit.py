@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from obsmask import algebra, bitcommit, channels, samplers
-from obsmask.errors import BadSpectrumError, NotOrthonormalError
+from obsmask.errors import BadSpectrumError, NotNormalizedError, NotOrthonormalError
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -42,6 +42,18 @@ class TestMakeCommitmentPair:
             bitcommit.make_commitment_pair(
                 [0.7, 0.7], [KET0, KET1], [PLUS, MINUS], [KET0, KET1]
             )
+
+    def test_non_finite_spectrum(self):
+        # a nan weight passes both `lam < 0` and `|sum - 1| > atol`
+        with pytest.raises(BadSpectrumError):
+            bitcommit.make_commitment_pair(
+                [np.nan, 1.0], [KET0, KET1], [PLUS, MINUS], [KET0, KET1]
+            )
+
+    def test_non_finite_vector(self):
+        bell = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / np.sqrt(2)
+        with pytest.raises(NotNormalizedError):
+            bitcommit.commitment_pair_from_vectors(np.full(4, np.nan), bell, (2, 2))
 
     def test_bad_family(self):
         with pytest.raises(NotOrthonormalError):

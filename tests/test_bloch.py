@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch, invariants, samplers
-from obsmask.errors import NotHermitianError, NotUnitTraceError
+from obsmask import algebra, bloch, comask, invariants, samplers
+from obsmask.errors import InvalidStateError, NotHermitianError, NotUnitTraceError
 from obsmask.invariants import REGISTRY
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -209,30 +209,6 @@ def test_codecs_match_einsum_reference(d):
         assert np.max(np.abs(bloch._expansion(c, d) - ref)) <= bound * np.max(np.abs(c))
 
 
-def test_elementary_symmetric_bit_identical():
-    """Newton's recursion on Python floats gives the bits of the numpy loop
-    it replaced, kept here as the reference."""
-
-    def reference(power_sums):
-        n = len(power_sums)
-        e = np.zeros(n + 1)
-        e[0] = 1.0
-        for k in range(1, n + 1):
-            acc = 0.0
-            for i in range(1, k + 1):
-                acc += (-1.0) ** (i - 1) * e[k - i] * power_sums[i - 1]
-            e[k] = acc / k
-        return e[1:]
-
-    rng = np.random.default_rng(47)
-    for d in range(2, 17):
-        for _ in range(50):
-            spectrum = rng.normal(size=d) * rng.uniform(0.01, 10)
-            power_sums = np.array([np.sum(spectrum**p) for p in range(1, d + 1)])
-            for ps in (power_sums, rng.normal(size=d)):
-                assert np.array_equal(bloch._elementary_symmetric(ps), reference(ps))
-
-
 class TestPositivity:
     def test_qubit_boundary(self):
         vals, positive = bloch.positivity_conditions(
@@ -301,50 +277,83 @@ def _spectral_states(rng, d, count):
         yield (u * weights) @ u.conj().T
 
 
-def _previous_positivity(b):
-    """The d - 1 product path the Gram product replaced: Tr(rho^k) from
-    sequential products and one trace each."""
-    d = b.dimension
-    rho = bloch.bloch_to_state(b)
-    power_sums = np.empty(d)
-    power_sums[0] = 1.0
-    acc = rho
-    for k in range(2, d + 1):
-        acc = acc @ rho
-        power_sums[k - 1] = np.trace(acc).real
-    values = bloch._elementary_symmetric(power_sums)[1:]
-    return values, bool(np.all(values >= -bloch.POSITIVITY_ATOL))
-
-
 @pytest.mark.parametrize("d", range(2, 17))
 def test_power_sums_match_spectrum(d):
-    """p_k against sum lambda^k of the eigenvalues, relative to
-    sum |lambda|^k, and e_k against the characteristic polynomial's."""
+    """e_k against the characteristic polynomial of the spectrum."""
     rng = np.random.default_rng(500 + d)
     for rho in _spectral_states(rng, d, 10):
         b = bloch.state_to_bloch(rho)
         lam = np.linalg.eigvalsh(bloch.bloch_to_state(b))
-        k = np.arange(1, d + 1)[:, None]
-        exact = np.sum(lam**k, axis=1)
-        scale = np.sum(np.abs(lam) ** k, axis=1)
-        assert np.all(np.abs(bloch._power_sums(b) - exact) <= 1e-12 * scale)
         e_ref = np.poly(lam)[2:].real * (-1.0) ** np.arange(2, d + 1)
-        values, positive = bloch.positivity_conditions(b)
+        values, _ = bloch.positivity_conditions(b)
         assert np.max(np.abs(values - e_ref)) <= 1e-12
-        assert positive
 
 
 @pytest.mark.parametrize("d", [5, 8, 12, 16])
-def test_verdicts_match_previous_path(d):
-    """The Gram-product verdicts equal those of the d - 1 product path on
-    acceptance criterion 9's ball sampler (up to 1.2 times the pure-state
-    radius, so non-states are drawn too)."""
+def test_verdicts_match_min_eigenvalue(d):
+    """The verdicts equal lambda_min >= -POSITIVITY_ATOL, with the matrix
+    rebuilt by a dense einsum over the generator stack, on acceptance
+    criterion 9's ball sampler (up to 1.2 times the pure-state radius, so
+    non-states are drawn too)."""
     rng = np.random.default_rng(600 + d)
+    g = bloch.generator_basis(d).matrices
     verdicts = []
     for b in invariants._ball_points(rng, d, 300):
-        values, positive = bloch.positivity_conditions(b)
-        ref_values, ref_positive = _previous_positivity(b)
-        assert positive == ref_positive
-        assert np.max(np.abs(values - ref_values)) <= 1e-14
+        _, positive = bloch.positivity_conditions(b)
+        rho = np.eye(d) / d + np.einsum("k,kab->ab", b.b, g)
+        assert positive == (np.linalg.eigvalsh(rho)[0] >= -bloch.POSITIVITY_ATOL)
         verdicts.append(positive)
     assert any(verdicts) and not all(verdicts)
+
+
+def _planted_nonstate(rng, d):
+    """A unit-trace Hermitian matrix with one eigenvalue -1e-3 and Dirichlet
+    weights on the other levels, in a Haar basis."""
+    spectrum = np.concatenate(([-1e-3], rng.dirichlet(np.ones(d - 1)) * (1.0 + 1e-3)))
+    u = samplers.haar_unitary(rng, d)
+    return (u * spectrum) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [6, 8, 10, 12, 16])
+def test_planted_nonstates_rejected(d):
+    """A single eigenvalue of -1e-3 makes e_d only ~-1e-21 at d = 16, so no
+    sign test on the e_k sees it; the spectral verdict does, and
+    comask_general refuses the point."""
+    rng = np.random.default_rng(700 + d)
+    state = bloch.state_to_bloch(samplers.density(rng, d)).b
+    for _ in range(50):
+        b = bloch.state_to_bloch(_planted_nonstate(rng, d))
+        assert not bloch.positivity_conditions(b)[1]
+        with pytest.raises(InvalidStateError, match="point 1"):
+            comask.comask_general([state, b.b], d)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_boundary_states_accepted(d):
+    """Full-rank states, and pure and rank-ceil(d/2) states, whose zero
+    eigenvalues carry rounding noise, pass positivity_conditions and
+    comask_general."""
+    rng = np.random.default_rng(800 + d)
+    for rho in _spectral_states(rng, d, 20):
+        b = bloch.state_to_bloch(rho)
+        assert bloch.positivity_conditions(b)[1]
+        comask.comask_general([b.b], d)
+
+
+def test_one_eigvalsh_and_no_eigh(monkeypatch):
+    # the verdict and the values come from one spectrum
+    counts = {"eigh": 0, "eigvalsh": 0}
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counting
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    bloch.positivity_conditions(bloch.BlochVector(5, np.zeros(24)))
+    assert counts == {"eigh": 0, "eigvalsh": 1}

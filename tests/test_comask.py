@@ -396,6 +396,11 @@ class TestCounterexample:
         with pytest.raises(IdenticalPointsError):
             comask.universal_counterexample([0.1, 0, 0], [0.1, 0, 0], 2)
 
+    def test_refuses_non_finite_points(self):
+        # the gap |b - b'| of a nan point is nan, which passes `gap < atol`
+        with pytest.raises(InvalidStateError):
+            comask.universal_counterexample([np.nan, 0, 0], np.zeros(3), 2)
+
 
 class TestCommonOutputState:
     def test_sigma3_alone(self):

@@ -5,6 +5,7 @@ from obsmask import algebra, bloch, channels, masking, samplers
 from obsmask.errors import (
     DimensionMismatchError,
     EmptyDiskError,
+    NotHermitianError,
     NotMaskableError,
     NotUnitVectorError,
 )
@@ -328,6 +329,11 @@ class TestOutputDisk:
     def test_short_vector_empty(self):
         with pytest.raises(EmptyDiskError):
             masking.output_disk([0.5, 0.0, 0.0])
+
+    def test_refuses_non_finite_coefficients(self):
+        # |a| = nan passes the emptiness test `|a| < 1`
+        with pytest.raises(NotHermitianError):
+            masking.output_disk([np.nan, 0.0, 1.0])
 
     def test_rim_on_bloch_sphere(self):
         rng = np.random.default_rng(11)
