@@ -3,6 +3,7 @@ and positivity constraints evaluated from one eigensolve."""
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -63,7 +64,8 @@ class SymmetricTensor:
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
-    """Real coordinates b of a state rho = I/d + sum_i b_i g_i."""
+    """Real coordinates b of a state rho = I/d + sum_i b_i g_i (or, for
+    ``bloch_to_state``, a stack of such rows)."""
 
     dimension: int
     b: np.ndarray
@@ -182,22 +184,25 @@ def _real_generators(d: int) -> np.ndarray:
     return g.reshape(len(g), d * d).view(float)
 
 
-def _coordinates(arr: np.ndarray) -> np.ndarray:
-    """Tr(M g_i) / 2 for each generator g_i of a d x d matrix M.
+def _coordinates(arr: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Tr(M g_i) / 2 for each generator g_i of a d x d matrix M, with
+    ``gens`` the real generator view of dimension d.
 
     Row i of the real generator view dotted with the (re, im) pairs of M
     is Re sum_ab g_i[a, b] conj(M[a, b]), which equals Re Tr(g_i M) term by
     term for Hermitian g_i: one real matrix product for all generators.
     """
     flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1).view(float)
-    return _real_generators(arr.shape[0]) @ flat / 2.0
+    return gens @ flat / 2.0
 
 
-def _expansion(coords, d: int) -> np.ndarray:
-    """sum_i coords_i g_i over the generators of dimension d, as one real
-    matrix product read back as complex."""
-    flat = np.asarray(coords, dtype=float) @ _real_generators(d)
-    return flat.view(complex).reshape(d, d)
+def _expansion(coords, gens: np.ndarray) -> np.ndarray:
+    """sum_i coords_i g_i over the generators whose real view is ``gens``,
+    as one real matrix product read back as complex; a stack of coordinate
+    rows gives a stack of matrices."""
+    flat = np.asarray(coords, dtype=float) @ gens
+    d = math.isqrt(gens.shape[1] // 2)
+    return flat.view(complex).reshape(*flat.shape[:-1], d, d)
 
 
 def state_to_bloch(rho) -> BlochVector:
@@ -207,12 +212,15 @@ def state_to_bloch(rho) -> BlochVector:
     tr = np.trace(arr).real
     if abs(tr - 1.0) > 1e-10:
         raise NotUnitTraceError(f"trace is {float(tr)!r}, not 1")
-    return BlochVector(dimension=d, b=_coordinates(arr))
+    return BlochVector(dimension=d, b=_coordinates(arr, _real_generators(d)))
 
 
 def bloch_to_state(b: BlochVector) -> np.ndarray:
-    """Matrix I/d + sum_i b_i g_i; Hermitian unit-trace, positivity not implied."""
-    return np.eye(b.dimension) / b.dimension + _expansion(b.b, b.dimension)
+    """Matrix I/d + sum_i b_i g_i; Hermitian unit-trace, positivity not
+    implied.  A stack of coordinate rows, shape (m, d^2 - 1), gives the
+    stack of m matrices."""
+    d = b.dimension
+    return np.eye(d) / d + _expansion(b.b, _real_generators(d))
 
 
 def observable_coeffs(obs) -> ObservableCoeffs:
@@ -220,12 +228,13 @@ def observable_coeffs(obs) -> ObservableCoeffs:
     arr = require_hermitian(obs)
     d = arr.shape[0]
     a0 = float(np.trace(arr).real) / d
-    return ObservableCoeffs(dimension=d, a0=a0, a=_coordinates(arr))
+    return ObservableCoeffs(dimension=d, a0=a0, a=_coordinates(arr, _real_generators(d)))
 
 
 def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:
     """Matrix a0 I + sum_i a_i g_i."""
-    return c.a0 * np.eye(c.dimension) + _expansion(np.asarray(c.a, float), c.dimension)
+    d = c.dimension
+    return c.a0 * np.eye(d) + _expansion(np.asarray(c.a, float), _real_generators(d))
 
 
 def positivity_conditions(b: BlochVector):

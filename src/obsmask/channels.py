@@ -35,7 +35,9 @@ def require_unitary(u) -> np.ndarray:
 
 def require_density(rho) -> HermitianEig:
     """Validate a density matrix (Hermitian, unit trace, positive within
-    CHANNEL_ATOL) from one eigendecomposition, and return it."""
+    CHANNEL_ATOL) from one eigendecomposition, and return it.  A negative
+    spectrum is refused with the least eigenvalue's eigenvector as the
+    error's ``witness``."""
     try:
         eig = eig_hermitian(rho)
     except ValueError as exc:
@@ -45,7 +47,9 @@ def require_density(rho) -> HermitianEig:
         raise InvalidStateError(f"trace is {float(tr)!r}, not 1")
     min_eig = float(eig.eigenvalues[0])
     if min_eig < -CHANNEL_ATOL:
-        raise InvalidStateError(f"negative eigenvalue {min_eig:.3e}")
+        raise InvalidStateError(
+            f"negative eigenvalue {min_eig:.3e}", witness=eig.eigenvectors[:, 0]
+        )
     return eig
 
 
@@ -127,18 +131,22 @@ def apply_forward(channel: KrausChannel, rho) -> np.ndarray:
 
 
 def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
-    """Heisenberg action sum_i E_i^dag O E_i (unital by trace preservation)."""
+    """Heisenberg action sum_i E_i^dag O E_i (unital by trace preservation).
+
+    ``obs`` may be a stack of shape (..., out, out); each matrix of the
+    stack goes through the same two products as a single one.
+    """
     arr = np.asarray(obs, dtype=complex)
-    if arr.shape != (channel.output_dim, channel.output_dim):
+    if arr.shape[-2:] != (channel.output_dim, channel.output_dim):
         raise DimensionMismatchError(
             f"observable shape {arr.shape} != "
-            f"({channel.output_dim}, {channel.output_dim})"
+            f"(..., {channel.output_dim}, {channel.output_dim})"
         )
     v = isometric_extension(channel)
     # O applied to the regrouped rows gives O E_i stacked like V, so
     # V^dag of it sums E_i^dag O E_i
     rows = v.reshape(channel.output_dim, -1)
-    return dagger(v) @ (arr @ rows).reshape(v.shape)
+    return dagger(v) @ (arr @ rows).reshape(arr.shape[:-2] + v.shape)
 
 
 def spectral_kraus(eig: HermitianEig, input_dim: int, columns) -> np.ndarray:

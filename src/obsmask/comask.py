@@ -4,12 +4,21 @@ state feasibility search."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import dagger
-from .bloch import BlochVector, ObservableCoeffs, bloch_to_state, positivity_conditions, state_to_bloch
+from .bloch import (
+    POSITIVITY_ATOL,
+    BlochVector,
+    ObservableCoeffs,
+    _coordinates,
+    _expansion,
+    _real_generators,
+    bloch_to_state,
+)
 from .errors import (
     DegenerateLineError,
     DegenerateSpanError,
@@ -20,6 +29,7 @@ from .errors import (
     InfeasibleError,
     InvalidStateError,
     NoAffineSolutionError,
+    NotHermitianError,
 )
 
 # Singular values below this fraction of the largest are treated as zero in
@@ -233,6 +243,10 @@ def comask_general(points, d: int) -> ComaskDescription:
     a[piv] = -R[:, free]^T and a0 = -2 a.b0.  For k = 0 that is
     [-2 b0 | I].  The result is based at (1, 0), has affine dimension
     d^2 - k - 1 and is never empty, and no d^2-sized matrix is decomposed.
+
+    Every point is checked to be a state by one stacked ``eigvalsh`` (the
+    verdict of ``positivity_conditions``, without its e_k); a refused point
+    carries the eigenvector of its least eigenvalue as the ``witness``.
     """
     n = d * d - 1
     arrs = []
@@ -240,16 +254,22 @@ def comask_general(points, d: int) -> ComaskDescription:
         vec = np.asarray(pt, dtype=float).reshape(-1)
         if vec.shape != (n,):
             raise DimensionMismatchError(f"point {i} has length {vec.shape[0]}, expected {n}")
-        _, positive = positivity_conditions(BlochVector(d, vec))
-        if not positive:
-            raise InvalidStateError(f"point {i} is not a valid state")
         arrs.append(vec)
     if not arrs:
         raise ValueError("need at least one output state")
-    b0 = arrs[0]
+    pts = np.stack(arrs)
+    if not np.isfinite(pts).all():
+        raise InvalidStateError("Bloch vector has non-finite coordinates")
+    rhos = bloch_to_state(BlochVector(d, pts))
+    failing = np.flatnonzero(np.linalg.eigvalsh(rhos)[:, 0] < -POSITIVITY_ATOL)
+    if failing.size:
+        i = failing[0]
+        witness = np.linalg.eigh(rhos[i])[1][:, 0]
+        raise InvalidStateError(f"point {i} is not a valid state", witness=witness)
+    b0 = pts[0]
     v = np.zeros((0, n))
-    if len(arrs) > 1:
-        _, svals, vh = np.linalg.svd(np.stack(arrs[1:]) - b0, full_matrices=False)
+    if len(pts) > 1:
+        _, svals, vh = np.linalg.svd(pts[1:] - b0, full_matrices=False)
         v = vh[: int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))]
     r, piv = _pivoted_echelon(v)
     free = np.ones(n, dtype=bool)
@@ -287,22 +307,24 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     return ObservableCoeffs(dimension=d, a0=a0, a=a)
 
 
-def find_common_output_state(observables, d: int) -> np.ndarray:
+def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) -> np.ndarray:
     """Search for one state masking every observable in the list.
 
     Alternates projections between the affine set of Bloch vectors solving
     all masking equations a0/2 + a.b = 1/2 and the positive unit-trace
     matrices (projected by eigenvalue clipping and trace renormalization).
     Returns a density matrix meeting every constraint within
-    CONSTRAINT_ATOL; raises ``NoAffineSolutionError`` when the linear
-    system itself is inconsistent and ``InfeasibleError`` (carrying the
-    final gap between the sets) when the iteration stalls or the cap is
-    reached.
+    CONSTRAINT_ATOL; raises ``NotHermitianError`` for non-finite
+    coefficients, ``NoAffineSolutionError`` when the linear system itself
+    is inconsistent and ``InfeasibleError`` (carrying the final gap between
+    the sets) when the iteration stalls or the cap is reached.
+
+    The input is validated once, here: each round maps b to rho and back
+    through the unvalidated codecs, one ``eigh`` and one residual vector.
     """
     obs_list = list(observables)
     if not obs_list:
         raise ValueError("need at least one observable")
-    n = d * d - 1
     for c in obs_list:
         if c.dimension != d:
             raise DimensionMismatchError(
@@ -310,26 +332,30 @@ def find_common_output_state(observables, d: int) -> np.ndarray:
             )
     rows = np.stack([np.asarray(c.a, dtype=float) for c in obs_list])
     rhs = np.array([0.5 - c.a0 / 2 for c in obs_list])
+    if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
+        raise NotHermitianError("observable coefficients are not finite")
     pinv = np.linalg.pinv(rows, rcond=RANK_RTOL)
     b = pinv @ rhs
     if np.max(np.abs(rows @ b - rhs)) > 1e-9:
         raise NoAffineSolutionError("masking equations are mutually inconsistent")
 
+    mixed = np.eye(d) / d
+    gens = _real_generators(d)
     gap = np.inf
     prev_gap = None
     for _ in range(SEARCH_MAX_ITER):
-        rho = bloch_to_state(BlochVector(d, b))
-        vals, vecs = np.linalg.eigh(rho)
+        vals, vecs = np.linalg.eigh(mixed + _expansion(b, gens))
         clipped = np.clip(vals, 0.0, None)
         total = float(np.sum(clipped))
         if total < 1e-12:
             rho_psd = np.eye(d, dtype=complex) / d
         else:
             rho_psd = (vecs * (clipped / total)) @ dagger(vecs)
-        b_psd = state_to_bloch(rho_psd).b
-        if np.max(np.abs(rows @ b_psd - rhs)) < CONSTRAINT_ATOL:
+        b_psd = _coordinates(rho_psd, gens)
+        residual = rows @ b_psd - rhs
+        if np.max(np.abs(residual)) < CONSTRAINT_ATOL:
             return rho_psd
-        b_next = b_psd - pinv @ (rows @ b_psd - rhs)
+        b_next = b_psd - pinv @ residual
         gap = float(np.linalg.norm(b_next - b_psd))
         if prev_gap is not None and abs(gap - prev_gap) < STALL_ATOL and gap > INFEASIBLE_GAP:
             raise InfeasibleError(

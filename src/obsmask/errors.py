@@ -46,7 +46,16 @@ class InvalidChannelError(ValidationError):
 
 
 class InvalidStateError(ValidationError):
-    """Matrix is not a valid density matrix."""
+    """Matrix is not a valid density matrix.
+
+    Carries ``witness``: for a matrix refused for a negative eigenvalue, the
+    unit eigenvector v of its least eigenvalue, so <v|rho|v> < 0 can be
+    checked with one product; None for every other refusal.
+    """
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class BadSpectrumError(ValidationError):

@@ -109,23 +109,30 @@ def _nan_coefficients(kind: str):
 
 def test_decisions_refuse_nan_coefficients():
     # `x >= bound` is False for nan, so a decision that only compares would
-    # return a confident "no"; each must refuse non-finite coordinates
+    # return a confident "no"; each must refuse non-finite coordinates.  A
+    # decision over a sequence of coefficient objects gets a list of one,
+    # with its dimension.
     decisions = {}
     for qualname, func in _public_callables():
         params = list(inspect.signature(func).parameters.values())
         kind = str(params[0].annotation) if params else ""
-        if kind in ("ObservableCoeffs", "BlochVector") and qualname not in _COEFFICIENT_CODECS:
-            decisions[qualname] = (func, kind)
+        element = kind.removeprefix("Sequence[").removesuffix("]")
+        if element in ("ObservableCoeffs", "BlochVector") and qualname not in _COEFFICIENT_CODECS:
+            decisions[qualname] = (func, element, element != kind)
     assert {
         "obsmask.masking.decide_maskable_qubit",
         "obsmask.masking.necessary_condition_d",
         "obsmask.bloch.positivity_conditions",
+        "obsmask.comask.find_common_output_state",
     } <= set(decisions)
     accepted = []
-    for qualname, (func, kind) in decisions.items():
-        for coefficients in _nan_coefficients(kind):
+    for qualname, (func, element, sequence) in decisions.items():
+        for coefficients in _nan_coefficients(element):
             try:
-                func(coefficients)
+                if sequence:
+                    func([coefficients], coefficients.dimension)
+                else:
+                    func(coefficients)
             except ValidationError:
                 continue
             accepted.append((qualname, coefficients.dimension))

@@ -247,3 +247,38 @@ class TestDemo:
         assert a == b
         c = bitcommit.no_bit_commitment_demo(2, seed=43).render()
         assert a != c
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_statistics_match_per_observable_loop(self, d):
+        # the stacked reductions against a loop of scalar apply_adjoint
+        # calls over the same draws; equal as floats, not only as printed
+        for seed in range(10):
+            report = bitcommit.no_bit_commitment_demo(d, seed)
+            for key, value in _per_observable_statistics(d, seed).items():
+                assert report.get(key) == value, (seed, key)
+
+
+def _per_observable_statistics(d, seed):
+    """The demo's observable statistics, one observable at a time."""
+    rng = np.random.default_rng(seed)
+    rho_b = bitcommit.random_commitment_pair(rng, d).marginal_b0
+    channel = bitcommit.measure_prepare_channel(rho_b, rho_b, d)
+    n = bitcommit.DEMO_OBSERVABLES
+    hiding, proportional, consistent, masked, total = 0.0, 0, 0, 0, 0
+    for _ in range(n):
+        obs = samplers.hermitian(rng, d)
+        expectation = float(np.trace(rho_b @ obs).real)
+        out = channels.apply_adjoint(channel, obs)
+        residual = algebra.max_norm(out - expectation * np.eye(d))
+        hiding = max(hiding, residual)
+        proportional += residual < 1e-9
+        consistent += (algebra.max_norm(out - np.eye(d)) < 1e-9) == (abs(expectation - 1.0) < 1e-9)
+        if abs(expectation) > 1e-6:
+            total += 1
+            masked += algebra.max_norm(out / expectation - np.eye(d)) < 1e-9
+    return {
+        "hiding_residual_max": hiding,
+        "proportionality_checks": f"{proportional}/{n}",
+        "masking_matches_unit_expectation": f"{consistent}/{n}",
+        "rescaled_observables_masked": f"{masked}/{total}",
+    }

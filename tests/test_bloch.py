@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch, comask, invariants, samplers
+from obsmask import algebra, bloch, channels, comask, invariants, samplers
 from obsmask.errors import InvalidStateError, NotHermitianError, NotUnitTraceError
 from obsmask.invariants import REGISTRY
 
@@ -199,14 +199,15 @@ def test_codecs_match_einsum_reference(d):
     entry), and within d eps max|input| above."""
     rng = np.random.default_rng(400 + d)
     g = bloch.generator_basis(d).matrices
+    gens = bloch._real_generators(d)
     bound = 0.0 if d == 2 else d * EPS
     for _ in range(20):
         m = samplers.hermitian(rng, d, scale=rng.uniform(0.01, 100))
         ref = np.einsum("kab,ba->k", g, m).real / 2.0
-        assert np.max(np.abs(bloch._coordinates(m) - ref)) <= bound * np.max(np.abs(m))
+        assert np.max(np.abs(bloch._coordinates(m, gens) - ref)) <= bound * np.max(np.abs(m))
         c = rng.normal(size=d * d - 1) * rng.uniform(0.01, 100)
         ref = np.einsum("k,kab->ab", c, g)
-        assert np.max(np.abs(bloch._expansion(c, d) - ref)) <= bound * np.max(np.abs(c))
+        assert np.max(np.abs(bloch._expansion(c, gens) - ref)) <= bound * np.max(np.abs(c))
 
 
 class TestPositivity:
@@ -314,18 +315,62 @@ def _planted_nonstate(rng, d):
     return (u * spectrum) @ u.conj().T
 
 
+def _assert_witness(v, rho, atol):
+    """v is a unit vector with <v|rho|v> < -atol."""
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert np.vdot(v, rho @ v).real < -atol
+
+
 @pytest.mark.parametrize("d", [6, 8, 10, 12, 16])
 def test_planted_nonstates_rejected(d):
     """A single eigenvalue of -1e-3 makes e_d only ~-1e-21 at d = 16, so no
     sign test on the e_k sees it; the spectral verdict does, and
-    comask_general refuses the point."""
+    comask_general and require_density refuse the point with a witness
+    vector that certifies the negative eigenvalue."""
     rng = np.random.default_rng(700 + d)
     state = bloch.state_to_bloch(samplers.density(rng, d)).b
     for _ in range(50):
-        b = bloch.state_to_bloch(_planted_nonstate(rng, d))
+        rho = _planted_nonstate(rng, d)
+        b = bloch.state_to_bloch(rho)
         assert not bloch.positivity_conditions(b)[1]
-        with pytest.raises(InvalidStateError, match="point 1"):
+        with pytest.raises(InvalidStateError, match="point 1") as exc:
             comask.comask_general([state, b.b], d)
+        _assert_witness(exc.value.witness, bloch.bloch_to_state(b), bloch.POSITIVITY_ATOL)
+        with pytest.raises(InvalidStateError, match="negative eigenvalue") as exc:
+            channels.require_density(rho)
+        _assert_witness(exc.value.witness, rho, channels.CHANNEL_ATOL)
+
+
+def _first_nonstate(points, d):
+    """Index of the first point positivity_conditions refuses, or None."""
+    for i, b in enumerate(points):
+        if not bloch.positivity_conditions(bloch.BlochVector(d, b))[1]:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12, 16])
+def test_comask_general_verdicts_match_positivity_conditions(d):
+    """comask_general's stacked check refuses exactly the first point
+    positivity_conditions refuses, alone and in lists of 4, on acceptance
+    criterion 9's ball sampler mixed with planted -1e-3 states; verdicts
+    are compared, not the bits of the matrices (a stacked expansion may
+    differ by an ulp)."""
+    rng = np.random.default_rng(1100 + d)
+    points = [b.b for b in invariants._ball_points(rng, d, 60)]
+    points += [bloch.state_to_bloch(_planted_nonstate(rng, d)).b for _ in range(20)]
+    points = [points[i] for i in rng.permutation(len(points))]
+    groups = [[b] for b in points] + [points[i : i + 4] for i in range(0, len(points), 4)]
+    refused = 0
+    for group in groups:
+        first = _first_nonstate(group, d)
+        if first is None:
+            comask.comask_general(group, d)
+            continue
+        refused += 1
+        with pytest.raises(InvalidStateError, match=f"^point {first} is not a valid state$"):
+            comask.comask_general(group, d)
+    assert 0 < refused < len(groups)
 
 
 @pytest.mark.parametrize("d", range(2, 17))

@@ -137,6 +137,23 @@ class TestAdjoint:
             rhs = np.trace(rho @ channels.apply_adjoint(chan, obs))
             assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_stack_equals_scalar_calls(self, d):
+        # each matrix of a stack goes through the products of a single call,
+        # so the results agree bit for bit; the constant channel of a
+        # full-rank state has d^2 Kraus operators
+        rng = np.random.default_rng(40 + d)
+        constant = channels.constant_channel(samplers.density(rng, d), d)
+        assert len(constant.kraus) == d * d
+        obs = samplers.hermitian(rng, d, size=(2, 3))
+        for chan in (random_channel(rng, d, 3), constant):
+            out = channels.apply_adjoint(chan, obs)
+            assert out.shape == (2, 3, d, d)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(out[idx], channels.apply_adjoint(chan, obs[idx]))
+        with pytest.raises(DimensionMismatchError):
+            channels.apply_adjoint(constant, np.zeros((3, d, d + 1)))
+
 
 class TestConstantChannel:
     def test_ket0_target_gives_masker_kraus(self):
@@ -182,6 +199,8 @@ class TestRequireDensity:
         with pytest.raises(InvalidStateError, match=message) as exc:
             channels.require_density(rho)
         assert "np.float64" not in str(exc.value)
+        # only a negative spectrum has an eigenvector to certify it
+        assert (exc.value.witness is None) != message.startswith("negative")
 
 
 class TestIsometricExtension:

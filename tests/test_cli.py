@@ -305,21 +305,14 @@ class TestCounterexampleCommand:
         assert "value_at_b: 0.75" in out
 
 
-class TestBitcommitDemoCommand:
-    def test_golden_seed7(self, capsys):
-        code, out = run_cli(capsys, "bitcommit-demo", "--dim", "2", "--seed", "7")
-        assert code == 0
-        assert "concealment_gap: 0" in out
-        assert "cheat_fidelity: 1" in out
-        assert "cheat_feasible: true" in out
-
-    def test_pinned_stdout(self, capsys):
-        _, out = run_cli(capsys, "bitcommit-demo", "--dim", "3", "--seed", "11")
-        assert out == f"""version: {__version__}
+def demo_stdout(d, seed):
+    """The pinned bitcommit-demo report: every residual vanishes and every
+    count is full."""
+    return f"""version: {__version__}
 command: bitcommit-demo
 demo: bitcommit
-dim: 3
-seed: 11
+dim: {d}
+seed: {seed}
 concealment_gap: 0
 marginal_gap_max: 0
 cheat_feasible: true
@@ -335,6 +328,24 @@ conclusion: a perfectly concealing, binding protocol would make this channel \
 a universal masker, which does not exist; unconditional bit commitment is \
 therefore impossible
 """
+
+
+class TestBitcommitDemoCommand:
+    def test_golden_seed7(self, capsys):
+        code, out = run_cli(capsys, "bitcommit-demo", "--dim", "2", "--seed", "7")
+        assert code == 0
+        assert "concealment_gap: 0" in out
+        assert "cheat_fidelity: 1" in out
+        assert "cheat_feasible: true" in out
+
+    def test_pinned_stdout(self, capsys):
+        _, out = run_cli(capsys, "bitcommit-demo", "--dim", "3", "--seed", "11")
+        assert out == demo_stdout(3, 11)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_pinned_stdout_other_dims(self, capsys, d):
+        _, out = run_cli(capsys, "bitcommit-demo", "--dim", str(d), "--seed", "11")
+        assert out == demo_stdout(d, 11)
 
     def test_byte_determinism(self, capsys):
         _, first = run_cli(capsys, "bitcommit-demo", "--dim", "3", "--seed", "11")

@@ -11,6 +11,7 @@ from obsmask.errors import (
     InconsistentConstraintsError,
     InfeasibleError,
     InvalidStateError,
+    NoAffineSolutionError,
 )
 from obsmask.invariants import REGISTRY
 
@@ -321,6 +322,16 @@ def test_general_never_decomposes_the_direction_matrix(monkeypatch):
         assert all(r <= k for r in rows), rows
 
 
+def test_general_checks_shapes_before_positivity():
+    # every point's length is checked before any point's spectrum
+    with pytest.raises(DimensionMismatchError, match="point 1 has length 2"):
+        comask.comask_general([[np.nan, 0.0, 0.0], [0.1, 0.1]], 2)
+    with pytest.raises(DimensionMismatchError, match="point 1 has length 2"):
+        comask.comask_general([[1.0, 0.0, 0.0], [0.1, 0.1]], 2)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        comask.comask_general([[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]], 2)
+
+
 def test_qubit_cases_match_closed_forms():
     # reference copies of the closed forms the qubit cases were once solved
     # by: b / (2|b|^2) and the minimum-norm solutions of a . r = 1/2
@@ -400,6 +411,126 @@ class TestCounterexample:
         # the gap |b - b'| of a nan point is nan, which passes `gap < atol`
         with pytest.raises(InvalidStateError):
             comask.universal_counterexample([np.nan, 0, 0], np.zeros(3), 2)
+
+
+def _reference_search(observables, d):
+    """find_common_output_state written with the public, validating codecs
+    (BlochVector, bloch_to_state, state_to_bloch) in every round and the
+    residual formed twice: the reference for its output bits."""
+    rows = np.stack([np.asarray(c.a, dtype=float) for c in observables])
+    rhs = np.array([0.5 - c.a0 / 2 for c in observables])
+    pinv = np.linalg.pinv(rows, rcond=comask.RANK_RTOL)
+    b = pinv @ rhs
+    if np.max(np.abs(rows @ b - rhs)) > 1e-9:
+        raise NoAffineSolutionError("masking equations are mutually inconsistent")
+    gap = np.inf
+    prev_gap = None
+    for _ in range(comask.SEARCH_MAX_ITER):
+        rho = bloch.bloch_to_state(bloch.BlochVector(d, b))
+        vals, vecs = np.linalg.eigh(rho)
+        clipped = np.clip(vals, 0.0, None)
+        total = float(np.sum(clipped))
+        if total < 1e-12:
+            rho_psd = np.eye(d, dtype=complex) / d
+        else:
+            rho_psd = (vecs * (clipped / total)) @ algebra.dagger(vecs)
+        b_psd = bloch.state_to_bloch(rho_psd).b
+        if np.max(np.abs(rows @ b_psd - rhs)) < comask.CONSTRAINT_ATOL:
+            return rho_psd
+        b_next = b_psd - pinv @ (rows @ b_psd - rhs)
+        gap = float(np.linalg.norm(b_next - b_psd))
+        stalled = prev_gap is not None and abs(gap - prev_gap) < comask.STALL_ATOL
+        if stalled and gap > comask.INFEASIBLE_GAP:
+            raise InfeasibleError(f"projections stalled at set distance {gap:.3e}", residual=gap)
+        prev_gap = gap
+        b = b_next
+    raise InfeasibleError(
+        f"no common state after {comask.SEARCH_MAX_ITER} iterations (gap {gap:.3e})",
+        residual=gap,
+    )
+
+
+def _search_families(seed, count):
+    """``count`` seeded observable families at d in {2, 3, 4, 6}: planted on
+    a full-rank or a pure state, with or without trace, and infeasible ones
+    (lambda_min > 1 for the first observable)."""
+    rng = np.random.default_rng(seed)
+    families = []
+    for i in range(count):
+        d = (2, 3, 4, 6)[i % 4]
+        kind = ("full", "pure", "traceless", "infeasible")[(i // 4) % 4]
+        obs = [samplers.hermitian(rng, d) for _ in range(int(rng.integers(1, 4)))]
+        if kind == "infeasible":
+            u = samplers.haar_unitary(rng, d)
+            obs[0] = (u * rng.uniform(1.05, 3.0, d)) @ u.conj().T
+        else:
+            rho = samplers.density(rng, d)
+            if kind == "pure":
+                v = samplers.haar_unitary(rng, d)[:, 0]
+                rho = np.outer(v, v.conj())
+            if kind == "traceless":
+                obs = [o - np.trace(o).real / d * np.eye(d) for o in obs]
+                obs = [o / np.trace(rho @ o).real for o in obs]
+            else:
+                obs = [o + (1.0 - np.trace(rho @ o).real) * np.eye(d) for o in obs]
+        families.append(([bloch.observable_coeffs(o) for o in obs], d))
+    return families
+
+
+def _outcome(search, observables, d):
+    """The state's bytes, or the exception's class, message and residual."""
+    try:
+        out = search(observables, d)
+    except (InfeasibleError, NoAffineSolutionError) as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+    return out.tobytes()
+
+
+def test_search_matches_validating_reference_bit_for_bit():
+    families = _search_families(1200, 240)
+    outcomes = [
+        (_outcome(comask.find_common_output_state, obs, d), _outcome(_reference_search, obs, d))
+        for obs, d in families
+    ]
+    mismatched = [i for i, (got, want) in enumerate(outcomes) if got != want]
+    assert mismatched == []
+    infeasible = sum(isinstance(got, tuple) for got, _ in outcomes)
+    assert 0 < infeasible < len(outcomes)
+
+
+def test_search_round_is_one_eigh_without_validation(monkeypatch):
+    """Each round makes one eigh call and no require_hermitian call: the
+    input is validated once, at entry.  The reference makes one of each per
+    round, so its counts give the number of rounds."""
+    counts = {"eigh": 0, "require_hermitian": 0}
+
+    def spy(name, real):
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    for module in (algebra, bloch):
+        counting = spy("require_hermitian", module.require_hermitian)
+        monkeypatch.setattr(module, "require_hermitian", counting)
+    families = [
+        ([coeffs(2, 0.0, [0, 0, 1]), coeffs(2, 0.0, [1, 0, 0])], 2),
+        *_search_families(1300, 16),
+    ]
+    rounds = []
+    for obs, d in families:
+        runs = []
+        for search in (_reference_search, comask.find_common_output_state):
+            counts.update(eigh=0, require_hermitian=0)
+            _outcome(search, obs, d)
+            runs.append(dict(counts))
+        reference, fast = runs
+        assert fast == {"eigh": reference["eigh"], "require_hermitian": 0}
+        assert reference["require_hermitian"] == reference["eigh"]
+        rounds.append(reference["eigh"])
+    assert rounds[0] == 2 and min(rounds) == 1
 
 
 class TestCommonOutputState:
