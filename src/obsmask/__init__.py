@@ -53,10 +53,8 @@ from .masking import (  # noqa: E402
 from .comask import (  # noqa: E402
     AffineSet,
     ComaskDescription,
-    comask_from_line,
-    comask_from_planar,
-    comask_from_point,
     comask_general,
+    comask_qubit,
     find_common_output_state,
     universal_counterexample,
 )
@@ -108,10 +106,8 @@ __all__ = [
     "verify_nohiding",
     "AffineSet",
     "ComaskDescription",
-    "comask_from_line",
-    "comask_from_planar",
-    "comask_from_point",
     "comask_general",
+    "comask_qubit",
     "find_common_output_state",
     "universal_counterexample",
     "CheatResult",

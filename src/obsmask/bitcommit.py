@@ -146,9 +146,11 @@ def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
 
     Kraus operators sqrt(p^i_j) |e^i_j><k| pair the spectral terms of rho_i
     with the basis kets of effect i (k = 0, or k >= 1); for d = 2 this is the
-    familiar sqrt(p^i_j) |e^i_j><i| family.
+    familiar sqrt(p^i_j) |e^i_j><i| family.  One state passed twice, as
+    the demo does, is decomposed once.
     """
-    states = [require_density(rho0), require_density(rho1)]
+    eig0 = require_density(rho0)
+    states = [eig0, eig0 if rho1 is rho0 else require_density(rho1)]
     for eig in states:
         if eig.eigenvectors.shape != (d, d):
             raise DimensionMismatchError(f"state shape {eig.eigenvectors.shape} != ({d}, {d})")

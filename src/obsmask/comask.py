@@ -1,5 +1,5 @@
-"""Comaskable observable sets: qubit point/line/planar cases, the general-d
-affine decomposition, universal-masker counterexamples, and a common-output-
+"""Comaskable observable sets: the general-d affine decomposition and its
+traceless qubit slice, universal-masker counterexamples, and a common-output-
 state feasibility search."""
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .bloch import (
     bloch_to_state,
 )
 from .errors import (
-    DegenerateLineError,
-    DegenerateSpanError,
-    DegenerateStateError,
     DimensionMismatchError,
     IdenticalPointsError,
     InconsistentConstraintsError,
@@ -35,6 +32,10 @@ from .errors import (
 # Singular values below this fraction of the largest are treated as zero in
 # rank decisions.
 RANK_RTOL = 1e-9
+
+# The qubit comask set is refused when the states' affine hull passes within
+# HULL_ATOL of the maximally mixed state.
+HULL_ATOL = 1e-9
 
 # The common-state search accepts a state once every masking equation holds
 # within CONSTRAINT_ATOL.  It reports infeasibility after SEARCH_MAX_ITER
@@ -142,8 +143,8 @@ class ComaskDescription:
     """Affine set of observables (a0, a) masked by one common channel.
 
     ``coefficient_set`` lives in the (a0, a) space of dimension d^2 with a0
-    as the leading coordinate.  The qubit point/line/planar cases hold the
-    a0 = 0 slice of the general set, so their elements have a0 exactly 0.
+    as the leading coordinate.  ``comask_qubit`` holds the a0 = 0 slice of
+    the general set, so its elements have a0 exactly 0.
     """
 
     kind: str  # "singleton" | "line" | "plane" | "general"
@@ -159,60 +160,28 @@ class ComaskDescription:
         return ObservableCoeffs(dimension=self.dimension, a0=float(vec[0]), a=vec[1:])
 
 
-def _traceless_slice(general: ComaskDescription, kind: str, miss: Exception):
-    """The a0 = 0 slice of a qubit ``comask_general`` result; raises ``miss``
-    when the set holds no traceless observable."""
+def comask_qubit(points) -> ComaskDescription:
+    """Traceless qubit observables masked onto every given output state: the
+    a0 = 0 slice of ``comask_general(points, 2)``, a "plane", "line" or
+    "singleton" by its affine dimension 2, 1 or 0.
+
+    The slice is based at its minimum-norm element a*, and the points'
+    affine hull lies 1 / (2|a*|) from the maximally mixed state b = 0, where
+    a . b = 1/2 has no solution; a hull within HULL_ATOL of b = 0 raises
+    ``InconsistentConstraintsError``.
+    """
+    general = comask_general(points, 2)
+    refused = InconsistentConstraintsError(
+        f"the states' affine hull passes within {HULL_ATOL:g} of the maximally mixed state"
+    )
     try:
         coeff_set = general.coefficient_set.slice_coordinate(0, 0.0)
     except ValueError as exc:
-        raise miss from exc
+        raise refused from exc
+    if 2 * HULL_ATOL * np.linalg.norm(coeff_set.base_point) > 1:
+        raise refused
+    kind = ("singleton", "line", "plane")[coeff_set.affine_dim]
     return ComaskDescription(kind=kind, dimension=2, coefficient_set=coeff_set)
-
-
-def comask_from_point(b) -> ComaskDescription:
-    """Plane {a : a . b = 1/2} of traceless qubit observables masked onto the
-    state b: the a0 = 0 slice of ``comask_general([b], 2)``, based at
-    b / (2|b|^2).  Refused for the maximally mixed state."""
-    general = comask_general([b], 2)
-    degenerate = DegenerateStateError("maximally mixed output: a . 0 = 1/2 has no solution")
-    if np.linalg.norm(np.asarray(b, dtype=float)) < 1e-9:
-        raise degenerate
-    return _traceless_slice(general, "plane", degenerate)
-
-
-def comask_from_line(p, q) -> ComaskDescription:
-    """Line of traceless qubit observables masked onto the segment [p, q]:
-    the a0 = 0 slice of ``comask_general([p, q], 2)``.
-
-    The free direction is the normal of the plane spanned by the position
-    vectors of the segment; refused when p, q and the origin are collinear
-    (no unique normal).
-    """
-    general = comask_general([p, q], 2)
-    p_arr, q_arr = (np.asarray(v, dtype=float).reshape(-1) for v in (p, q))
-    if np.linalg.norm(p_arr - q_arr) < 1e-9:
-        raise IdenticalPointsError("segment endpoints coincide")
-    collinear = DegenerateLineError("segment is collinear with the origin; normal not unique")
-    norm = np.linalg.norm(np.cross(p_arr, q_arr))
-    if norm < 1e-9 * max(np.linalg.norm(p_arr) * np.linalg.norm(q_arr), 1e-30):
-        raise collinear
-    return _traceless_slice(general, "line", collinear)
-
-
-def comask_from_planar(points) -> ComaskDescription:
-    """Singleton observable masked onto a genuinely 2-dimensional output set:
-    the a0 = 0 slice of ``comask_general(points, 2)``.
-
-    Refused when the points span affine dimension below 2; inconsistent
-    when no plane a . b = 1/2 holds them all.
-    """
-    pts = list(points)
-    general = comask_general(pts, 2) if pts else None
-    rank = 3 - general.affine_dim if general else -1  # the empty set has dimension -1
-    if rank < 2:
-        raise DegenerateSpanError(f"points span affine dimension {rank} < 2; not a planar set")
-    inconsistent = InconsistentConstraintsError("points do not lie on one masking plane")
-    return _traceless_slice(general, "singleton", inconsistent)
 
 
 def _pivoted_echelon(v: np.ndarray):
@@ -346,11 +315,8 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     for _ in range(SEARCH_MAX_ITER):
         vals, vecs = np.linalg.eigh(mixed + _expansion(b, gens))
         clipped = np.clip(vals, 0.0, None)
-        total = float(np.sum(clipped))
-        if total < 1e-12:
-            rho_psd = np.eye(d, dtype=complex) / d
-        else:
-            rho_psd = (vecs * (clipped / total)) @ dagger(vecs)
+        # the iterate has unit trace, so its positive eigenvalues sum to >= 1
+        rho_psd = (vecs * (clipped / float(np.sum(clipped)))) @ dagger(vecs)
         b_psd = _coordinates(rho_psd, gens)
         residual = rows @ b_psd - rhs
         if np.max(np.abs(residual)) < CONSTRAINT_ATOL:

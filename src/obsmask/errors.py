@@ -74,18 +74,6 @@ class EmptyDiskError(ObsMaskError):
     """The masking plane misses the Bloch ball; no output states exist."""
 
 
-class DegenerateStateError(ObsMaskError):
-    """State configuration admits no solution (e.g. maximally mixed point)."""
-
-
-class DegenerateLineError(ObsMaskError):
-    """Segment is collinear with the origin; normal direction not unique."""
-
-
-class DegenerateSpanError(ObsMaskError):
-    """Point set does not span the required affine dimension."""
-
-
 class InconsistentConstraintsError(ObsMaskError):
     """No single coefficient vector satisfies all masking constraints."""
 

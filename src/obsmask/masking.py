@@ -42,7 +42,7 @@ class MaskabilityVerdict:
     """
 
     maskable: bool
-    method: str  # "bloch-criterion" | "necessary-only" | "oracle"
+    method: str  # "bloch-criterion" | "oracle"
     plane_distance: float | None = None
     eig_range: tuple[float, float] | None = None
 

@@ -119,7 +119,7 @@ def test_criterion_5_nohiding():
 def test_criterion_6_comask_geometry():
     failures = []
     rng = np.random.default_rng(6001)
-    desc = comask.comask_from_point([0.0, 0.0, 0.5])
+    desc = comask.comask_qubit([[0.0, 0.0, 0.5]])
     for _ in range(50):
         m1, m2 = rng.normal(size=2) * 3
         if not desc.coefficient_set.contains([0.0, m1, m2, 1.0]):

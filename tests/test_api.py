@@ -1,10 +1,13 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 
 import obsmask
+from obsmask import errors
 from obsmask.bloch import BlochVector, ObservableCoeffs
 from obsmask.errors import ValidationError
 
@@ -38,6 +41,26 @@ def test_no_tolerance_or_iteration_parameters():
         if _is_knob(param)
     ]
     assert knobs == []
+
+
+def test_every_error_class_is_raised():
+    # each exception class of obsmask.errors but the two bases is constructed
+    # somewhere in the package, so dead error classes cannot pile up
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+    }
+    constructed = set()
+    for path in Path(obsmask.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                constructed.add(node.func.id)
+    assert classes - constructed - {"ObsMaskError", "ValidationError"} == set()
+
+
+def test_all_names_resolve():
+    assert [name for name in obsmask.__all__ if not hasattr(obsmask, name)] == []
 
 
 def _validators():

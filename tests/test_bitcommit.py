@@ -258,6 +258,33 @@ class TestDemo:
                 assert report.get(key) == value, (seed, key)
 
 
+def test_demo_decomposes_its_marginal_once(monkeypatch):
+    """The demo passes its marginal as both prepared states; the channel
+    eigendecomposes it once, and builds the Kraus family it would build from
+    two equal copies."""
+    calls = {"eig": 0}
+    per_channel = []
+    real_eig, real_channel = channels.eig_hermitian, bitcommit.measure_prepare_channel
+
+    def counting_eig(matrix):
+        calls["eig"] += 1
+        return real_eig(matrix)
+
+    def counting_channel(rho0, rho1, d):
+        before = calls["eig"]
+        channel = real_channel(rho0, rho1, d)
+        per_channel.append(calls["eig"] - before)
+        copied = real_channel(rho0, np.array(rho1), d)
+        assert channel.kraus.tobytes() == copied.kraus.tobytes()
+        return channel
+
+    monkeypatch.setattr(channels, "eig_hermitian", counting_eig)
+    monkeypatch.setattr(bitcommit, "measure_prepare_channel", counting_channel)
+    for d in (2, 3, 5):
+        bitcommit.no_bit_commitment_demo(d, seed=d)
+    assert per_channel == [1, 1, 1]
+
+
 def _per_observable_statistics(d, seed):
     """The demo's observable statistics, one observable at a time."""
     rng = np.random.default_rng(seed)

@@ -1,11 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from obsmask import algebra, bloch, comask, masking, samplers
 from obsmask.errors import (
-    DegenerateLineError,
-    DegenerateSpanError,
-    DegenerateStateError,
     DimensionMismatchError,
     IdenticalPointsError,
     InconsistentConstraintsError,
@@ -46,6 +46,15 @@ def assert_traceless_set(got, base, directions, rng):
     assert algebra.max_norm(got.base_point - want.base_point) < 1e-12
     for w in rng.normal(size=(5, len(dirs))) * 3:
         assert want.contains(got.sample(w)) and got.contains(want.sample(w))
+
+
+def same_bits(got, want):
+    """Whether two AffineSets have the same base point and directions, bit
+    for bit."""
+    return (
+        got.base_point.tobytes() == want.base_point.tobytes()
+        and got.directions.tobytes() == want.directions.tobytes()
+    )
 
 
 class TestAffineSet:
@@ -135,7 +144,7 @@ def test_unit_column_certificate_is_sound():
 
 class TestPointCase:
     def test_known_plane(self):
-        desc = comask.comask_from_point([0.0, 0.0, 0.5])
+        desc = comask.comask_qubit([[0.0, 0.0, 0.5]])
         assert desc.kind == "plane"
         assert desc.affine_dim == 2
         # the expected set {m1 s1 + m2 s2 + s3}
@@ -145,7 +154,7 @@ class TestPointCase:
             assert desc.coefficient_set.contains([0.0, m1, m2, 1.0])
 
     def test_base_membership(self):
-        desc = comask.comask_from_point([0.0, 0.0, 0.5])
+        desc = comask.comask_qubit([[0.0, 0.0, 0.5]])
         assert desc.coefficient_set.contains([0.0, 0.0, 0.0, 1.0])
 
     def test_masking_equation_holds(self):
@@ -153,22 +162,22 @@ class TestPointCase:
         for _ in range(10):
             b = rng.normal(size=3)
             b *= rng.uniform(0.05, 0.5) / np.linalg.norm(b)
-            desc = comask.comask_from_point(b)
+            desc = comask.comask_qubit([b])
             for _ in range(5):
                 el = desc.element(rng.normal(size=2) * 2)
                 assert abs(masking_gap(el, b, 2)) < 1e-10
                 assert el.a0 == 0.0
 
     def test_degenerate_center(self):
-        with pytest.raises(DegenerateStateError):
-            comask.comask_from_point([0.0, 0.0, 0.0])
+        with pytest.raises(InconsistentConstraintsError):
+            comask.comask_qubit([[0.0, 0.0, 0.0]])
 
 
 class TestLineCase:
     def test_derived_example(self):
         p = np.array([-np.sqrt(3) / 4, 0.0, 0.25])
         q = np.array([np.sqrt(3) / 4, 0.0, 0.25])
-        desc = comask.comask_from_line(p, q)
+        desc = comask.comask_qubit([p, q])
         assert desc.kind == "line"
         assert desc.affine_dim == 1
         # the line {(0, lambda, 2)}
@@ -187,7 +196,7 @@ class TestLineCase:
             q *= rng.uniform(0.1, 0.5) / np.linalg.norm(q)
             if np.linalg.norm(np.cross(p, q)) < 1e-6:
                 continue
-            desc = comask.comask_from_line(p, q)
+            desc = comask.comask_qubit([p, q])
             el = desc.element([0.0])
             assert abs(masking_gap(el, p, 2)) < 1e-10
             assert abs(masking_gap(el, q, 2)) < 1e-10
@@ -195,7 +204,7 @@ class TestLineCase:
     def test_segment_points_masked(self):
         p = np.array([-np.sqrt(3) / 4, 0.0, 0.25])
         q = np.array([np.sqrt(3) / 4, 0.0, 0.25])
-        desc = comask.comask_from_line(p, q)
+        desc = comask.comask_qubit([p, q])
         rng = np.random.default_rng(5)
         for t in np.linspace(0.0, 1.0, 20):
             r = t * p + (1 - t) * q
@@ -203,12 +212,15 @@ class TestLineCase:
             assert abs(masking_gap(el, r, 2)) < 1e-10
 
     def test_collinear_with_origin_refused(self):
-        with pytest.raises(DegenerateLineError):
-            comask.comask_from_line([0.0, 0.0, 0.4], [0.0, 0.0, -0.2])
+        with pytest.raises(InconsistentConstraintsError):
+            comask.comask_qubit([[0.0, 0.0, 0.4], [0.0, 0.0, -0.2]])
 
     def test_identical_endpoints(self):
-        with pytest.raises(IdenticalPointsError):
-            comask.comask_from_line([0.1, 0, 0], [0.1, 0, 0])
+        # a repeated point adds no direction: the plane of the one point
+        got = comask.comask_qubit([[0.1, 0, 0], [0.1, 0, 0]])
+        want = comask.comask_qubit([[0.1, 0, 0]])
+        assert got.kind == "plane"
+        assert same_bits(got.coefficient_set, want.coefficient_set)
 
 
 class TestPlanarCase:
@@ -221,7 +233,7 @@ class TestPlanarCase:
             disk.point(rng.uniform(0.3, 1.0), rng.uniform(0, 2 * np.pi))
             for _ in range(10)
         ]
-        desc = comask.comask_from_planar(points)
+        desc = comask.comask_qubit(points)
         assert desc.kind == "singleton"
         assert desc.affine_dim == 0
         assert np.allclose(desc.coefficient_set.base_point, [0, 0, 0, 2], atol=1e-9)
@@ -231,13 +243,20 @@ class TestPlanarCase:
         pts = [
             np.array([t, 0.0, 0.25]) for t in (-0.3, 0.0, 0.3)
         ] + [np.array([0.0, t, 0.25]) for t in (-0.3, 0.3)]
-        desc = comask.comask_from_planar(pts)
+        desc = comask.comask_qubit(pts)
         assert np.allclose(desc.coefficient_set.base_point, [0, 0, 0, 2], atol=1e-9)
 
     def test_collinear_points_degenerate(self):
-        pts = [np.array([t, 0.0, 0.25]) for t in (-0.3, 0.0, 0.3)]
-        with pytest.raises(DegenerateSpanError):
-            comask.comask_from_planar(pts)
+        # points spanning a line give the line of observables masking them
+        rng = np.random.default_rng(18)
+        for pts in (
+            [np.array([t, 0.0, 0.25]) for t in (-0.3, 0.0, 0.3)],
+            [np.array([0.1, 0.0, 0.2]), np.array([0.0, 0.1, 0.2])],
+        ):
+            desc = comask.comask_qubit(pts)
+            assert desc.kind == "line"
+            n = np.cross(pts[0], pts[-1])
+            assert_traceless_set(desc.coefficient_set, min_norm(pts), n / np.linalg.norm(n), rng)
 
 
 class TestGeneralCase:
@@ -338,47 +357,123 @@ def test_qubit_cases_match_closed_forms():
     rng = np.random.default_rng(14)
     for _ in range(200):
         b, p, q = (samplers.unit_vector(rng, 3) * rng.uniform(0.1, 0.5) for _ in range(3))
-        plane = comask.comask_from_point(b).coefficient_set
+        plane = comask.comask_qubit([b]).coefficient_set
         frame = algebra.plane_frame(b / np.linalg.norm(b))
         assert_traceless_set(plane, b / (2 * b @ b), frame, rng)
         n = np.cross(p, q)
         if np.linalg.norm(n) > 1e-2:
-            line = comask.comask_from_line(p, q).coefficient_set
+            line = comask.comask_qubit([p, q]).coefficient_set
             assert_traceless_set(line, min_norm([p, q]), n / np.linalg.norm(n), rng)
         disk = masking.output_disk(samplers.unit_vector(rng, 3) * rng.uniform(1.1, 5.0))
         pts = [disk.point(rng.uniform(0.1, 1), rng.uniform(0, 2 * np.pi)) for _ in range(5)]
-        singleton = comask.comask_from_planar(pts).coefficient_set
+        singleton = comask.comask_qubit(pts).coefficient_set
         assert_traceless_set(singleton, min_norm(pts), [], rng)
 
 
-POINT, LINE, PLANAR = comask.comask_from_point, comask.comask_from_line, comask.comask_from_planar
+def qubit_states(rng, count):
+    """``count`` random qubit Bloch vectors of length 0.05 to 0.5."""
+    return [samplers.unit_vector(rng, 3) * rng.uniform(0.05, 0.5) for _ in range(count)]
 
 
-@pytest.mark.parametrize("case,args,error", [
-    (POINT, ([0, 0, 0],), DegenerateStateError),
-    (POINT, ([1e-10, 0, 0],), DegenerateStateError),
-    (POINT, ([0, 0, 0.6],), InvalidStateError),
-    (POINT, ([0, 0.3],), DimensionMismatchError),
-    (LINE, ([0.1, 0, 0], [0.1, 0, 0]), IdenticalPointsError),
-    (LINE, ([0, 0, 0.4], [0, 0, 0.2]), DegenerateLineError),
-    (LINE, ([0, 0, 0.4], [0, 0, -0.2]), DegenerateLineError),
-    (LINE, ([0, 0, 0.4], [2.5e-11, 0, 0.2]), DegenerateLineError),  # |p x q| = 1e-11
-    (LINE, ([0, 0, 0], [0, 0, 0.2]), DegenerateLineError),
-    (LINE, ([0, 0, 0.6], [0.1, 0, 0.2]), InvalidStateError),
-    (LINE, ([0, 0.4], [0.1, 0, 0.2]), DimensionMismatchError),
-    (PLANAR, ([],), DegenerateSpanError),
-    (PLANAR, ([[0.1, 0, 0.2], [0, 0.1, 0.2]],), DegenerateSpanError),
-    (PLANAR, ([[0.1, 0, 0.2], [0, 0.1, 0.9]],), InvalidStateError),
-    (PLANAR, ([[-0.3, 0, 0.25], [0, 0, 0.25], [0.3, 0, 0.25]],), DegenerateSpanError),
-    (PLANAR, ([[0, 0, -0.3], [0, 0, 0.1], [0, 0, 0.3]],), DegenerateSpanError),
-    (PLANAR, ([[0.1, 0, 0], [0, 0.1, 0], [0.1, 0.1, 0]],), InconsistentConstraintsError),
-    (PLANAR, ([[.1, 0, .1], [0, .1, .1], [.1, .1, .1], [0, 0, .3]],), InconsistentConstraintsError),
-    (PLANAR, ([[0.1, 0, 0.1], [0, 0.1, 0.1], [0.1, 0.1, 0.9]],), InvalidStateError),
-    (PLANAR, ([[0.1, 0, 0.1], [0, 0.1], [0.1, 0.1, 0.1]],), DimensionMismatchError),
+def hull_distance(points):
+    """Distance of the points' affine hull from b = 0, exact up to the final
+    rounding: Gram-Schmidt in rational arithmetic on the float inputs."""
+    pts = [[Fraction(x) for x in p] for p in points]
+    near, basis = pts[0], []
+    for p in pts[1:]:
+        v = [x - y for x, y in zip(p, pts[0])]
+        for u in basis:
+            scale = sum(x * y for x, y in zip(v, u)) / sum(x * x for x in u)
+            v = [x - scale * y for x, y in zip(v, u)]
+        if any(v):
+            basis.append(v)
+            scale = sum(x * y for x, y in zip(near, v)) / sum(x * x for x in v)
+            near = [x - scale * y for x, y in zip(near, v)]
+    return math.sqrt(float(sum(x * x for x in near)))
+
+
+@pytest.mark.parametrize("count,kind", [(1, "plane"), (2, "line"), (3, "singleton")])
+def test_qubit_is_the_traceless_slice_bit_for_bit(count, kind):
+    """Hull dimension count - 1: the kind, the slice of comask_general bit
+    for bit, and elements with a0 exactly 0 masking every point."""
+    rng = np.random.default_rng(20 + count)
+    for _ in range(200):
+        pts = qubit_states(rng, count)
+        desc = comask.comask_qubit(pts)
+        assert desc.kind == kind
+        sliced = comask.comask_general(pts, 2).coefficient_set.slice_coordinate(0, 0.0)
+        assert same_bits(desc.coefficient_set, sliced)
+        for w in rng.normal(size=(3, desc.affine_dim)) * 3:
+            el = desc.coefficient_set.sample(w)
+            assert el[0] == 0.0
+            assert np.max(np.abs(np.stack(pts) @ el[1:] - 0.5)) < 1e-10
+
+
+def test_qubit_refuses_hulls_through_the_mixed_state():
+    # p with -t p spans a line through b = 0; p, q and -(s p + t q) a plane
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        p, q = qubit_states(rng, 2)
+        s, t = rng.uniform(0.1, 0.5, size=2)
+        for pts in ([p, -t * p], [p, q, -(s * p + t * q)]):
+            with pytest.raises(InconsistentConstraintsError):
+                comask.comask_qubit(pts)
+
+
+def test_qubit_accepts_hulls_off_the_mixed_state():
+    """Hulls planted at distance 1e-8 to 0.25 from b = 0 are accepted with
+    |a*| = 1 / (2 dist).  The slice's projection loses about eps / dist of
+    relative accuracy, so below dist = 1e-6 the bound is 1e-15 / dist."""
+    rng = np.random.default_rng(24)
+    for trial in range(600):
+        n, u, v = np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+        # one point, a segment or a triangle around the nearest point
+        spread = (np.zeros((1, 3)), np.stack([u, -u]), np.stack([u, v, -u - v]))[trial % 3]
+        pts = 10 ** rng.uniform(-8, -0.6) * n + rng.uniform(0.05, 0.2) * spread
+        dist = hull_distance(pts)
+        norm = np.linalg.norm(comask.comask_qubit(pts).coefficient_set.base_point)
+        assert abs(2 * dist * norm - 1) <= max(1e-9, 1e-15 / dist), (trial, dist)
+    # a line 2e-9 from b = 0, just outside HULL_ATOL
+    desc = comask.comask_qubit([[0.1, 2e-9, 0.0], [-0.1, 2e-9, 0.0]])
+    assert desc.kind == "line"
+    assert abs(np.linalg.norm(desc.coefficient_set.base_point) / 2.5e8 - 1) < 1e-7
+
+
+@pytest.mark.parametrize("points,error", [
+    ([[0, 0, 0]], InconsistentConstraintsError),
+    ([[1e-10, 0, 0]], InconsistentConstraintsError),
+    ([[0, 0, 0.6]], InvalidStateError),
+    ([[0, 0.3]], DimensionMismatchError),
+    ([[0, 0, 0.4], [0, 0, 0.2]], InconsistentConstraintsError),
+    ([[0, 0, 0.4], [0, 0, -0.2]], InconsistentConstraintsError),
+    ([[0, 0, 0.4], [2.5e-11, 0, 0.2]], InconsistentConstraintsError),  # hull 5e-11 from 0
+    ([[0, 0, 0], [0, 0, 0.2]], InconsistentConstraintsError),
+    ([[0, 0, 0.6], [0.1, 0, 0.2]], InvalidStateError),
+    ([[0, 0.4], [0.1, 0, 0.2]], DimensionMismatchError),
+    ([], ValueError),
+    ([[0.1, 0, 0.2], [0, 0.1, 0.9]], InvalidStateError),
+    ([[0, 0, -0.3], [0, 0, 0.1], [0, 0, 0.3]], InconsistentConstraintsError),
+    ([[0.1, 0, 0], [0, 0.1, 0], [0.1, 0.1, 0]], InconsistentConstraintsError),
+    ([[.1, 0, .1], [0, .1, .1], [.1, .1, .1], [0, 0, .3]], InconsistentConstraintsError),
+    ([[0.1, 0, 0.1], [0, 0.1, 0.1], [0.1, 0.1, 0.9]], InvalidStateError),
+    ([[0.1, 0, 0.1], [0, 0.1], [0.1, 0.1, 0.1]], DimensionMismatchError),
 ])
-def test_qubit_case_errors(case, args, error):
+def test_qubit_case_errors(points, error):
     with pytest.raises(error):
-        case(*args)
+        comask.comask_qubit(points)
+
+
+@pytest.mark.parametrize("points,kind,directions", [
+    ([[0.1, 0, 0], [0.1, 0, 0]], "plane", [[0, 1, 0], [0, 0, 1]]),
+    ([[0.1, 0, 0.2], [0, 0.1, 0.2]], "line", [[-2 / 3, -2 / 3, 1 / 3]]),
+    ([[-0.3, 0, 0.25], [0, 0, 0.25], [0.3, 0, 0.25]], "line", [[0, 1, 0]]),
+], ids=["identical-endpoints", "two-points", "collinear-three"])
+def test_qubit_degenerate_hulls(points, kind, directions):
+    # hulls of lower dimension than their point count are solved, not refused
+    desc = comask.comask_qubit(points)
+    assert desc.kind == kind
+    pts = [np.asarray(p, dtype=float) for p in points]
+    assert_traceless_set(desc.coefficient_set, min_norm(pts), directions, np.random.default_rng(19))
 
 
 class TestCounterexample:
