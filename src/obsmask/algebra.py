@@ -143,9 +143,11 @@ def partial_trace(m, dims: tuple[int, int], over: str) -> np.ndarray:
 
 
 def require_orthonormal(vectors, what: str) -> np.ndarray:
-    """Stack the vectors as columns, validate their Gram matrix against the
-    identity within ORTHONORMALITY_ATOL (max-norm), and return the stack."""
-    cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    """Stack the vectors (each flattened; all of one shape) as columns,
+    validate their Gram matrix against the identity within
+    ORTHONORMALITY_ATOL (max-norm), and return the stack."""
+    rows = np.asarray(vectors, dtype=complex)
+    cols = np.ascontiguousarray(rows.reshape(len(rows), -1).T)
     if not np.isfinite(cols).all():
         raise NotOrthonormalError(f"{what} family contains non-finite entries")
     dev = _identity_deviation(dagger(cols) @ cols)

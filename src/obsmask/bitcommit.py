@@ -22,6 +22,15 @@ from .report import RunReport
 # Cheating counts as exact when Alice's unitary reproduces the target
 # coefficient matrix within this max-norm slack.
 CHEAT_ATOL = 1e-8
+# Slack in a state vector's norm and in the sum of the Schmidt weights.
+NORMALIZATION_ATOL = 1e-9
+# Schmidt weights may fall this far below 0 (rounding) and count as 0.
+NEGATIVE_WEIGHT_ATOL = 1e-12
+# The demo counts an adjoint output as proportional to I, or equal to it
+# (masked), within this max-norm slack, and an expectation as unit within it.
+DEMO_MASKING_ATOL = 1e-9
+# The demo rescales an output by its expectation only above this magnitude.
+DEMO_RESCALE_FLOOR = 1e-6
 
 # Random observables the no-bit-commitment demo drives through its channel.
 DEMO_OBSERVABLES = 20
@@ -74,7 +83,7 @@ def commitment_pair_from_vectors(psi0, psi1, dims: tuple[int, int]) -> Commitmen
             raise NotNormalizedError(f"{name} has length {v.size}, expected {d_a * d_b}")
         if not np.isfinite(v).all():
             raise NotNormalizedError(f"{name} contains non-finite entries")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(v) - 1.0) > NORMALIZATION_ATOL:
             raise NotNormalizedError(f"{name} is not normalized")
         vecs.append(v.reshape(d_a, d_b))
     return _pair(vecs[0], vecs[1])
@@ -96,7 +105,7 @@ def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
     weights = np.asarray(lam, dtype=float).reshape(-1)
     if not np.isfinite(weights).all():
         raise BadSpectrumError("weights contain non-finite entries")
-    if np.any(weights < -1e-12) or abs(np.sum(weights) - 1.0) > 1e-9:
+    if np.any(weights < -NEGATIVE_WEIGHT_ATOL) or abs(np.sum(weights) - 1.0) > NORMALIZATION_ATOL:
         raise BadSpectrumError("weights must be nonnegative and sum to 1")
     r = weights.size
     a0 = _check_family(basis_a0, r, "basis_a0")
@@ -165,13 +174,9 @@ def random_commitment_pair(rng: np.random.Generator, d: int) -> CommitmentPair:
     and Haar-random bases: the pair the demo draws."""
     lam = rng.random(d) + 0.2
     lam /= lam.sum()
-    ua0, ua1, ub = (samplers.haar_unitary(rng, d) for _ in range(3))
-    return make_commitment_pair(
-        lam,
-        [ua0[:, i] for i in range(d)],
-        [ua1[:, i] for i in range(d)],
-        [ub[:, i] for i in range(d)],
-    )
+    # each family is the columns of one unitary, so iterate its transpose
+    ua0, ua1, ub = samplers.haar_unitary(rng, d, size=(3,)).swapaxes(-1, -2)
+    return make_commitment_pair(lam, ua0, ua1, ub)
 
 
 def _max_norms(stack: np.ndarray) -> np.ndarray:
@@ -198,21 +203,23 @@ def no_bit_commitment_demo(d: int, seed: int) -> RunReport:
 
     rho_b = pair.marginal_b0
     channel = measure_prepare_channel(rho_b, rho_b, d)
-    # drawn one at a time: a size= batch would draw every real part before
-    # any imaginary part, and so change the observables a seed gives
-    obs = np.stack([samplers.hermitian(rng, d) for _ in range(DEMO_OBSERVABLES)])
+    # one draw, matrix after matrix, as single hermitian() draws would come;
+    # hermitian(size=...) would draw every real part before any imaginary
+    # part, and so change the observables a seed gives
+    obs = samplers.hermitian_stack(rng, d, DEMO_OBSERVABLES)
     expectation = np.trace(rho_b @ obs, axis1=-2, axis2=-1).real
     out = apply_adjoint(channel, obs)
     eye = np.eye(d)
     residual = _max_norms(out - expectation[:, None, None] * eye)
-    masked = _max_norms(out - eye) < 1e-9
-    masking_consistent = int(np.sum(masked == (np.abs(expectation - 1.0) < 1e-9)))
-    rescalable = np.abs(expectation) > 1e-6
+    masked = _max_norms(out - eye) < DEMO_MASKING_ATOL
+    unit = np.abs(expectation - 1.0) < DEMO_MASKING_ATOL
+    masking_consistent = int(np.count_nonzero(masked == unit))
+    rescalable = np.abs(expectation) > DEMO_RESCALE_FLOOR
     rescaled = _max_norms(out[rescalable] / expectation[rescalable, None, None] - eye)
     hiding_residual = float(residual.max())
-    proportional = int(np.sum(residual < 1e-9))
-    rescaled_total = int(np.sum(rescalable))
-    rescaled_masked = int(np.sum(rescaled < 1e-9))
+    proportional = int(np.count_nonzero(residual < DEMO_MASKING_ATOL))
+    rescaled_total = int(np.count_nonzero(rescalable))
+    rescaled_masked = int(np.count_nonzero(rescaled < DEMO_MASKING_ATOL))
 
     report = RunReport()
     report.add("demo", "bitcommit")

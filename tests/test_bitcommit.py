@@ -285,11 +285,84 @@ def test_demo_decomposes_its_marginal_once(monkeypatch):
     assert per_channel == [1, 1, 1]
 
 
+def test_demo_draws_stacks(monkeypatch):
+    """A demo factors its three bases with one QR call and makes at most two
+    Gaussian draws: one stack for the bases and one for the observables."""
+    calls = {"qr": 0, "normal": 0}
+    real_qr, real_rng = np.linalg.qr, np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def normal(self, *args, **kwargs):
+            calls["normal"] += 1
+            return self._rng.normal(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    def counting_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return real_qr(*args, **kwargs)
+
+    expected = {d: bitcommit.no_bit_commitment_demo(d, seed=d).render() for d in (2, 3, 8)}
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(real_rng(seed)))
+    for d, text in expected.items():
+        calls.update(qr=0, normal=0)
+        assert bitcommit.no_bit_commitment_demo(d, seed=d).render() == text
+        assert calls["qr"] == 1 and calls["normal"] <= 2, (d, calls)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+def test_report_matches_sequential_reference(d):
+    # every computed entry, equal as a value of the same type, against the
+    # demo run one matrix at a time: three single Haar draws, then single
+    # observables, each through its own apply_adjoint call
+    for seed in range(10):
+        entries = bitcommit.no_bit_commitment_demo(d, seed).entries
+        reference = _sequential_demo(d, seed)
+        assert [key for key, _ in entries] == [*reference, "note", "conclusion"]
+        for key, value in entries[: len(reference)]:
+            want = reference[key]
+            assert type(value) is type(want) and value == want, (seed, key)
+
+
+def _sequential_demo(d, seed):
+    """The demo's computed report entries, with every random matrix drawn
+    alone."""
+    rng = np.random.default_rng(seed)
+    lam = rng.random(d) + 0.2
+    lam /= lam.sum()
+    bases = [samplers.haar_unitary(rng, d) for _ in range(3)]
+    pair = bitcommit.make_commitment_pair(lam, *([u[:, i] for i in range(d)] for u in bases))
+    cheat = bitcommit.cheating_unitary(pair)
+    rho_b = pair.marginal_b0
+    channel = bitcommit.measure_prepare_channel(rho_b, rho_b, d)
+    return {
+        "demo": "bitcommit",
+        "dim": d,
+        "seed": seed,
+        "concealment_gap": bitcommit.concealment_gap(pair),
+        "marginal_gap_max": algebra.max_norm(pair.marginal_b0 - pair.marginal_b1),
+        "cheat_feasible": cheat.feasible,
+        "cheat_fidelity": cheat.fidelity,
+        **_observable_statistics(rng, rho_b, channel, d),
+    }
+
+
 def _per_observable_statistics(d, seed):
     """The demo's observable statistics, one observable at a time."""
     rng = np.random.default_rng(seed)
     rho_b = bitcommit.random_commitment_pair(rng, d).marginal_b0
     channel = bitcommit.measure_prepare_channel(rho_b, rho_b, d)
+    return _observable_statistics(rng, rho_b, channel, d)
+
+
+def _observable_statistics(rng, rho_b, channel, d):
+    """Statistics of observables drawn, and sent through the channel, one
+    at a time."""
     n = bitcommit.DEMO_OBSERVABLES
     hiding, proportional, consistent, masked, total = 0.0, 0, 0, 0, 0
     for _ in range(n):
