@@ -151,8 +151,9 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
 
 def spectral_kraus(eig: HermitianEig, input_dim: int, columns) -> np.ndarray:
     """Stack of operators sqrt(p_j) |e_j><k| over the nonzero spectral terms
-    of a state's decomposition ``eig`` (from ``require_density``; descending
-    weight), then the input indices k in ``columns``."""
+    of a state's decomposition ``eig`` (weights ascending, as
+    ``require_density`` gives them; the stack runs in descending weight),
+    then the input indices k in ``columns``."""
     terms = np.flatnonzero(eig.eigenvalues >= 1e-12)[::-1]
     amplitudes = np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]
     d = len(eig.eigenvalues)
@@ -191,5 +192,6 @@ def masker_dilation(u0, u1) -> UnitaryDilation:
         if u.shape != (2, 2):
             raise DimensionMismatchError(f"expected 2x2 unitaries, got {u.shape}")
     # U[(j, m), (i, k)] = u_j[m, i] when k = j, else 0
-    u = np.einsum("jmi,jk->jmik", np.stack(us), np.eye(2)).reshape(4, 4)
-    return UnitaryDilation(system_dim=2, env_dim=2, unitary=u)
+    u = np.zeros((2, 2, 2, 2), dtype=complex)
+    u[0, :, :, 0], u[1, :, :, 1] = us
+    return UnitaryDilation(system_dim=2, env_dim=2, unitary=u.reshape(4, 4))

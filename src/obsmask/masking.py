@@ -8,14 +8,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _identity_deviation, dagger, eig_hermitian, max_norm, plane_frame, tensor
+from .algebra import (
+    HermitianEig,
+    _identity_deviation,
+    dagger,
+    eig_hermitian,
+    max_norm,
+    plane_frame,
+    tensor,
+)
 from .bloch import ObservableCoeffs, generator_basis
 from .channels import (
     KrausChannel,
     UnitaryDilation,
     apply_adjoint,
-    constant_channel,
     masker_dilation,
+    spectral_kraus,
 )
 from .errors import (
     DimensionMismatchError,
@@ -155,9 +163,13 @@ def build_constant_masker(obs) -> KrausChannel:
 
     The target state mixes the normalized eigenprojectors of lambda_max and
     lambda_min with weight p = (1 - lambda_min) / (lambda_max - lambda_min),
-    so Tr(sigma0 O) = 1.  Degenerate extremes use the normalized projector
-    onto the whole eigenspace, which keeps the construction independent of
-    the eigensolver's basis choice (O = I yields the maximally mixed state).
+    so Tr(sigma0 O) = 1; p is clipped to [0, 1], so an observable maskable
+    only within DECISION_ATOL gets the projector of the extreme nearest 1.
+    Degenerate extremes use the normalized projector onto the whole
+    eigenspace, so the channel does not depend on the eigensolver's basis
+    choice (O = I yields the maximally mixed state).  The Kraus operators
+    sqrt(w_j) |v_j><k| use O's own eigenvectors v_j from its one ``eigh``;
+    the target state is never formed or decomposed.
     """
     verdict, channel = oracle_masker(obs)
     if channel is None:
@@ -169,25 +181,34 @@ def build_constant_masker(obs) -> KrausChannel:
 
 def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     """The oracle's verdict and, when maskable, the constant masker of
-    ``build_constant_masker``, both from one eigendecomposition."""
+    ``build_constant_masker``, both from one eigendecomposition of O.
+
+    The target's spectral decomposition is read off O's: weight p / m_max
+    on each eigenvector within DECISION_ATOL of lambda_max and
+    (1 - p) / m_min on each within DECISION_ATOL of lambda_min (the two add
+    where the sets overlap), or 1/d on all when the spectrum is flat.  It is
+    handed to ``spectral_kraus`` in ascending weight, ties in O's order.
+    """
     eig = eig_hermitian(obs)
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
+    vals = eig.eigenvalues
     verdict = _oracle_verdict(vals)
     if not verdict.maskable:
         return verdict, None
     lo, hi = vals[0], vals[-1]
-
-    def eigenspace_state(target):
-        sel = np.abs(vals - target) <= DECISION_ATOL
-        cols = vecs[:, sel]
-        return (cols @ dagger(cols)) / int(np.sum(sel))
-
+    d = len(vals)
     if hi - lo <= DECISION_ATOL:
-        sigma0 = eigenspace_state(hi)
+        weights = np.full(d, 1.0 / d)
     else:
-        p = (1.0 - lo) / (hi - lo)
-        sigma0 = p * eigenspace_state(hi) + (1.0 - p) * eigenspace_state(lo)
-    return verdict, constant_channel(sigma0, vecs.shape[0])
+        p = min(max((1.0 - lo) / (hi - lo), 0.0), 1.0)
+        top = np.abs(vals - hi) <= DECISION_ATOL
+        bottom = np.abs(vals - lo) <= DECISION_ATOL
+        weights = top * (p / np.count_nonzero(top)) + bottom * (
+            (1.0 - p) / np.count_nonzero(bottom)
+        )
+    order = np.argsort(weights, kind="stable")
+    target = HermitianEig(eigenvalues=weights[order], eigenvectors=eig.eigenvectors[:, order])
+    kraus = spectral_kraus(target, d, range(d))
+    return verdict, KrausChannel(input_dim=d, output_dim=d, kraus=kraus)
 
 
 def rotation_unitary(n) -> np.ndarray:
@@ -196,7 +217,11 @@ def rotation_unitary(n) -> np.ndarray:
     Built from the spherical angles of n as
     w = exp(i theta sigma2 / 2) exp(i phi sigma3 / 2); n = z gives w = I.
     """
-    arr = _require_unit_vector(n)
+    return _rotation(_require_unit_vector(n))
+
+
+def _rotation(arr: np.ndarray) -> np.ndarray:
+    """``rotation_unitary`` of an already validated unit 3-vector."""
     theta = np.arccos(np.clip(arr[2], -1.0, 1.0))
     phi = np.arctan2(arr[1], arr[0])
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -239,7 +264,7 @@ def verify_nohiding(n, u0=None, u1=None) -> NoHidingReport:
     unitary w recovers the observable from the environment side.
     """
     arr = _require_unit_vector(n)
-    w = rotation_unitary(arr)
+    w = _rotation(arr)
     up = _swap_dilation(w, u0, u1).unitary
     pauli = generator_basis(2).matrices
     obs = np.einsum("i,iab->ab", arr, pauli)

@@ -202,6 +202,34 @@ class TestMaskCommand:
         assert code == 0
         assert len(calls) == 1
 
+    def test_one_eigh(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        obs = tmp_path / "d3.mat"
+        obs.write_text("matrix 3 3\n3,0 0,0 0,0\n0,0 0.5,0 0,0\n0,0 0,0 -1,0\n")
+        out_path = tmp_path / "d3.kraus"
+        code, out = run_cli(capsys, "mask", "--observable", str(obs), "--out", str(out_path))
+        assert code == 0
+        assert "kraus_count: 6" in out
+        assert len(calls) == 1
+
+    def test_maskable_within_band_is_masked(self, tmp_path, capsys):
+        # 1 lies just below the spectrum, inside the decision band
+        obs = tmp_path / "band.mat"
+        obs.write_text("matrix 2 2\n1.000000001,0 0,0\n0,0 1.0000000025,0\n")
+        out_path = tmp_path / "band.kraus"
+        code, out = run_cli(capsys, "mask", "--observable", str(obs), "--out", str(out_path))
+        assert code == 0
+        assert "maskable: true" in out
+        assert "kraus_count: 2" in out
+        assert out_path.exists()
+
 
 class TestNohideCommand:
     def test_z_axis(self, capsys):

@@ -160,8 +160,8 @@ class TestConstantMasker:
 
     @pytest.mark.parametrize("obs", [S3, np.diag([3.0, -1.0, 0.5])], ids=["sigma3", "d3"])
     def test_one_eigh_per_matrix_and_no_eigvalsh(self, obs, monkeypatch):
-        # one eigh for the observable, one for the target state, which
-        # require_density validates and spectral_kraus reads
+        # one eigh, for the observable: the target state's spectral
+        # decomposition is read off it, never formed and decomposed again
         counts = {"eigh": 0, "eigvalsh": 0}
 
         def spy(name):
@@ -176,12 +176,93 @@ class TestConstantMasker:
         for name in counts:
             monkeypatch.setattr(np.linalg, name, spy(name))
         masking.build_constant_masker(obs)
-        assert counts == {"eigh": 2, "eigvalsh": 0}
+        assert counts == {"eigh": 1, "eigvalsh": 0}
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_maskable_verify(self, d):
         rng = np.random.default_rng(60 + d)
         assert REGISTRY["constant_maskers_verify"].run(rng, d, 50) == (50, 0)
+
+    @pytest.mark.parametrize(
+        "spectrum", [[3.0, -1.0], [3.0, 0.5, -1.0]], ids=["d2", "d3"]
+    )
+    def test_kraus_columns_are_eigenvectors_at_half_weight(self, spectrum):
+        # p = 1/2: the target is degenerate across both extreme eigenspaces,
+        # so a fresh decomposition of it may return any basis of their span
+        rng = np.random.default_rng(13)
+        lo, hi = min(spectrum), max(spectrum)
+        for _ in range(20):
+            u = samplers.haar_unitary(rng, len(spectrum))
+            obs = (u * spectrum) @ u.conj().T
+            for op in masking.build_constant_masker(obs).kraus:
+                nonzero = np.flatnonzero(np.linalg.norm(op, axis=0) > 0)
+                assert len(nonzero) == 1
+                v = op[:, nonzero[0]] / np.linalg.norm(op[:, nonzero[0]])
+                assert min(np.linalg.norm(obs @ v - lam * v) for lam in (lo, hi)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spectrum", [[1 + 1e-9, 1 + 2.5e-9], [1 - 2.5e-9, 1 - 1e-9]], ids=["above", "below"]
+    )
+    def test_maskable_within_band_targets_nearest_extreme(self, spectrum):
+        # p = (1 - lo) / (hi - lo) falls outside [0, 1]; clipped, the target
+        # is the eigenprojector of the extreme nearest 1
+        obs = np.diag(spectrum)
+        assert masking.decide_maskable_oracle(obs).maskable
+        chan = masking.build_constant_masker(obs)
+        nearest = min(spectrum, key=lambda lam: abs(lam - 1.0))
+        assert masking.verify_masking(chan, obs) <= abs(nearest - 1.0) + 1e-15
+
+
+def _maskable_observable(rng, d, i):
+    """A Haar-rotated spectrum with 1 in [lambda_min, lambda_max]: every
+    fourth draw has two levels, every fourth has two levels at p = 1/2."""
+    m = int(rng.integers(1, d)) if d > 2 else 1
+    if i % 4 == 0:
+        lam = np.r_[np.full(m, rng.uniform(1.0, 3.0)), np.full(d - m, rng.uniform(-2.0, 1.0))]
+    elif i % 4 == 1:
+        t = rng.uniform(0.1, 2.0)
+        lam = np.r_[np.full(m, 1.0 + t), np.full(d - m, 1.0 - t)]
+    else:
+        lam = rng.uniform(-2.0, 3.0, d)
+        lam[0], lam[1] = rng.uniform(-2.0, 1.0), rng.uniform(1.0, 3.0)
+    u = samplers.haar_unitary(rng, d)
+    return (u * lam) @ u.conj().T, lam
+
+
+class TestConstantMaskerAgainstTargetState:
+    """The masker read off O's eigendecomposition against the constant
+    channel onto the target state sigma0, formed and decomposed."""
+
+    @staticmethod
+    def reference(obs, lam):
+        vals, vecs = np.linalg.eigh(obs)
+        lo, hi = lam.min(), lam.max()
+
+        def eigenspace_state(target):
+            cols = vecs[:, np.abs(vals - target) <= masking.DECISION_ATOL]
+            return (cols @ cols.conj().T) / cols.shape[1]
+
+        p = (1.0 - lo) / (hi - lo)
+        sigma0 = p * eigenspace_state(hi) + (1.0 - p) * eigenspace_state(lo)
+        return channels.constant_channel(sigma0, len(lam)), p
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_matches_constant_channel(self, d):
+        rng = np.random.default_rng(70 + d)
+        for i in range(200):
+            obs, lam = _maskable_observable(rng, d, i)
+            chan = masking.build_constant_masker(obs)
+            ref, p = self.reference(obs, lam)
+            assert chan.kraus.shape == ref.kraus.shape
+            simple = np.count_nonzero(lam == lam.max()) == np.count_nonzero(lam == lam.min()) == 1
+            if simple and abs(2.0 * p - 1.0) >= 0.1:
+                assert algebra.max_norm(chan.kraus - ref.kraus) < 1e-12
+                continue
+            rho, probe = samplers.density(rng, d), samplers.hermitian(rng, d)
+            forward = channels.apply_forward(chan, rho) - channels.apply_forward(ref, rho)
+            adjoint = channels.apply_adjoint(chan, probe) - channels.apply_adjoint(ref, probe)
+            assert algebra.max_norm(forward) < 1e-12
+            assert algebra.max_norm(adjoint) < 1e-12
 
 
 class TestRotationUnitary:
@@ -355,3 +436,44 @@ class TestOutputDisk:
                 _, positive = bloch.positivity_conditions(vec)
                 assert positive
                 assert abs(np.dot(a, b) - 0.5) < 1e-10
+
+
+class TestHotPathCallCounts:
+    """Guards on the numpy calls of the qubit-scan chains, so a second
+    decomposition or a rebuilt einsum cannot creep back in unnoticed."""
+
+    @staticmethod
+    def spy(monkeypatch, module, names):
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name))
+        return counts
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_maskable_chain_makes_two_eigh(self, d, monkeypatch):
+        rng = np.random.default_rng(14)
+        u = samplers.haar_unitary(rng, d)
+        obs = (u * np.linspace(-1.0, 1.5, d)) @ u.conj().T
+        counts = self.spy(monkeypatch, np.linalg, ["eigh", "eigvalsh", "svd", "pinv"])
+        bloch.observable_coeffs(obs)
+        assert masking.decide_maskable_oracle(obs).maskable
+        channel = masking.build_constant_masker(obs)
+        assert masking.verify_masking(channel, obs) < masking.DECISION_ATOL
+        assert counts == {"eigh": 2, "eigvalsh": 0, "svd": 0, "pinv": 0}
+
+    def test_nohiding_makes_one_einsum(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        n = samplers.unit_vector(rng, 3)
+        counts = self.spy(monkeypatch, np, ["einsum"])
+        assert masking.verify_nohiding(n).verified
+        assert counts == {"einsum": 1}
