@@ -50,13 +50,16 @@ def _identity_deviation(product: np.ndarray) -> float:
 
 
 def require_hermitian(m) -> np.ndarray:
-    """Validate hermiticity within HERMITICITY_ATOL (max-norm) and return the matrix."""
+    """Validate hermiticity within HERMITICITY_ATOL * max(1, ||M||_max) and
+    return the matrix, so rounding of order eps * ||M|| is not refused."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"matrix is {arr.shape}, not square")
     dev = max_norm(arr - dagger(arr))
-    if dev > HERMITICITY_ATOL:
-        raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL:.1e}")
+    if dev > HERMITICITY_ATOL:  # only then is the scale read
+        tol = HERMITICITY_ATOL * max(1.0, max_norm(arr))
+        if dev > tol:
+            raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {tol:.1e}")
     return arr
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import samplers
 from .algebra import dagger, max_norm, require_orthonormal
-from .channels import KrausChannel, apply_adjoint, require_density, spectral_kraus
+from .channels import KrausChannel, _spectral_rows, apply_adjoint, require_density
 from .errors import (
     BadSpectrumError,
     DimensionMismatchError,
@@ -163,10 +163,11 @@ def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
     for eig in states:
         if eig.eigenvectors.shape != (d, d):
             raise DimensionMismatchError(f"state shape {eig.eigenvectors.shape} != ({d}, {d})")
-    ops = np.concatenate(
-        (spectral_kraus(states[0], d, [0]), spectral_kraus(states[1], d, range(1, d)))
-    )
-    return KrausChannel(input_dim=d, output_dim=d, kraus=ops)
+    rows = [_spectral_rows(eig) for eig in states]
+    # the terms of rho_0 on k = 0, then those of rho_1 on k >= 1
+    support = np.zeros((len(rows[0]) + len(rows[1]), d))
+    support[: len(rows[0]), 0] = support[len(rows[0]):, 1:] = 1
+    return KrausChannel.rank_one(np.concatenate(rows), support)
 
 
 def random_commitment_pair(rng: np.random.Generator, d: int) -> CommitmentPair:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HermitianEig, _identity_deviation, dagger, eig_hermitian
+from .algebra import HermitianEig, _identity_deviation, dagger, eig_hermitian, max_norm
 from .errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -53,15 +53,24 @@ def require_density(rho) -> HermitianEig:
     return eig
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KrausChannel:
     """A CPTP map held as an ordered, trace-preserving Kraus family.
 
-    ``kraus`` is one read-only complex array of shape (n, output_dim,
-    input_dim) with E_i = kraus[i], copied once at construction.  Its memory
-    is laid out as the isometric extension (row a * n + i of V is row a of
-    E_i), so ``isometric_extension`` is a view and the forward and adjoint
-    actions are two matrix products each.
+    ``KrausChannel(input_dim, output_dim, kraus)`` holds a general family as
+    one read-only complex array of shape (n, output_dim, input_dim) with
+    E_i = kraus[i], copied once at construction.  Its memory is laid out as
+    the isometric extension (row a * n + i of V is row a of E_i), so
+    ``isometric_extension`` is a view and the forward and adjoint actions are
+    two matrix products each.
+
+    ``KrausChannel.rank_one(amplitudes, support)`` holds a family of rank-one
+    operators |u_j><k| as its factors: ``amplitudes`` of shape (t,
+    output_dim), one row u_j per term, and the 0/1 ``support`` of shape (t,
+    input_dim); the operators run term-major over every support[j, k] = 1.
+    Its actions cost O(t d^2) and never form the family, and ``kraus`` is a
+    dense view built on each access.  Both factors are None for a general
+    family.
 
     Kraus ordering is preserved as given (golden tests depend on it);
     the channel's action must not.
@@ -69,33 +78,94 @@ class KrausChannel:
 
     input_dim: int
     output_dim: int
-    kraus: np.ndarray
+    amplitudes: np.ndarray | None
+    support: np.ndarray | None
 
-    def __post_init__(self):
-        if len(self.kraus) == 0:
+    def __init__(self, input_dim: int, output_dim: int, kraus):
+        if len(kraus) == 0:
             raise InvalidChannelError("empty Kraus family")
-        expected = (self.output_dim, self.input_dim)
+        expected = (output_dim, input_dim)
         try:
-            ops = np.asarray(self.kraus, dtype=complex)
+            ops = np.asarray(kraus, dtype=complex)
             shape = ops.shape[1:]
         except ValueError:  # a ragged family: name its first misfit
-            shape = next(filter(expected.__ne__, map(np.shape, self.kraus)))
+            shape = next(filter(expected.__ne__, map(np.shape, kraus)))
         if shape != expected:
             raise InvalidChannelError(
-                f"Kraus operator shape {shape} != "
-                f"({self.output_dim}, {self.input_dim})"
+                f"Kraus operator shape {shape} != ({output_dim}, {input_dim})"
             )
         if not np.isfinite(ops).all():
             raise InvalidChannelError("Kraus family contains non-finite entries")
-        kraus = ops.transpose(1, 0, 2).copy().transpose(1, 0, 2)
-        kraus.setflags(write=False)
-        object.__setattr__(self, "kraus", kraus)
+        dense = ops.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+        dense.setflags(write=False)
+        _set(self, input_dim=input_dim, output_dim=output_dim, amplitudes=None,
+             support=None, _kraus=dense)
         v = isometric_extension(self)
         dev = _identity_deviation(dagger(v) @ v)
         if dev > CHANNEL_ATOL:
             raise InvalidChannelError(
                 f"sum E^dag E deviates from identity by {dev:.3e}"
             )
+
+    @classmethod
+    def rank_one(cls, amplitudes, support) -> KrausChannel:
+        """The family |u_j><k| over every support[j, k] = 1, term-major, with
+        u_j = amplitudes[j]; both factors are copied once."""
+        amps = np.array(amplitudes, dtype=complex)
+        supp = np.asarray(support, dtype=bool).astype(float)
+        if amps.ndim != 2 or supp.ndim != 2 or len(amps) != len(supp):
+            raise InvalidChannelError(
+                f"amplitudes {amps.shape} and support {supp.shape} are not "
+                "(t, output_dim) and (t, input_dim)"
+            )
+        if len(amps) == 0:
+            raise InvalidChannelError("empty Kraus family")
+        if not np.isfinite(amps).all():
+            raise InvalidChannelError("Kraus family contains non-finite entries")
+        # sum E^dag E is diagonal, with entry k the squared norms of the terms
+        # whose support holds k
+        parts = amps.view(float)
+        dev = max_norm((parts * parts).sum(axis=1) @ supp - 1.0)
+        if dev > CHANNEL_ATOL:
+            raise InvalidChannelError(
+                f"sum E^dag E deviates from identity by {dev:.3e}"
+            )
+        amps.setflags(write=False)
+        supp.setflags(write=False)
+        # row j of _outer is conj(u_j) u_j^T, flattened: <u_j|O|u_j> is its
+        # dot product with O's entries
+        outer = (amps.conj()[:, :, None] * amps[:, None, :]).reshape(len(amps), -1)
+        self = object.__new__(cls)
+        _set(self, input_dim=supp.shape[1], output_dim=amps.shape[1],
+             amplitudes=amps, support=supp, _outer=outer)
+        return self
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """The read-only (n, output_dim, input_dim) Kraus stack; for a
+        rank-one family, a dense view built on each access."""
+        if self.amplitudes is None:
+            return self._kraus
+        return _dense_kraus(self.amplitudes, self.support)
+
+
+def _set(channel: KrausChannel, **attrs) -> None:
+    """Assign the attributes of a frozen channel under construction."""
+    for name, value in attrs.items():
+        object.__setattr__(channel, name, value)
+
+
+def _dense_kraus(amplitudes: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The stack of |u_j><k| over every support[j, k] = 1, term-major, laid
+    out as the isometric extension."""
+    terms, cols = np.nonzero(support)
+    n = len(terms)
+    v = np.zeros((amplitudes.shape[1], n, support.shape[1]), dtype=complex)
+    # assigned, not multiplied by unit vectors, so zero entries stay +0.0
+    v[:, np.arange(n), cols] = amplitudes[terms].T
+    ops = v.transpose(1, 0, 2)
+    ops.setflags(write=False)
+    return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +193,11 @@ def apply_forward(channel: KrausChannel, rho) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {arr.shape} != ({channel.input_dim}, {channel.input_dim})"
         )
+    if channel.amplitudes is not None:
+        # sum_j c_j |u_j><u_j|, c_j the weight of rho's diagonal on term j's
+        # support; |u_j><u_j| is the transpose of row j of _outer
+        m = channel.output_dim
+        return ((channel.support @ arr.diagonal()) @ channel._outer).reshape(m, m).T
     v = isometric_extension(channel)
     # row a of ``rows`` is row a of every E_i; (V rho) regrouped the same way
     # holds (E_i rho)[a, :], so one product sums over i and the columns
@@ -134,7 +209,7 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
     """Heisenberg action sum_i E_i^dag O E_i (unital by trace preservation).
 
     ``obs`` may be a stack of shape (..., out, out); each matrix of the
-    stack goes through the same two products as a single one.
+    stack goes through the same products as a single one.
     """
     arr = np.asarray(obs, dtype=complex)
     if arr.shape[-2:] != (channel.output_dim, channel.output_dim):
@@ -142,6 +217,16 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
             f"observable shape {arr.shape} != "
             f"(..., {channel.output_dim}, {channel.output_dim})"
         )
+    if channel.amplitudes is not None:
+        # diagonal: entry k sums <u_j|O|u_j> over the terms whose support
+        # holds k; each matrix of a stack is its own (1, out^2) row, so it
+        # goes through the products of a single call
+        m, n = channel.output_dim, channel.input_dim
+        rows = arr.reshape(arr.shape[:-2] + (1, m * m))
+        diagonal = (rows @ channel._outer.T) @ channel.support
+        out = np.zeros(arr.shape[:-2] + (n * n,), dtype=complex)
+        out[..., :: n + 1] = diagonal[..., 0, :]
+        return out.reshape(arr.shape[:-2] + (n, n))
     v = isometric_extension(channel)
     # O applied to the regrouped rows gives O E_i stacked like V, so
     # V^dag of it sums E_i^dag O E_i
@@ -149,18 +234,13 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
     return dagger(v) @ (arr @ rows).reshape(arr.shape[:-2] + v.shape)
 
 
-def spectral_kraus(eig: HermitianEig, input_dim: int, columns) -> np.ndarray:
-    """Stack of operators sqrt(p_j) |e_j><k| over the nonzero spectral terms
-    of a state's decomposition ``eig`` (weights ascending, as
-    ``require_density`` gives them; the stack runs in descending weight),
-    then the input indices k in ``columns``."""
+def _spectral_rows(eig: HermitianEig) -> np.ndarray:
+    """Rows sqrt(p_j) e_j over the nonzero spectral terms of a state's
+    decomposition ``eig`` (weights ascending, as ``require_density`` gives
+    them), in descending weight: the amplitudes of the channels that prepare
+    the state."""
     terms = np.flatnonzero(eig.eigenvalues >= 1e-12)[::-1]
-    amplitudes = np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]
-    d = len(eig.eigenvalues)
-    ops = np.zeros((len(terms), len(columns), d, input_dim), dtype=complex)
-    # assigned, not multiplied by unit vectors, so zero entries stay +0.0
-    ops[:, np.arange(len(columns)), :, columns] = amplitudes.T
-    return ops.reshape(-1, d, input_dim)
+    return (np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]).T
 
 
 def constant_channel(sigma0, input_dim: int) -> KrausChannel:
@@ -169,14 +249,14 @@ def constant_channel(sigma0, input_dim: int) -> KrausChannel:
     Kraus family sqrt(p_j) |e_j><k| over the nonzero spectral terms of
     sigma0 (descending weight) and k = 0..input_dim-1.
     """
-    eig = require_density(sigma0)
-    ops = spectral_kraus(eig, input_dim, range(input_dim))
-    return KrausChannel(input_dim=input_dim, output_dim=len(eig.eigenvalues), kraus=ops)
+    rows = _spectral_rows(require_density(sigma0))
+    return KrausChannel.rank_one(rows, np.ones((len(rows), input_dim)))
 
 
 def isometric_extension(channel: KrausChannel) -> np.ndarray:
     """Isometry V = sum_i E_i (x) |i>_E with one environment level per Kraus
-    op; a read-only view of the channel's Kraus stack."""
+    op; a read-only view of the channel's Kraus stack (of the dense view a
+    rank-one family builds on each access)."""
     # row a * n + i of V is row a of E_i
     return channel.kraus.transpose(1, 0, 2).reshape(-1, channel.input_dim)
 

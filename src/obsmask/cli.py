@@ -95,7 +95,7 @@ def _cmd_mask(args) -> RunReport:
         report.add("note", "no masker exists; output not written")
         return report
     Path(args.out).write_text(fileio.render_kraus(channel), encoding="utf-8")
-    report.add("kraus_count", len(channel.kraus))
+    report.add("kraus_count", int(channel.support.sum()))
     report.add("adjoint_residual", masking.verify_masking(channel, matrix))
     report.add("out", args.out)
     return report

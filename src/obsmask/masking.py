@@ -21,9 +21,9 @@ from .bloch import ObservableCoeffs, generator_basis
 from .channels import (
     KrausChannel,
     UnitaryDilation,
+    _spectral_rows,
     apply_adjoint,
     masker_dilation,
-    spectral_kraus,
 )
 from .errors import (
     DimensionMismatchError,
@@ -187,7 +187,8 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     on each eigenvector within DECISION_ATOL of lambda_max and
     (1 - p) / m_min on each within DECISION_ATOL of lambda_min (the two add
     where the sets overlap), or 1/d on all when the spectrum is flat.  It is
-    handed to ``spectral_kraus`` in ascending weight, ties in O's order.
+    handed to ``_spectral_rows`` in ascending weight, ties in O's order,
+    and its rows are the masker's amplitudes, each on every input index.
     """
     eig = eig_hermitian(obs)
     vals = eig.eigenvalues
@@ -207,8 +208,8 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
         )
     order = np.argsort(weights, kind="stable")
     target = HermitianEig(eigenvalues=weights[order], eigenvectors=eig.eigenvectors[:, order])
-    kraus = spectral_kraus(target, d, range(d))
-    return verdict, KrausChannel(input_dim=d, output_dim=d, kraus=kraus)
+    rows = _spectral_rows(target)
+    return verdict, KrausChannel.rank_one(rows, np.ones((len(rows), d)))
 
 
 def rotation_unitary(n) -> np.ndarray:
@@ -237,8 +238,7 @@ def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, UnitaryDilatio
     default; other environment unitaries realize the same channel).
     """
     w = rotation_unitary(n)
-    kraus = np.einsum("a,ib->iab", dagger(w)[:, 0], np.eye(2))
-    channel = KrausChannel(input_dim=2, output_dim=2, kraus=kraus)
+    channel = KrausChannel.rank_one(dagger(w)[None, :, 0], [[1, 1]])
     return channel, _swap_dilation(w, u0, u1)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obsmask import algebra, channels, samplers
+from obsmask import algebra, bitcommit, channels, masking, samplers
 from obsmask.errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -66,6 +66,147 @@ class TestKrausChannel:
         a, b = (channels.KrausChannel(2, 2, masker_kraus()) for _ in range(2))
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+
+def spectral_kraus_reference(eig, input_dim, columns):
+    """The zero-filled stack the library built before it held rank-one
+    families as factors: sqrt(p_j) |e_j><k| over the nonzero spectral terms
+    of ``eig`` (descending weight), then the input indices k in ``columns``."""
+    terms = np.flatnonzero(eig.eigenvalues >= 1e-12)[::-1]
+    amplitudes = np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]
+    d = len(eig.eigenvalues)
+    ops = np.zeros((len(terms), len(columns), d, input_dim), dtype=complex)
+    ops[:, np.arange(len(columns)), :, columns] = amplitudes.T
+    return ops.reshape(-1, d, input_dim)
+
+
+def assert_actions_match(chan, ops, rng):
+    """Both actions, on a single matrix and on a stack, against einsums over
+    the Kraus family ``ops``."""
+    obs = samplers.hermitian(rng, chan.output_dim, size=(3,))
+    rho = samplers.density(rng, chan.input_dim)
+    adjoint = np.einsum("iab,...ac,icd->...bd", ops.conj(), obs, ops, optimize=True)
+    forward = np.einsum("iab,bc,idc->ad", ops, rho, ops.conj(), optimize=True)
+    assert algebra.max_norm(channels.apply_adjoint(chan, obs) - adjoint) < 1e-14
+    assert algebra.max_norm(channels.apply_adjoint(chan, obs[1]) - adjoint[1]) < 1e-14
+    assert algebra.max_norm(channels.apply_forward(chan, rho) - forward) < 1e-14
+
+
+# spectra of maskable observables: 1 lies inside each
+SPECTRA = {
+    "generic": lambda rng, d: np.r_[-1.5, rng.uniform(-1.5, 2.5, d - 2), 2.5],
+    "two-level": lambda rng, d: np.r_[np.full(d // 2, -1.0), np.full(d - d // 2, 2.5)],
+    "flat": lambda rng, d: np.ones(d),
+}
+
+
+class TestRankOneFactors:
+    """Library-built channels hold rank-one factors; their Kraus view and
+    actions agree with the dense stacks the library built before."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("spectrum", list(SPECTRA))
+    def test_masker_matches_dense_reference(self, d, spectrum, monkeypatch):
+        rng = np.random.default_rng(70 + d)
+        u = samplers.haar_unitary(rng, d)
+        obs = (u * SPECTRA[spectrum](rng, d)) @ u.conj().T
+        targets = []
+
+        def capture(eig):
+            targets.append(eig)
+            return channels._spectral_rows(eig)
+
+        monkeypatch.setattr(masking, "_spectral_rows", capture)
+        chan = masking.build_constant_masker(obs)
+        ref = spectral_kraus_reference(targets[0], d, range(d))
+        assert chan.kraus.tobytes() == ref.tobytes()
+        assert int(chan.support.sum()) == len(ref)
+        assert_actions_match(chan, ref, rng)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_measure_prepare_matches_dense_reference(self, d):
+        rng = np.random.default_rng(80 + d)
+        # a rank-deficient rho_1 drops its zero spectral terms
+        rho0 = samplers.density(rng, d)
+        rho1 = np.diag(np.r_[0.25, 0.75, np.zeros(d - 2)])
+        chan = bitcommit.measure_prepare_channel(rho0, rho1, d)
+        ref = np.concatenate((
+            spectral_kraus_reference(channels.require_density(rho0), d, [0]),
+            spectral_kraus_reference(channels.require_density(rho1), d, range(1, d)),
+        ))
+        assert chan.kraus.tobytes() == ref.tobytes()
+        assert_actions_match(chan, ref, rng)
+
+    @pytest.mark.parametrize(
+        "n", [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.48, 0.6, 0.64]]
+    )
+    def test_swap_masker_matches_dense_reference(self, n):
+        chan, _ = masking.build_masker_swap(n)
+        w = masking.rotation_unitary(n)
+        ref = np.einsum("a,ib->iab", algebra.dagger(w)[:, 0], np.eye(2))
+        # equal values: the product with the identity gave some zeros
+        # another sign
+        assert np.array_equal(chan.kraus, ref)
+        assert_actions_match(chan, ref, np.random.default_rng(90))
+
+    @pytest.mark.parametrize("miss", [1e-6, -1e-6])
+    def test_column_norm_off_unity_refused(self, miss):
+        # term 1 alone covers input 1, so only that column misses 1
+        amplitudes = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 + miss)]])
+        with pytest.raises(InvalidChannelError, match="deviates from identity"):
+            channels.KrausChannel.rank_one(amplitudes, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_refused(self, bad):
+        amplitudes = np.array([[1.0, bad]])
+        with pytest.raises(InvalidChannelError, match="non-finite"):
+            channels.KrausChannel.rank_one(amplitudes, [[1, 1]])
+
+    @pytest.mark.parametrize(
+        "amplitudes, support, message",
+        [
+            (np.zeros((0, 2)), np.zeros((0, 2)), "empty"),
+            ([[1.0, 0.0]], [[1, 1], [1, 1]], r"\(1, 2\) and support \(2, 2\)"),
+            ([1.0, 0.0], [[1, 1]], r"not \(t, output_dim\)"),
+        ],
+        ids=["empty", "term-count", "vector"],
+    )
+    def test_malformed_factors_refused(self, amplitudes, support, message):
+        with pytest.raises(InvalidChannelError, match=message):
+            channels.KrausChannel.rank_one(amplitudes, support)
+
+    def test_factors_are_read_only_copies(self):
+        amplitudes, support = np.array([[1.0, 0.0]]), np.ones((1, 2))
+        chan = channels.KrausChannel.rank_one(amplitudes, support)
+        amplitudes[0, 0] = support[0, 0] = 5.0
+        assert chan.amplitudes[0, 0] == 1.0 and chan.support[0, 0] == 1.0
+        for arr in (chan.amplitudes, chan.support, chan.kraus):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
+        assert channels.isometric_extension(chan).base is not None
+
+
+def test_library_channels_never_build_the_dense_view(monkeypatch):
+    """The d = 16 maskers (both actions) and the bit-commitment demo act
+    through their factors alone: the O(d^5) dense family is never formed."""
+    built = []
+    dense = channels._dense_kraus
+
+    def counting(*args):
+        built.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(channels, "_dense_kraus", counting)
+    rng = np.random.default_rng(16)
+    for spectrum in SPECTRA.values():
+        u = samplers.haar_unitary(rng, 16)
+        obs = (u * spectrum(rng, 16)) @ u.conj().T
+        channel = masking.build_constant_masker(obs)
+        assert masking.verify_masking(channel, obs) < masking.DECISION_ATOL
+        channels.apply_forward(channel, samplers.density(rng, 16))
+    bitcommit.no_bit_commitment_demo(16, 7)
+    assert built == []
+    assert len(channel.kraus) == channel.support.sum() and len(built) == 1
 
 
 class TestPerOperatorReference:

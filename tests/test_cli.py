@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,35 @@ class TestMaskCommand:
         assert out_path.exists()
 
 
+# mask reports and Kraus-file digests pinned byte for byte; the d = 4
+# observable 0.5 I + 1.5 sigma_y (x) sigma_x has the two levels 2 and -1
+PINNED_MASKS = {
+    "two-level-d4": (
+        "matrix 4 4\n0.5,0 0,0 0,0 0,-1.5\n0,0 0.5,0 0,-1.5 0,0\n"
+        "0,0 0,1.5 0.5,0 0,0\n0,1.5 0,0 0,0 0.5,0\n",
+        "dim: 4\nmaskable: true\neig_range: -1 2\nkraus_count: 16\nadjoint_residual: 0\n",
+        "97f0e4b9fd3c8dde9d36b4d301085bae091c20e46edd9ce7a5fbc287b2c6829a",
+    ),
+    "band": (
+        "matrix 2 2\n1.000000001,0 0,0\n0,0 1.0000000025,0\n",
+        "dim: 2\nmaskable: true\neig_range: 1.000000001 1.0000000025\n"
+        "kraus_count: 2\nadjoint_residual: 1.00000008274e-09\n",
+        "10dc91961c1316f3e926a6b6474a21565cbcec7741603795df9c0fc322d0d847",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_MASKS))
+def test_pinned_mask(name, tmp_path, capsys):
+    text, body, digest = PINNED_MASKS[name]
+    obs, out_path = tmp_path / "obs.mat", tmp_path / "obs.kraus"
+    obs.write_text(text)
+    code, out = run_cli(capsys, "mask", "--observable", str(obs), "--out", str(out_path))
+    assert code == 0
+    assert out == f"version: {__version__}\ncommand: mask\n{body}out: {out_path}\n"
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 class TestNohideCommand:
     def test_z_axis(self, capsys):
         code, out = run_cli(capsys, "nohide", "--theta", "0", "--phi", "0")
@@ -374,6 +405,11 @@ class TestBitcommitDemoCommand:
     def test_pinned_stdout_other_dims(self, capsys, d):
         _, out = run_cli(capsys, "bitcommit-demo", "--dim", str(d), "--seed", "11")
         assert out == demo_stdout(d, 11)
+
+    def test_pinned_stdout_d16(self, capsys):
+        # 256 Kraus operators: the demo's largest channel
+        _, out = run_cli(capsys, "bitcommit-demo", "--dim", "16", "--seed", "7")
+        assert out == demo_stdout(16, 7)
 
     def test_byte_determinism(self, capsys):
         _, first = run_cli(capsys, "bitcommit-demo", "--dim", "3", "--seed", "11")

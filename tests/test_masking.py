@@ -178,6 +178,20 @@ class TestConstantMasker:
         masking.build_constant_masker(obs)
         assert counts == {"eigh": 1, "eigvalsh": 0}
 
+    def test_large_norm_observable_is_masked(self):
+        # formed as (u lam) u^dag, the matrix is Hermitian only to rounding of
+        # order eps * 1e8, which the norm-scaled check accepts; an
+        # anti-Hermitian part of 1e-3 ||M|| is still refused
+        rng = np.random.default_rng(18)
+        skew = np.zeros((3, 3), complex)
+        skew[0, 1] = skew[1, 0] = 1j
+        for _ in range(50):
+            u = samplers.haar_unitary(rng, 3)
+            obs = (u * np.array([1e8, 0.3, -1e8])) @ u.conj().T
+            assert masking.build_constant_masker(obs).support.shape == (2, 3)
+            with pytest.raises(NotHermitianError):
+                masking.build_constant_masker(obs + 1e-3 * algebra.max_norm(obs) * skew)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_maskable_verify(self, d):
         rng = np.random.default_rng(60 + d)
@@ -352,7 +366,7 @@ class TestNoHiding:
         seen, unit_checks, channels_built = [], [], []
         require_unitary = channels.require_unitary
         require_unit_vector = masking._require_unit_vector
-        post_init = channels.KrausChannel.__post_init__
+        set_fields = channels._set
 
         def spy_unitary(u):
             seen.append(u)
@@ -362,13 +376,14 @@ class TestNoHiding:
             unit_checks.append(n)
             return require_unit_vector(n)
 
-        def spy_post_init(channel):
+        def spy_set_fields(channel, **fields):
+            # both KrausChannel constructors assign their fields through it
             channels_built.append(channel)
-            post_init(channel)
+            set_fields(channel, **fields)
 
         monkeypatch.setattr(channels, "require_unitary", spy_unitary)
         monkeypatch.setattr(masking, "_require_unit_vector", spy_unit_vector)
-        monkeypatch.setattr(channels.KrausChannel, "__post_init__", spy_post_init)
+        monkeypatch.setattr(channels, "_set", spy_set_fields)
         rng = np.random.default_rng(12)
         u0, u1 = samplers.haar_unitary(rng, 2), samplers.haar_unitary(rng, 2)
         report = masking.verify_nohiding(samplers.unit_vector(rng, 3), u0, u1)
