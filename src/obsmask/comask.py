@@ -19,6 +19,7 @@ from .bloch import (
     _real_generators,
     bloch_to_state,
 )
+from .channels import _set
 from .errors import (
     DimensionMismatchError,
     IdenticalPointsError,
@@ -47,49 +48,111 @@ STALL_ATOL = 1e-9
 INFEASIBLE_GAP = 1e-6
 
 
-def _certified_independent(dirs: np.ndarray) -> bool:
-    """Exact O(k N) certificate that the rows of ``dirs`` pass the
-    singular-value test: some columns form a permuted identity (one column
-    per row, holding 1 in that row and 0 elsewhere), so sigma_min >= 1,
-    while sigma_max <= ||dirs||_F < 1 / (2 RANK_RTOL).  The factor 2 leaves
+def _require_independent(dirs: np.ndarray) -> None:
+    """The singular-value rank test: the smallest singular value of the rows
+    must exceed RANK_RTOL times the largest."""
+    if dirs.shape[0]:
+        svals = np.linalg.svd(dirs, compute_uv=False)
+        if svals[-1] <= RANK_RTOL * svals[0]:
+            raise ValueError("directions are not linearly independent")
+
+
+def _unit_block_certifies(rest: np.ndarray) -> bool:
+    """Exact O(m (N - m)) certificate that an echelon family [unit columns |
+    ``rest``] of m rows passes the singular-value test: its Gram matrix is
+    I + rest rest^T, so sigma_min >= 1, while sigma_max <= its Frobenius
+    norm sqrt(m + ||rest||_F^2) < 1 / (2 RANK_RTOL).  The factor 2 leaves
     room for the rounding of a computed SVD."""
-    if not np.linalg.norm(dirs) < 0.5 / RANK_RTOL:
-        return False
-    units = (dirs == 1.0) & ((dirs != 0.0).sum(axis=0) == 1)
-    return bool(units.any(axis=1).all())
+    return bool(rest.shape[0] + np.linalg.norm(rest) ** 2 < (0.5 / RANK_RTOL) ** 2)
 
 
-@dataclass(frozen=True, eq=False)
+def _echelon_dense(units: np.ndarray, others: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
+    """The read-only m x n matrix with row i holding 1 at column units[i], 0
+    in the other unit columns, and ``rest`` in the columns ``others``."""
+    m = units.size
+    dirs = np.zeros((m, n))
+    dirs[:, others] = rest
+    dirs[np.arange(m), units] = 1.0
+    dirs.setflags(write=False)
+    return dirs
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class AffineSet:
     """Base point plus a linearly independent direction family (rows).
 
-    Independence is checked on construction: by the exact certificate of
-    ``_certified_independent`` when the directions carry a permuted identity
-    block (as ``comask_general``'s echelon directions do), otherwise by the
-    smallest singular value exceeding RANK_RTOL times the largest.
+    ``AffineSet(ambient_dim, base_point, directions)`` holds a general
+    family as a dense (m, ambient_dim) matrix, checked by the singular-value
+    test: the smallest singular value must exceed RANK_RTOL times the
+    largest.
+
+    ``AffineSet.echelon(base_point, units, rest)`` holds a family in reduced
+    row echelon form as its factors: row i has its 1 at column ``units[i]``
+    (and 0 in the other unit columns), and ``rest``, of shape (m,
+    ambient_dim - m), holds every other column in increasing order.  Its
+    unit block certifies independence from the factors alone
+    (``_unit_block_certifies``; the SVD runs only where that bound fails),
+    ``sample`` costs O(m (ambient_dim - m)), and ``directions`` is a
+    read-only dense view built on each access.  Both factors are None for a
+    general family.
     """
 
     ambient_dim: int
     base_point: np.ndarray
-    directions: np.ndarray  # shape (k, ambient_dim); k may be 0
+    units: np.ndarray | None
+    rest: np.ndarray | None
 
-    def __post_init__(self):
-        base = np.asarray(self.base_point, dtype=float).reshape(-1)
-        dirs = np.asarray(self.directions, dtype=float).reshape(-1, self.ambient_dim)
-        if base.shape != (self.ambient_dim,):
+    def __init__(self, ambient_dim: int, base_point, directions):
+        base = np.asarray(base_point, dtype=float).reshape(-1)
+        if base.shape != (ambient_dim,):
             raise DimensionMismatchError(
-                f"base point has length {base.shape[0]}, expected {self.ambient_dim}"
+                f"base point has length {base.shape[0]}, expected {ambient_dim}"
             )
-        if dirs.shape[0] and not _certified_independent(dirs):
-            svals = np.linalg.svd(dirs, compute_uv=False)
-            if svals[-1] <= RANK_RTOL * svals[0]:
-                raise ValueError("directions are not linearly independent")
-        object.__setattr__(self, "base_point", base)
-        object.__setattr__(self, "directions", dirs)
+        dirs = np.asarray(directions, dtype=float).reshape(-1, ambient_dim)
+        _require_independent(dirs)
+        _set(self, ambient_dim=ambient_dim, base_point=base, units=None, rest=None,
+             _directions=dirs)
+
+    @classmethod
+    def echelon(cls, base_point, units, rest) -> AffineSet:
+        """The set base_point + span of the echelon rows given by ``units``
+        and ``rest``; both factors are copied once."""
+        base = np.asarray(base_point, dtype=float).reshape(-1)
+        n = base.size
+        unit_cols = np.array(units, dtype=np.intp).reshape(-1)
+        block = np.array(rest, dtype=float)
+        if unit_cols.size and not 0 <= unit_cols.min() <= unit_cols.max() < n:
+            raise ValueError(f"unit columns must lie in [0, {n})")
+        others = np.ones(n, dtype=bool)
+        others[unit_cols] = False
+        others = np.flatnonzero(others)
+        if others.size + unit_cols.size != n or block.shape != (unit_cols.size, others.size):
+            raise ValueError(
+                f"units {unit_cols.shape} and rest {block.shape} are not m distinct "
+                f"columns and (m, {n} - m)"
+            )
+        if not _unit_block_certifies(block):
+            _require_independent(_echelon_dense(unit_cols, others, block, n))
+        unit_cols.setflags(write=False)
+        block.setflags(write=False)
+        self = object.__new__(cls)
+        _set(self, ambient_dim=n, base_point=base, units=unit_cols, rest=block,
+             _others=others)
+        return self
+
+    @property
+    def directions(self) -> np.ndarray:
+        """The (affine_dim, ambient_dim) direction matrix; for an echelon
+        family, a read-only dense view built on each access."""
+        if self.units is None:
+            return self._directions
+        return _echelon_dense(self.units, self._others, self.rest, self.ambient_dim)
 
     @property
     def affine_dim(self) -> int:
-        return self.directions.shape[0]
+        if self.units is None:
+            return self._directions.shape[0]
+        return self.units.size
 
     def sample(self, weights) -> np.ndarray:
         """The element base + sum_j weights[j] * directions[j]."""
@@ -98,7 +161,12 @@ class AffineSet:
             raise DimensionMismatchError(
                 f"{w.shape[0]} weights for {self.affine_dim} directions"
             )
-        return self.base_point + w @ self.directions
+        if self.units is None:
+            return self.base_point + w @ self._directions
+        x = self.base_point.copy()
+        x[self.units] += w
+        x[self._others] += w @ self.rest
+        return x
 
     def contains(self, point) -> bool:
         """Whether ``point`` lies in the set within max-norm 1e-9."""
@@ -123,14 +191,15 @@ class AffineSet:
         sample of the slice has x[index] exactly equal to ``value``.
         """
         offset = value - self.base_point[index]
-        if np.max(np.abs(self.directions[:, index]), initial=0.0) > 1e-12:
-            q = np.linalg.qr(self.directions.T)[0]
+        directions = self.directions
+        if np.max(np.abs(directions[:, index]), initial=0.0) > 1e-12:
+            q = np.linalg.qr(directions.T)[0]
             row = q[index]
             base = self.base_point + q @ (offset * row / np.dot(row, row))
             # directions keeping the coordinate fixed: null space of row
             dirs = np.linalg.svd(row.reshape(1, -1))[2][1:] @ q.T
         elif abs(offset) <= 1e-9:
-            base, dirs = self.base_point.copy(), self.directions.copy()
+            base, dirs = self.base_point.copy(), directions.copy()
         else:
             raise ValueError("slice misses the set")
         base[index] = value
@@ -206,12 +275,14 @@ def comask_general(points, d: int) -> ComaskDescription:
     when a0/2 + a.b = 1/2.  With V the direction space of the affine hull
     of the points b0, b1, ... (dimension k, from one reduced SVD of the
     differences b_i - b0), members satisfy a ⊥ V and a0 = 1 - 2 a.b0.  The
-    directions are built in reduced row echelon form in O(d^4): Gauss-Jordan
-    on V gives R with k pivot columns, R[:, piv] = I; each of the other
+    directions are held in reduced row echelon form as the factors of
+    ``AffineSet.echelon``, in O(k d^2) after the eigensolve: Gauss-Jordan on
+    V gives R with k pivot columns, R[:, piv] = I; each of the other
     d^2 - 1 - k coordinates of a gets one direction with a 1 there,
-    a[piv] = -R[:, free]^T and a0 = -2 a.b0.  For k = 0 that is
-    [-2 b0 | I].  The result is based at (1, 0), has affine dimension
-    d^2 - k - 1 and is never empty, and no d^2-sized matrix is decomposed.
+    a[piv] = -R[:, free]^T and a0 = -2 a.b0, and only the a0 and a[piv]
+    columns are stored.  For k = 0 that is [-2 b0 | I].  The result is
+    based at (1, 0), has affine dimension d^2 - k - 1 and is never empty; no
+    d^2-sized matrix is formed or decomposed.
 
     Every point is checked to be a state by one stacked ``eigvalsh`` (the
     verdict of ``positivity_conditions``, without its e_k); a refused point
@@ -245,12 +316,12 @@ def comask_general(points, d: int) -> ComaskDescription:
     free[piv] = False
     free = np.flatnonzero(free)
     coupling = r[:, free]  # a[piv] = -coupling.T for the free unit vectors
-    dirs = np.zeros((free.size, n + 1))
-    dirs[:, 0] = -2.0 * (b0[free] - coupling.T @ b0[piv])
-    dirs[np.arange(free.size), 1 + free] = 1.0
-    dirs[:, 1 + piv] = -coupling.T
+    # the columns other than the units 1 + free: a0, then a[piv] by column
+    rest = np.empty((free.size, 1 + piv.size))
+    rest[:, 0] = -2.0 * (b0[free] - coupling.T @ b0[piv])
+    rest[:, 1:] = -coupling.T[:, np.argsort(piv)]
     base = np.concatenate(([1.0], np.zeros(n)))
-    coeff_set = AffineSet(ambient_dim=n + 1, base_point=base, directions=dirs)
+    coeff_set = AffineSet.echelon(base, 1 + free, rest)
     return ComaskDescription(kind="general", dimension=d, coefficient_set=coeff_set)
 
 

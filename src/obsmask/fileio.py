@@ -168,14 +168,16 @@ def _real(x: float) -> str:
 
 
 def _entry(z: complex) -> str:
-    return f"{_real(z.real)},{_real(z.imag)}"
+    """``re,im`` of a Python complex, as from ``tolist()``: its parts are
+    Python floats, so they need no conversion."""
+    return f"{z.real!r},{z.imag!r}"
 
 
 def render_matrix(matrix) -> str:
     arr = np.asarray(matrix, dtype=complex)
     rows, cols = arr.shape
     lines = [f"matrix {rows} {cols}"]
-    lines.extend(" ".join(_entry(arr[i, j]) for j in range(cols)) for i in range(rows))
+    lines.extend(" ".join(map(_entry, row)) for row in arr.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -191,7 +193,7 @@ def render_bloch(b: BlochVector) -> str:
 
 def render_vector(v) -> str:
     arr = np.asarray(v, dtype=complex).reshape(-1)
-    entries = " ".join(_entry(z) for z in arr)
+    entries = " ".join(map(_entry, arr.tolist()))
     return f"vector {arr.size}\n{entries}\n"
 
 

@@ -52,6 +52,36 @@ class TestParsing:
         kind, b = fileio.parse_document("bloch 2 0.0 0.0 0.5\n")
         assert kind == "bloch" and np.allclose(b.b, [0, 0, 0.5])
 
+    def test_render_matches_per_entry_formatter(self):
+        """render_matrix and render_vector format from one tolist(); the
+        per-entry formatter they replaced, kept here as the reference, gives
+        the same text on signed zeros, subnormals, huge values, integers and
+        random entries."""
+        def entry(z):
+            return f"{repr(float(z.real))},{repr(float(z.imag))}"
+
+        def reference(arr):
+            rows, cols = arr.shape
+            lines = [f"matrix {rows} {cols}"]
+            lines.extend(" ".join(entry(arr[i, j]) for j in range(cols)) for i in range(rows))
+            return "\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(6)
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.1 + 0.2, 1 / 3])
+        tricky = np.empty((2, 5), dtype=complex)
+        tricky.real, tricky.imag = special.reshape(2, 5), special[::-1].reshape(2, 5)
+        cases = [
+            tricky,
+            np.arange(-6, 6).reshape(3, 4).astype(complex),
+            rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)),
+            (rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-300, 300, size=(4, 4))).astype(complex),
+        ]
+        for arr in cases:
+            assert fileio.render_matrix(arr) == reference(arr)
+            flat = arr.reshape(-1)
+            want = f"vector {flat.size}\n" + " ".join(map(entry, flat)) + "\n"
+            assert fileio.render_vector(flat) == want
+
     @pytest.mark.parametrize("kind", ["matrix", "coeffs", "bloch", "vector"])
     def test_render_parse_round_trip(self, kind):
         rng = np.random.default_rng(1)
@@ -453,6 +483,11 @@ D3_STATES = [
     "-0.019 -0.06 -0.087 0.112 0.089 0.032 -0.046 0.134",
     "0.019 -0.02 0.12 -0.054 0.059 -0.056 -0.072 0.06",
 ]
+D4_STATES = [
+    "0.031 -0.044 0.012 0.058 -0.027 0.019 -0.063 0.008 0.041 -0.015 0.036 -0.052 0.024 0.011 -0.029",
+    "-0.047 0.022 0.053 -0.018 0.034 -0.061 0.009 0.045 -0.026 0.038 -0.013 0.027 -0.056 0.042 0.016",
+    "0.014 0.057 -0.039 -0.033 0.049 0.006 0.028 -0.051 0.017 -0.044 0.062 -0.021 0.035 -0.008 0.046",
+]
 COMMON_STATE_INPUTS = {
     "generic": ["coeffs 2 0.2 0.5 -0.3 0.8"],
     "pair": ["coeffs 2 0 0 0 1", "coeffs 2 0 1 0 1"],
@@ -541,6 +576,15 @@ kind: general
 comask_affine_dim: 5
 base_point: 1 0 0 0 0 0 0 0 0
 """,
+    "comask-d4-k2": """\
+command: comask
+dim: 4
+n_states: 3
+input_affine_dim: 2
+kind: general
+comask_affine_dim: 13
+base_point: 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0
+""",
     "common-state-generic": """\
 command: common-state
 dim: 2
@@ -622,7 +666,7 @@ def pinned_report_argv(name, tmp_path):
     if name.startswith("comask-"):
         d, k = int(name[8]), int(name[-1])
         states = tmp_path / "states.txt"
-        states.write_text("\n".join((D2_STATES, D3_STATES)[d - 2][: k + 1]) + "\n")
+        states.write_text("\n".join((D2_STATES, D3_STATES, D4_STATES)[d - 2][: k + 1]) + "\n")
         return ["comask", "--states", str(states), "--dim", str(d)]
     if name.startswith("common-state-"):
         paths = []

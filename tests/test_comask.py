@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -120,26 +122,44 @@ def svd_independent(dirs):
     return svals[-1] > comask.RANK_RTOL * svals[0]
 
 
-def test_unit_column_certificate_is_sound():
-    """Random families with planted permuted identity columns, entries up to
-    1e12 and dependent rows: wherever the certificate accepts, the SVD test
-    accepts too, and every dependent family is refused."""
+def test_echelon_certificate_is_sound():
+    """Random echelon families with rest entries up to 1e12: wherever the
+    unit block certifies independence, the SVD test of the dense view
+    accepts too, and the factored form is refused exactly where that SVD
+    refuses.  Dependent rows, which only the dense constructor can take,
+    are refused every time."""
     rng = np.random.default_rng(16)
     certified = 0
-    for trial in range(600):
-        r = int(rng.integers(1, 6))
-        n = r + int(rng.integers(0, 6))
-        dirs = rng.normal(size=(r, n)) * 10.0 ** rng.uniform(-3, 12)
-        if trial % 2:  # plant a permuted identity
-            dirs[:, rng.permutation(n)[:r]] = np.eye(r)[rng.permutation(r)]
-        if r > 1 and trial % 3 == 0:  # make the last row dependent
-            dirs[-1] = rng.normal(size=r - 1) @ dirs[:-1]
-            with pytest.raises(ValueError):
-                comask.AffineSet(n, np.zeros(n), dirs)
-        if comask._certified_independent(dirs):
+    for _ in range(600):
+        m = int(rng.integers(1, 6))
+        n = m + int(rng.integers(0, 6))
+        units = rng.permutation(n)[:m]
+        rest = rng.normal(size=(m, n - m)) * 10.0 ** rng.uniform(-3, 12)
+        view = comask._echelon_dense(units, np.setdiff1d(np.arange(n), units), rest, n)
+        if comask._unit_block_certifies(rest):
             certified += 1
-            assert svd_independent(dirs)
+            assert svd_independent(view)
+        if svd_independent(view):
+            got = comask.AffineSet.echelon(np.zeros(n), units, rest)
+            assert got.directions.tobytes() == view.tobytes()
+        else:
+            with pytest.raises(ValueError):
+                comask.AffineSet.echelon(np.zeros(n), units, rest)
+        if m > 1:
+            dependent = view.copy()
+            dependent[-1] = rng.normal(size=m - 1) @ view[:-1]
+            with pytest.raises(ValueError):
+                comask.AffineSet(n, np.zeros(n), dependent)
     assert certified > 100
+
+
+def test_echelon_rejects_malformed_factors():
+    # repeated or out-of-range unit columns, and a rest block of the wrong width
+    for units in ([1, 1], [-1, 0], [0, 4]):
+        with pytest.raises(ValueError):
+            comask.AffineSet.echelon(np.zeros(4), units, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        comask.AffineSet.echelon(np.zeros(4), [0, 2], np.zeros((2, 3)))
 
 
 class TestPointCase:
@@ -323,22 +343,90 @@ def test_general_echelon_directions(d, k):
 
 
 def test_general_never_decomposes_the_direction_matrix(monkeypatch):
-    """At d = 16 the only SVD is of the k x 255 block of differences; the
-    (255 - k) x 256 direction matrix is certified without one."""
-    rows = []
-    svd = np.linalg.svd
+    """At d = 16 the only SVD is of the k x 255 block of differences, and
+    the (255 - k) x 256 direction matrix is never formed: it is certified
+    from its echelon factors."""
+    rows, views = [], []
+    svd, dense = np.linalg.svd, comask._echelon_dense
 
     def spy(a, *args, **kwargs):
         rows.append(np.shape(a)[0])
         return svd(a, *args, **kwargs)
 
+    def dense_spy(*args):
+        views.append(args[0].size)
+        return dense(*args)
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(comask, "_echelon_dense", dense_spy)
     rng = np.random.default_rng(17)
     for k in range(4):
         rows.clear()
         pts = [bloch.state_to_bloch(samplers.density(rng, 16)).b for _ in range(k + 1)]
-        assert comask.comask_general(pts, 16).affine_dim == 255 - k
+        desc = comask.comask_general(pts, 16)
+        assert desc.affine_dim == 255 - k
+        desc.element(rng.normal(size=255 - k))
         assert all(r <= k for r in rows), rows
+        assert views == []
+
+
+def reference_directions(points, d):
+    """The dense direction matrix comask_general once built, [a0 column | I
+    on the free columns | -coupling^T on the pivot columns], from the same
+    SVD and Gauss-Jordan steps."""
+    n = d * d - 1
+    pts = np.stack(points)
+    b0 = pts[0]
+    v = np.zeros((0, n))
+    if len(pts) > 1:
+        _, svals, vh = np.linalg.svd(pts[1:] - b0, full_matrices=False)
+        v = vh[: int(np.sum(svals > comask.RANK_RTOL * max(svals[0], 1e-30)))]
+    r, piv = comask._pivoted_echelon(v)
+    free = np.setdiff1d(np.arange(n), piv)
+    coupling = r[:, free]
+    dirs = np.zeros((free.size, n + 1))
+    dirs[:, 0] = -2.0 * (b0[free] - coupling.T @ b0[piv])
+    dirs[np.arange(free.size), 1 + free] = 1.0
+    dirs[:, 1 + piv] = -coupling.T
+    return dirs
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 12, 16])
+def test_general_view_matches_dense_construction(d):
+    """For k = 0..3, with and without a repeated point: the dense view has
+    the reference matrix's bytes and is read-only, and sample and element
+    agree with base + w @ view within 1e-14 max(1, |x|)."""
+    rng = np.random.default_rng(120 + d)
+    for k in range(4):
+        pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
+        for points in (pts, pts + [pts[int(rng.integers(k + 1))].copy()]):
+            desc = comask.comask_general(points, d)
+            got = desc.coefficient_set
+            want = reference_directions(points, d)
+            assert got.directions.tobytes() == want.tobytes()
+            assert not got.directions.flags.writeable
+            for w in rng.normal(size=(5, desc.affine_dim)) * 3:
+                x = got.base_point + w @ want
+                tol = 1e-14 * max(1.0, algebra.max_norm(x))
+                el = desc.element(w)
+                assert algebra.max_norm(got.sample(w) - x) <= tol
+                assert algebra.max_norm(np.r_[el.a0, el.a] - x) <= tol
+
+
+def test_general_allocation_peak_at_d16():
+    """comask_general at d = 16 peaks under 128 KB of traced allocation, a
+    quarter of the 255 x 256 float direction matrix (522 KB) it never forms."""
+    rng = np.random.default_rng(18)
+    for k in range(4):
+        pts = [bloch.state_to_bloch(samplers.density(rng, 16)).b for _ in range(k + 1)]
+        comask.comask_general(pts, 16)
+        tracemalloc.start()
+        try:
+            comask.comask_general(pts, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024, (k, peak)
 
 
 def test_general_checks_shapes_before_positivity():
@@ -407,6 +495,26 @@ def test_qubit_is_the_traceless_slice_bit_for_bit(count, kind):
             el = desc.coefficient_set.sample(w)
             assert el[0] == 0.0
             assert np.max(np.abs(np.stack(pts) @ el[1:] - 0.5)) < 1e-10
+
+
+# sha256 over the base point and direction bytes of comask_qubit on 200
+# seeded point sets per count, taken from the dense direction construction
+QUBIT_CORPUS = {
+    1: "2ae3159283dfbc22fd4e2858f267dcd639609337ec0758fc965af659605fb43f",
+    2: "538896ed337bba6a92db3c66c4161d18ef59ec8ee83bcad1d509ba03136b1602",
+    3: "735e8a1f54c793a0273d3cfafeef2492dcb093109926697646601cddf2998832",
+}
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_qubit_corpus_is_pinned_bit_for_bit(count):
+    rng = np.random.default_rng(40 + count)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        got = comask.comask_qubit(qubit_states(rng, count)).coefficient_set
+        digest.update(got.base_point.tobytes())
+        digest.update(got.directions.tobytes())
+    assert digest.hexdigest() == QUBIT_CORPUS[count]
 
 
 def test_qubit_refuses_hulls_through_the_mixed_state():
