@@ -284,9 +284,15 @@ def comask_general(points, d: int) -> ComaskDescription:
     based at (1, 0), has affine dimension d^2 - k - 1 and is never empty; no
     d^2-sized matrix is formed or decomposed.
 
-    Every point is checked to be a state by one stacked ``eigvalsh`` (the
-    verdict of ``positivity_conditions``, without its e_k); a refused point
-    carries the eigenvector of its least eigenvalue as the ``witness``.
+    Every point is certified a state by one stacked Cholesky factorization
+    of rho_i + POSITIVITY_ATOL I, which exists exactly when lambda_min(rho_i)
+    > -POSITIVITY_ATOL, up to rounding of order d eps ||rho_i||.  Only when
+    it fails does the eigensolver run: one stacked ``eigvalsh`` names the
+    first point with lambda_min < -POSITIVITY_ATOL (the verdict of
+    ``positivity_conditions``), and that point is refused with the
+    eigenvector of its least eigenvalue as the ``witness``.  A failed
+    factorization with no such point, possible only within rounding of the
+    bound, accepts.
     """
     n = d * d - 1
     arrs = []
@@ -301,11 +307,14 @@ def comask_general(points, d: int) -> ComaskDescription:
     if not np.isfinite(pts).all():
         raise InvalidStateError("Bloch vector has non-finite coordinates")
     rhos = bloch_to_state(BlochVector(d, pts))
-    failing = np.flatnonzero(np.linalg.eigvalsh(rhos)[:, 0] < -POSITIVITY_ATOL)
-    if failing.size:
-        i = failing[0]
-        witness = np.linalg.eigh(rhos[i])[1][:, 0]
-        raise InvalidStateError(f"point {i} is not a valid state", witness=witness)
+    try:
+        np.linalg.cholesky(rhos + POSITIVITY_ATOL * np.eye(d))
+    except np.linalg.LinAlgError:
+        failing = np.flatnonzero(np.linalg.eigvalsh(rhos)[:, 0] < -POSITIVITY_ATOL)
+        if failing.size:
+            i = failing[0]
+            witness = np.linalg.eigh(rhos[i])[1][:, 0]
+            raise InvalidStateError(f"point {i} is not a valid state", witness=witness) from None
     b0 = pts[0]
     v = np.zeros((0, n))
     if len(pts) > 1:

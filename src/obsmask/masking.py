@@ -195,14 +195,17 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     verdict = _oracle_verdict(vals)
     if not verdict.maskable:
         return verdict, None
-    lo, hi = vals[0], vals[-1]
+    # halved, so no difference of two eigenvalues overflows; halving is exact
+    # above the subnormal range, so p and both bands are those of vals
+    half = vals * 0.5
+    lo, hi = half[0], half[-1]
     d = len(vals)
-    if hi - lo <= DECISION_ATOL:
+    if hi - lo <= DECISION_ATOL / 2:
         weights = np.full(d, 1.0 / d)
     else:
-        p = min(max((1.0 - lo) / (hi - lo), 0.0), 1.0)
-        top = np.abs(vals - hi) <= DECISION_ATOL
-        bottom = np.abs(vals - lo) <= DECISION_ATOL
+        p = min(max((0.5 - lo) / (hi - lo), 0.0), 1.0)
+        top = np.abs(half - hi) <= DECISION_ATOL / 2
+        bottom = np.abs(half - lo) <= DECISION_ATOL / 2
         weights = top * (p / np.count_nonzero(top)) + bottom * (
             (1.0 - p) / np.count_nonzero(bottom)
         )

@@ -385,6 +385,90 @@ def test_boundary_states_accepted(d):
         comask.comask_general([b.b], d)
 
 
+def _linalg_spy(monkeypatch, names):
+    """Patch each np.linalg function in ``names`` to record the shape of
+    its argument; returns the dict of recorded shapes by name."""
+    calls = {name: [] for name in names}
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        return recording
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 8, 16])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_comask_general_certifies_with_one_cholesky(monkeypatch, d, k):
+    """An accepted list is certified by one stacked Cholesky factorization
+    and no eigensolver; a refused one adds one stacked eigvalsh, to find
+    the first failing point, and one eigh for its witness."""
+    rng = np.random.default_rng(1200 + 4 * d + k)
+    states = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
+    bad = bloch.state_to_bloch(_planted_nonstate(rng, d)).b
+    calls = _linalg_spy(monkeypatch, ("cholesky", "eigvalsh", "eigh"))
+    comask.comask_general(states, d)
+    assert calls == {"cholesky": [(k + 1, d, d)], "eigvalsh": [], "eigh": []}
+    i = int(rng.integers(k + 1))
+    points = states[:i] + [bad] + states[i + 1 :]
+    for shapes in calls.values():
+        shapes.clear()
+    with pytest.raises(InvalidStateError, match=f"^point {i} is not a valid state$"):
+        comask.comask_general(points, d)
+    assert calls == {"cholesky": [(k + 1, d, d)], "eigvalsh": [(k + 1, d, d)], "eigh": [(d, d)]}
+
+
+PLANTED_MINIMA = (0.0, -5e-10, -0.999e-9, -1.001e-9, -2e-9, -1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 12, 16])
+def test_comask_general_threshold_table(d):
+    """States with a planted least eigenvalue on both sides of
+    -POSITIVITY_ATOL, 1e-12 from it at the closest, in a Haar basis: alone
+    and at each position of a list of 4, comask_general accepts exactly
+    when eigvalsh of the einsum-built matrix reads lambda_min >=
+    -POSITIVITY_ATOL, and refuses the planted point with a witness."""
+    rng = np.random.default_rng(1300 + d)
+    g = bloch.generator_basis(d).matrices
+    for low in PLANTED_MINIMA:
+        rest = rng.dirichlet(np.ones(d - 1)) * (1.0 - low)
+        u = samplers.haar_unitary(rng, d)
+        planted = bloch.state_to_bloch((u * np.r_[low, rest]) @ u.conj().T).b
+        rho = np.eye(d) / d + np.einsum("k,kab->ab", planted, g)
+        accepted = bool(np.linalg.eigvalsh(rho)[0] >= -bloch.POSITIVITY_ATOL)
+        assert accepted == (low >= -bloch.POSITIVITY_ATOL)
+        others = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(3)]
+        lists = [[planted]] + [others[:i] + [planted] + others[i:] for i in range(4)]
+        for i, points in zip([0, 0, 1, 2, 3], lists):
+            if accepted:
+                comask.comask_general(points, d)
+                continue
+            with pytest.raises(InvalidStateError, match=f"^point {i} is not a valid state$") as exc:
+                comask.comask_general(points, d)
+            _assert_witness(exc.value.witness, rho, bloch.POSITIVITY_ATOL)
+
+
+def test_comask_general_refuses_huge_point_without_warning():
+    """Every coordinate 1e200 at d = 16: finite, far from a state.  The
+    shifted factorization fails and the point is refused with a witness,
+    with no RuntimeWarning on the way (the suite turns them into errors).
+    The witness is checked on the unit-scale traceless part E, as
+    <v|rho|v> = 1/16 + 1e200 <v|E|v>."""
+    with pytest.raises(InvalidStateError, match="^point 0 is not a valid state$") as exc:
+        comask.comask_general([np.full(255, 1e200)], 16)
+    v = exc.value.witness
+    traceless = np.einsum("kab->ab", bloch.generator_basis(16).matrices)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert 1.0 / 16 + 1e200 * np.vdot(v, traceless @ v).real < -bloch.POSITIVITY_ATOL
+
+
 def test_one_eigvalsh_and_no_eigh(monkeypatch):
     # the verdict and the values come from one spectrum
     counts = {"eigh": 0, "eigvalsh": 0}

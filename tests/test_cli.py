@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from obsmask import __version__, algebra, bloch, fileio, masking
+from obsmask import __version__, algebra, bloch, fileio, masking, samplers
 from obsmask.cli import main
 from obsmask.errors import ParseError
 from obsmask.invariants import REGISTRY
@@ -488,6 +488,19 @@ D4_STATES = [
     "-0.047 0.022 0.053 -0.018 0.034 -0.061 0.009 0.045 -0.026 0.038 -0.013 0.027 -0.056 0.042 0.016",
     "0.014 0.057 -0.039 -0.033 0.049 0.006 0.028 -0.051 0.017 -0.044 0.062 -0.021 0.035 -0.008 0.046",
 ]
+
+
+def _d16_states():
+    """Four seeded d = 16 Bloch vectors, written exactly: three full-rank
+    states and, last, a pure one (15 eigenvalues at 0)."""
+    rng = np.random.default_rng(16)
+    rhos = [samplers.density(rng, 16) for _ in range(3)]
+    psi = samplers.unit_vector(rng, 32).view(complex)
+    rhos.append(np.outer(psi, psi.conj()))
+    return [" ".join(map(repr, bloch.state_to_bloch(r).b.tolist())) for r in rhos]
+
+
+COMASK_STATES = {2: D2_STATES, 3: D3_STATES, 4: D4_STATES, 16: _d16_states()}
 COMMON_STATE_INPUTS = {
     "generic": ["coeffs 2 0.2 0.5 -0.3 0.8"],
     "pair": ["coeffs 2 0 0 0 1", "coeffs 2 0 1 0 1"],
@@ -585,6 +598,16 @@ kind: general
 comask_affine_dim: 13
 base_point: 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0
 """,
+    "comask-d16-k3": """\
+command: comask
+dim: 16
+n_states: 4
+input_affine_dim: 3
+kind: general
+comask_affine_dim: 252
+base_point: 1"""
+    + " 0" * 255
+    + "\n",
     "common-state-generic": """\
 command: common-state
 dim: 2
@@ -664,9 +687,9 @@ def pinned_report_argv(name, tmp_path):
     """The CLI arguments of the pinned report ``name``, with its input files
     written under ``tmp_path``."""
     if name.startswith("comask-"):
-        d, k = int(name[8]), int(name[-1])
+        d, k = map(int, name[len("comask-d"):].split("-k"))
         states = tmp_path / "states.txt"
-        states.write_text("\n".join((D2_STATES, D3_STATES, D4_STATES)[d - 2][: k + 1]) + "\n")
+        states.write_text("\n".join(COMASK_STATES[d][: k + 1]) + "\n")
         return ["comask", "--states", str(states), "--dim", str(d)]
     if name.startswith("common-state-"):
         paths = []

@@ -192,6 +192,16 @@ class TestConstantMasker:
             with pytest.raises(NotHermitianError):
                 masking.build_constant_masker(obs + 1e-3 * algebra.max_norm(obs) * skew)
 
+    def test_masker_near_the_float_limit(self):
+        # lambda_max - lambda_min = 2e308 overflows, but half of it does not:
+        # p = 1/2, so each extreme eigenvector carries weight 1/2, with no
+        # RuntimeWarning on the way (the suite turns them into errors)
+        verdict, chan = masking.oracle_masker(np.diag([1e308, -1e308]))
+        assert verdict.maskable
+        weights = np.sum(np.abs(chan.amplitudes) ** 2, axis=1)
+        assert np.max(np.abs(weights - 0.5)) <= 1e-15
+        assert sorted(np.abs(chan.amplitudes).argmax(axis=1).tolist()) == [0, 1]
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_maskable_verify(self, d):
         rng = np.random.default_rng(60 + d)
