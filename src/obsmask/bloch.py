@@ -3,14 +3,13 @@ and positivity constraints evaluated from one eigensolve."""
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import require_hermitian
-from .errors import InvalidStateError, NotUnitTraceError
+from .errors import DimensionMismatchError, InvalidStateError, NotUnitTraceError
 
 # A minimum eigenvalue this far below zero still counts as positive (absorbs
 # roundoff at the pure-state boundary).
@@ -18,7 +17,9 @@ POSITIVITY_ATOL = 1e-9
 
 _basis_cache: dict[int, "GeneratorBasis"] = {}
 _tensor_cache: dict[int, "SymmetricTensor"] = {}
-_cache_lock = threading.RLock()  # re-entrant: building a tensor memoizes its basis
+_layout_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# re-entrant: building a tensor or a layout memoizes its basis
+_cache_lock = threading.RLock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,13 +197,64 @@ def _coordinates(arr: np.ndarray, gens: np.ndarray) -> np.ndarray:
     return gens @ flat / 2.0
 
 
-def _expansion(coords, gens: np.ndarray) -> np.ndarray:
-    """sum_i coords_i g_i over the generators whose real view is ``gens``,
-    as one real matrix product read back as complex; a stack of coordinate
-    rows gives a stack of matrices."""
-    flat = np.asarray(coords, dtype=float) @ gens
-    d = math.isqrt(gens.shape[1] // 2)
-    return flat.view(complex).reshape(*flat.shape[:-1], d, d)
+def _build_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    # The expansion row is [c_sym + 0, c_anti + 0, 0 - c_anti, diagonal, 0]
+    # (m, m, m, d and 1 slots).  Symmetric pair p puts c_p at (j, k) and
+    # (k, j); antisymmetric pair p puts -i c at (j, k) and +i c at (k, j).
+    g = generator_basis(d).matrices
+    m = d * (d - 1) // 2
+    j, k = np.triu_indices(d, 1)
+    p = np.arange(m)
+    r = np.arange(d)
+    index = np.empty((d, d, 2), dtype=np.intp)
+    index[j, k, 0] = index[k, j, 0] = p
+    index[k, j, 1] = m + p
+    index[j, k, 1] = 2 * m + p
+    index[r, r, 0] = 3 * m + r
+    index[r, r, 1] = 3 * m + d
+    diag = g[2 * m :, r, r].real.copy()
+    index.setflags(write=False)
+    diag.setflags(write=False)
+    return index, diag
+
+
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, diag) of the expansion at dimension d, memoized: ``index``
+    (d, d, 2) gives the slot in the expansion row of the real and the
+    imaginary part of each entry, and ``diag`` (d - 1, d) holds the real
+    diagonals of the diagonal generators."""
+    return _memoized(_layout_cache, d, _build_layout)
+
+
+def _expansion(coords, d: int, shift: float) -> np.ndarray:
+    """shift I + sum_i coords_i g_i at dimension d; a stack of coordinate
+    rows gives a stack of matrices.
+
+    Each off-diagonal entry is a single coordinate (negated for the upper
+    antisymmetric ones), gathered into place; adding to or subtracting from
+    0.0 turns -0.0 into 0.0, so every zero off the diagonal is +0.0 whatever
+    the sign of its coordinate.  The diagonal is one (d - 1) x d product
+    plus the shift.  Rows not d^2 - 1 long raise ``DimensionMismatchError``.
+    """
+    c = np.asarray(coords, dtype=float)
+    n = d * d - 1
+    if c.shape[-1:] != (n,):
+        length = c.shape[-1] if c.ndim else 1
+        raise DimensionMismatchError(
+            f"coordinate row has length {length}, expected {n} at d = {d}"
+        )
+    index, diag = _layout(d)
+    m = d * (d - 1) // 2
+    row = np.concatenate(
+        (
+            c[..., : 2 * m] + 0.0,
+            0.0 - c[..., m : 2 * m],
+            c[..., 2 * m :] @ diag + shift,
+            np.zeros(c.shape[:-1] + (1,)),
+        ),
+        axis=-1,
+    )
+    return row.take(index, axis=-1).view(complex)[..., 0]
 
 
 def state_to_bloch(rho) -> BlochVector:
@@ -218,9 +270,10 @@ def state_to_bloch(rho) -> BlochVector:
 def bloch_to_state(b: BlochVector) -> np.ndarray:
     """Matrix I/d + sum_i b_i g_i; Hermitian unit-trace, positivity not
     implied.  A stack of coordinate rows, shape (m, d^2 - 1), gives the
-    stack of m matrices."""
-    d = b.dimension
-    return np.eye(d) / d + _expansion(b.b, _real_generators(d))
+    stack of m matrices.  Built from the generators' structure: each
+    off-diagonal entry is one coordinate, the diagonal one small product;
+    a row not d^2 - 1 long raises ``DimensionMismatchError``."""
+    return _expansion(b.b, b.dimension, 1.0 / b.dimension)
 
 
 def observable_coeffs(obs) -> ObservableCoeffs:
@@ -232,9 +285,9 @@ def observable_coeffs(obs) -> ObservableCoeffs:
 
 
 def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:
-    """Matrix a0 I + sum_i a_i g_i."""
-    d = c.dimension
-    return c.a0 * np.eye(d) + _expansion(np.asarray(c.a, float), _real_generators(d))
+    """Matrix a0 I + sum_i a_i g_i, built as ``bloch_to_state`` builds a
+    state; an ``a`` not d^2 - 1 long raises ``DimensionMismatchError``."""
+    return _expansion(c.a, c.dimension, c.a0)
 
 
 def positivity_conditions(b: BlochVector):
@@ -246,7 +299,8 @@ def positivity_conditions(b: BlochVector):
     prod_i (1 + lambda_i t), expanded in place on Python floats (those of
     ``np.poly`` up to sign, without its per-root overhead).  The first value
     relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.  Non-finite
-    coordinates are refused, since every comparison with them is False.
+    coordinates are refused, since every comparison with them is False, and
+    so is a row not d^2 - 1 long (``DimensionMismatchError``).
     """
     if not np.isfinite(b.b).all():
         raise InvalidStateError("Bloch vector has non-finite coordinates")

@@ -368,8 +368,10 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     is inconsistent and ``InfeasibleError`` (carrying the final gap between
     the sets) when the iteration stalls or the cap is reached.
 
-    The input is validated once, here: each round maps b to rho and back
-    through the unvalidated codecs, one ``eigh`` and one residual vector.
+    The input is validated once, here: each round builds rho = I/d + b.g
+    from the generators' structure, as ``bloch_to_state`` does, and maps it
+    back through the unvalidated coordinate product, with one ``eigh`` and
+    one residual vector.
     """
     obs_list = list(observables)
     if not obs_list:
@@ -385,21 +387,20 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
         raise NotHermitianError("observable coefficients are not finite")
     pinv = np.linalg.pinv(rows, rcond=RANK_RTOL)
     b = pinv @ rhs
-    if np.max(np.abs(rows @ b - rhs)) > 1e-9:
+    if np.abs(rows @ b - rhs).max() > 1e-9:
         raise NoAffineSolutionError("masking equations are mutually inconsistent")
 
-    mixed = np.eye(d) / d
     gens = _real_generators(d)
     gap = np.inf
     prev_gap = None
     for _ in range(SEARCH_MAX_ITER):
-        vals, vecs = np.linalg.eigh(mixed + _expansion(b, gens))
-        clipped = np.clip(vals, 0.0, None)
+        vals, vecs = np.linalg.eigh(_expansion(b, d, 1.0 / d))
+        clipped = np.maximum(vals, 0.0)
         # the iterate has unit trace, so its positive eigenvalues sum to >= 1
-        rho_psd = (vecs * (clipped / float(np.sum(clipped)))) @ dagger(vecs)
+        rho_psd = (vecs * (clipped / float(clipped.sum()))) @ dagger(vecs)
         b_psd = _coordinates(rho_psd, gens)
         residual = rows @ b_psd - rhs
-        if np.max(np.abs(residual)) < CONSTRAINT_ATOL:
+        if np.abs(residual).max() < CONSTRAINT_ATOL:
             return rho_psd
         b_next = b_psd - pinv @ residual
         gap = float(np.linalg.norm(b_next - b_psd))

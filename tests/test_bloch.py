@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from obsmask import algebra, bloch, channels, comask, invariants, samplers
-from obsmask.errors import InvalidStateError, NotHermitianError, NotUnitTraceError
+from obsmask.errors import (
+    DimensionMismatchError,
+    InvalidStateError,
+    NotHermitianError,
+    NotUnitTraceError,
+)
 from obsmask.invariants import REGISTRY
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,6 +46,31 @@ class TestGeneratorBasis:
 
     def test_memoized(self):
         assert bloch.generator_basis(3) is bloch.generator_basis(3)
+
+
+def _concurrent_cold_requests(request, workers=8):
+    """Run ``request`` on ``workers`` threads released together by a
+    barrier, with a shortened switch interval; returns their results."""
+    barrier = threading.Barrier(workers)
+    results = []
+
+    def run():
+        barrier.wait(timeout=10)
+        results.append(request())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == workers
+    return results
 
 
 class TestSymmetricTensor:
@@ -81,26 +111,7 @@ class TestSymmetricTensor:
         d = 9
         with bloch._cache_lock:
             bloch._tensor_cache.pop(d, None)
-        workers = 8
-        barrier = threading.Barrier(workers)
-        results = []
-
-        def request():
-            barrier.wait(timeout=10)
-            results.append(bloch.symmetric_tensor(d))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=request) for _ in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == workers
+        results = _concurrent_cold_requests(lambda: bloch.symmetric_tensor(d))
         assert all(r is bloch.symmetric_tensor(d) for r in results)
 
     def test_cold_d16_build_memory(self):
@@ -194,8 +205,8 @@ EPS = np.finfo(float).eps
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_codecs_match_einsum_reference(d):
-    """The matrix-product codecs against a dense einsum over the generator
-    stack: exactly equal at d = 2 (two nonzero terms per coordinate and per
+    """The codecs against a dense einsum over the generator stack: exactly
+    equal at d = 2 (two nonzero terms per coordinate and per
     entry), and within d eps max|input| above."""
     rng = np.random.default_rng(400 + d)
     g = bloch.generator_basis(d).matrices
@@ -207,7 +218,102 @@ def test_codecs_match_einsum_reference(d):
         assert np.max(np.abs(bloch._coordinates(m, gens) - ref)) <= bound * np.max(np.abs(m))
         c = rng.normal(size=d * d - 1) * rng.uniform(0.01, 100)
         ref = np.einsum("k,kab->ab", c, g)
-        assert np.max(np.abs(bloch._expansion(c, gens) - ref)) <= bound * np.max(np.abs(c))
+        assert np.max(np.abs(bloch._expansion(c, d, 0.0) - ref)) <= bound * np.max(np.abs(c))
+
+
+def dense_expansion_reference(c, d, shift):
+    """shift I + c @ G, with G the (d^2 - 1, 2 d^2) float64 view of the
+    generator stack: the expansion as one dense product, kept as the
+    reference for the structured build."""
+    g = bloch.generator_basis(d).matrices
+    flat = np.asarray(c, dtype=float) @ g.reshape(len(g), d * d).view(float)
+    return shift * np.eye(d) + flat.view(complex).reshape(*flat.shape[:-1], d, d)
+
+
+class TestExpansion:
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_dense_product(self, d):
+        """Off-diagonal entries and the diagonal's imaginary parts equal the
+        dense product byte for byte, planted +-0.0 coordinates included (the
+        product rounds them to +0.0).  The real diagonal sums the d - 1
+        diagonal coordinates and the shift in another order, so each entry
+        is within d eps (|shift| + sum_l |c_l D_la|), the rounding bound of
+        two orders of that sum."""
+        rng = np.random.default_rng(1400 + d)
+        n = d * d - 1
+        weights = np.abs(bloch.generator_basis(d).matrices[d * (d - 1) :].diagonal(0, 1, 2).real)
+        off = ~np.eye(d, dtype=bool)
+        for shift in (1.0 / d, -2.5):
+            for shape in ((n,), (5, n)):
+                for trial in range(12):
+                    c = rng.normal(size=shape) * rng.uniform(0.01, 100)
+                    draw = rng.random(shape)
+                    c[draw < 0.2] = 0.0
+                    c[draw > 0.8] = -0.0
+                    if trial == 0:
+                        c[...] = -0.0
+                    got = bloch._expansion(c, d, shift)
+                    want = dense_expansion_reference(c, d, shift)
+                    assert got.shape == want.shape == shape[:-1] + (d, d)
+                    assert got[..., off].tobytes() == want[..., off].tobytes()
+                    diag_got = got.diagonal(0, -2, -1)
+                    diag_want = want.diagonal(0, -2, -1)
+                    assert diag_got.imag.tobytes() == diag_want.imag.tobytes()
+                    scale = abs(shift) + np.abs(c[..., d * (d - 1) :]) @ weights
+                    assert np.all(np.abs(diag_got.real - diag_want.real) <= d * EPS * scale)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_wrong_length_rows_refused(self, d):
+        """A coordinate row one short or one long is refused, naming both
+        lengths, before any entry is gathered from it."""
+        n = d * d - 1
+        for length in (n - 1, n + 1):
+            message = f"length {length}, expected {n}"
+            for coords in (np.full(length, 0.01), np.full((3, length), 0.01)):
+                with pytest.raises(DimensionMismatchError, match=message):
+                    bloch.bloch_to_state(bloch.BlochVector(d, coords))
+                with pytest.raises(DimensionMismatchError, match=message):
+                    bloch.coeffs_to_observable(bloch.ObservableCoeffs(d, -0.5, coords))
+            with pytest.raises(DimensionMismatchError, match=message):
+                bloch.positivity_conditions(bloch.BlochVector(d, np.full(length, 0.01)))
+
+    def test_d16_ops_never_read_the_dense_generator_view(self, monkeypatch):
+        """With the layout memoized, the expansion needs neither the dense
+        generator view nor its builder: bloch_to_state, positivity_conditions
+        and comask_general (k = 0..3) at d = 16 run with it refused."""
+        d = 16
+        rng = np.random.default_rng(1500)
+        states = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(4)]
+        bloch._layout(d)
+
+        def refused(_d):
+            raise AssertionError("the dense generator view was requested")
+
+        monkeypatch.setattr(bloch, "_real_generators", refused)
+        for b in states:
+            assert bloch.bloch_to_state(bloch.BlochVector(d, b)).shape == (d, d)
+            assert bloch.positivity_conditions(bloch.BlochVector(d, b))[1]
+        for k in range(4):
+            assert comask.comask_general(states[: k + 1], d).coefficient_set.affine_dim == d * d - k - 1
+
+    def test_concurrent_cold_requests_build_the_layout_once(self, monkeypatch):
+        """Concurrent first requests build the layout once, and the build's
+        own request for a cold basis re-enters the lock."""
+        d = 11
+        with bloch._cache_lock:
+            bloch._layout_cache.pop(d, None)
+            bloch._basis_cache.pop(d, None)
+        builds = []
+        real = bloch._build_layout
+
+        def counting(d):
+            builds.append(d)
+            return real(d)
+
+        monkeypatch.setattr(bloch, "_build_layout", counting)
+        results = _concurrent_cold_requests(lambda: bloch._layout(d))
+        assert builds == [d]
+        assert all(r is bloch._layout(d) for r in results)
 
 
 class TestPositivity:
