@@ -110,7 +110,14 @@ def _build_generators(d: int) -> np.ndarray:
 
 
 def _memoized(cache: dict, d: int, build):
-    """cache[d], built by build(d) under the lock on the first request."""
+    """cache[d], built by build(d) under the lock on the first request.
+
+    A hit reads the dict without the lock; a miss re-checks under it, so
+    concurrent first requests share one build.
+    """
+    value = cache.get(d)
+    if value is not None:
+        return value
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     with _cache_lock:

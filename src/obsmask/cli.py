@@ -4,6 +4,9 @@ verification as a subcommand.
 Exit codes: 0 when the computation ran (mathematical verdicts live in the
 report), 1 when ``selftest`` finds a failed invariant, 2 on input or parse
 errors, 3 on numerical failure.
+
+Each handler imports the modules it runs, so a call loads only what its
+subcommand needs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bitcommit, bloch, comask, fileio, invariants, masking
 from .errors import (
     InfeasibleError,
     NoAffineSolutionError,
@@ -31,6 +33,8 @@ def _load(path: str) -> str:
 
 def _observable_views(text: str, dim: int | None):
     """Matrix and coefficient views of an observable file."""
+    from . import bloch, fileio
+
     value = fileio.parse_matrix(text)
     if isinstance(value, bloch.ObservableCoeffs):
         coeffs = value
@@ -46,6 +50,8 @@ def _observable_views(text: str, dim: int | None):
 
 
 def _cmd_maskable(args) -> RunReport:
+    from . import masking
+
     matrix, coeffs = _observable_views(_load(args.observable), args.dim)
     d = coeffs.dimension
     report = RunReport()
@@ -84,6 +90,8 @@ def _cmd_maskable(args) -> RunReport:
 
 
 def _cmd_mask(args) -> RunReport:
+    from . import fileio, masking
+
     matrix, coeffs = _observable_views(_load(args.observable), args.dim)
     report = RunReport()
     report.add("command", "mask")
@@ -102,11 +110,15 @@ def _cmd_mask(args) -> RunReport:
 
 
 def _cmd_nohide(args) -> RunReport:
+    from . import masking
+
     theta, phi = args.theta, args.phi
     n = np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
     def load_unitary(path):
+        from . import fileio
+
         kind, value = fileio.parse_document(_load(path))
         if kind != "matrix":
             raise ParseError(f"expected a matrix document, got {kind!r}", 1, 1)
@@ -125,6 +137,8 @@ def _cmd_nohide(args) -> RunReport:
 
 
 def _cmd_comask(args) -> RunReport:
+    from . import comask, fileio
+
     points = fileio.parse_bloch_lines(_load(args.states), args.dim)
     desc = comask.comask_general(points, args.dim)
     d = args.dim
@@ -141,6 +155,8 @@ def _cmd_comask(args) -> RunReport:
 
 
 def _cmd_common_state(args) -> RunReport:
+    from . import bloch, comask
+
     coeff_list = []
     for path in args.observables:
         _, coeffs = _observable_views(_load(path), None)
@@ -171,6 +187,8 @@ def _cmd_common_state(args) -> RunReport:
 
 
 def _cmd_counterexample(args) -> RunReport:
+    from . import comask, fileio
+
     kind_b, b = fileio.parse_document(_load(args.b))
     kind_bp, bp = fileio.parse_document(_load(args.bprime))
     if kind_b != "bloch" or kind_bp != "bloch":
@@ -194,12 +212,16 @@ def _cmd_counterexample(args) -> RunReport:
 
 
 def _cmd_bitcommit_demo(args) -> RunReport:
+    from . import bitcommit
+
     report = bitcommit.no_bit_commitment_demo(args.dim, args.seed)
     report.entries.insert(0, ("command", "bitcommit-demo"))
     return report
 
 
 def _cmd_selftest(_args) -> RunReport:
+    from . import invariants
+
     report = RunReport()
     report.add("command", "selftest")
     rng = np.random.default_rng(2024)

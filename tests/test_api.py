@@ -5,6 +5,7 @@ import pkgutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import obsmask
 from obsmask import errors
@@ -61,6 +62,37 @@ def test_every_error_class_is_raised():
 
 def test_all_names_resolve():
     assert [name for name in obsmask.__all__ if not hasattr(obsmask, name)] == []
+
+
+def test_lazy_names_are_listed_and_bound_to_their_definitions():
+    # the package resolves its names on first use; dir() lists them before
+    # they are loaded, and `import *` binds each to the object its module defines
+    assert set(obsmask.__all__) <= set(dir(obsmask))
+    namespace = {}
+    exec("from obsmask import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(obsmask.__all__)
+    for name in obsmask.__all__:
+        if name == "__version__":
+            continue
+        value = namespace[name]
+        assert value.__module__.startswith("obsmask."), name
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # the hook is called directly: once a submodule is imported, the import
+    # system binds it on the package and plain attribute access bypasses it
+    names = [info.name for info in pkgutil.iter_modules(obsmask.__path__)]
+    assert {"bloch", "cli"} <= set(names)
+    for name in names:
+        assert obsmask.__getattr__(name) is importlib.import_module(f"obsmask.{name}")
+        assert getattr(obsmask, name) is importlib.import_module(f"obsmask.{name}")
+        assert name in dir(obsmask)
+
+
+def test_unknown_name_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="'obsmask'.*'no_such_name'"):
+        obsmask.no_such_name
 
 
 def _validators():

@@ -73,6 +73,28 @@ def _concurrent_cold_requests(request, workers=8):
     return results
 
 
+def test_warm_requests_take_no_lock(monkeypatch):
+    """A cache hit reads the memo without the lock; only a build takes it."""
+    requests = (bloch._layout, bloch.generator_basis, bloch.symmetric_tensor)
+    for request in requests:
+        request(4)
+    real = bloch._cache_lock
+    acquired = []
+
+    class Spy:
+        def __enter__(self):
+            acquired.append(1)
+            return real.__enter__()
+
+        def __exit__(self, *exc):
+            return real.__exit__(*exc)
+
+    monkeypatch.setattr(bloch, "_cache_lock", Spy())
+    for request in requests:
+        request(4)
+    assert acquired == []
+
+
 class TestSymmetricTensor:
     def test_d2_vanishes(self):
         assert algebra.max_norm(bloch.symmetric_tensor(2).values) < 1e-14

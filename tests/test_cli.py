@@ -1,4 +1,9 @@
 import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -707,3 +712,32 @@ def test_pinned_report(name, tmp_path, capsys):
     code, out = run_cli(capsys, *pinned_report_argv(name, tmp_path))
     assert code == 0
     assert out == f"version: {__version__}\n" + PINNED_REPORTS[name]
+
+
+def _loaded_submodules(cwd, *args):
+    """The obsmask submodules that a fresh ``python -v`` interpreter imports
+    for ``args``, with PYTHONPATH set to the checkout's src."""
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-v", *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(re.findall(r"^import 'obsmask\.(\w+)'", proc.stderr, re.MULTILINE))
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    assert _loaded_submodules(tmp_path, "-c", "import obsmask") == set()
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["maskable", "--observable", "sz.obs"],
+     {"algebra", "bloch", "channels", "errors", "fileio", "masking", "report"}),
+    (["comask", "--states", "states.txt", "--dim", "2"],
+     {"algebra", "bloch", "channels", "comask", "errors", "fileio", "report"}),
+    (["bitcommit-demo", "--dim", "2", "--seed", "0"],
+     {"algebra", "bitcommit", "channels", "errors", "report", "samplers"}),
+])
+def test_subcommand_loads_only_its_modules(argv, modules, tmp_path):
+    (tmp_path / "sz.obs").write_text(SZ_MATRIX)
+    (tmp_path / "states.txt").write_text("0 0 0.5\n")
+    assert _loaded_submodules(tmp_path, "-m", "obsmask.cli", *argv) == modules
