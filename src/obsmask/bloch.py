@@ -18,7 +18,7 @@ POSITIVITY_ATOL = 1e-9
 _basis_cache: dict[int, "GeneratorBasis"] = {}
 _tensor_cache: dict[int, "SymmetricTensor"] = {}
 _layout_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# re-entrant: building a tensor or a layout memoizes its basis
+# re-entrant: a basis build memoizes its layout, a tensor build its basis
 _cache_lock = threading.RLock()
 
 
@@ -28,7 +28,9 @@ class GeneratorBasis:
 
     Ordering: symmetric off-diagonal pairs (real), then antisymmetric pairs
     (imaginary), then diagonal generators, each block in index-lexicographic
-    order.  For d = 2 this is exactly (sigma_1, sigma_2, sigma_3).
+    order.  For d = 2 this is exactly (sigma_1, sigma_2, sigma_3).  The
+    expansion's layout defines that ordering and normalisation; the
+    matrices are its expansion of the identity's rows.
     """
 
     dimension: int
@@ -71,9 +73,6 @@ class BlochVector:
     dimension: int
     b: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.b))
-
 
 @dataclass(frozen=True, eq=False)
 class ObservableCoeffs:
@@ -85,28 +84,6 @@ class ObservableCoeffs:
 
     def a_norm(self) -> float:
         return float(np.linalg.norm(self.a))
-
-
-def _build_generators(d: int) -> np.ndarray:
-    gens = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            gens.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            gens.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        gens.append(m * np.sqrt(2.0 / (l * (l + 1))))
-    return np.stack(gens)
 
 
 def _memoized(cache: dict, d: int, build):
@@ -128,7 +105,7 @@ def _memoized(cache: dict, d: int, build):
 
 
 def _build_basis(d: int) -> GeneratorBasis:
-    mats = _build_generators(d)
+    mats = _expansion(np.eye(d * d - 1), d, 0.0)
     mats.setflags(write=False)
     return GeneratorBasis(dimension=d, matrices=mats)
 
@@ -208,7 +185,8 @@ def _build_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     # The expansion row is [c_sym + 0, c_anti + 0, 0 - c_anti, diagonal, 0]
     # (m, m, m, d and 1 slots).  Symmetric pair p puts c_p at (j, k) and
     # (k, j); antisymmetric pair p puts -i c at (j, k) and +i c at (k, j).
-    g = generator_basis(d).matrices
+    # Diagonal generator l = 1 .. d - 1 has the diagonal s_l (1, .., 1, -l,
+    # 0, .., 0), with l ones and s_l = sqrt(2 / (l (l + 1))).
     m = d * (d - 1) // 2
     j, k = np.triu_indices(d, 1)
     p = np.arange(m)
@@ -219,7 +197,8 @@ def _build_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     index[j, k, 1] = 2 * m + p
     index[r, r, 0] = 3 * m + r
     index[r, r, 1] = 3 * m + d
-    diag = g[2 * m :, r, r].real.copy()
+    l = np.arange(1, d)[:, None]
+    diag = np.sqrt(2.0 / (l * (l + 1))) * ((r < l) - l * (r == l))
     index.setflags(write=False)
     diag.setflags(write=False)
     return index, diag
@@ -233,6 +212,19 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _memoized(_layout_cache, d, _build_layout)
 
 
+def _coordinate_rows(coords, d: int) -> np.ndarray:
+    """coords as a float array whose rows are d^2 - 1 long; any other
+    length raises ``DimensionMismatchError``."""
+    c = np.asarray(coords, dtype=float)
+    n = d * d - 1
+    if c.shape[-1:] != (n,):
+        length = c.shape[-1] if c.ndim else 1
+        raise DimensionMismatchError(
+            f"coordinate row has length {length}, expected {n} at d = {d}"
+        )
+    return c
+
+
 def _expansion(coords, d: int, shift: float) -> np.ndarray:
     """shift I + sum_i coords_i g_i at dimension d; a stack of coordinate
     rows gives a stack of matrices.
@@ -243,13 +235,7 @@ def _expansion(coords, d: int, shift: float) -> np.ndarray:
     the sign of its coordinate.  The diagonal is one (d - 1) x d product
     plus the shift.  Rows not d^2 - 1 long raise ``DimensionMismatchError``.
     """
-    c = np.asarray(coords, dtype=float)
-    n = d * d - 1
-    if c.shape[-1:] != (n,):
-        length = c.shape[-1] if c.ndim else 1
-        raise DimensionMismatchError(
-            f"coordinate row has length {length}, expected {n} at d = {d}"
-        )
+    c = _coordinate_rows(coords, d)
     index, diag = _layout(d)
     m = d * (d - 1) // 2
     row = np.concatenate(
@@ -325,10 +311,11 @@ def cubic_condition_value(b: BlochVector) -> float:
     Equals (d-1)(d-2)/d^2 - 6 (d-2)/d |b|^2 + 4 sum_ijk g_ijk b_i b_j b_k,
     which coincides with 6 e_3 of the reconstructed matrix.  Exposed as a
     read-only cross-check of the g_ijk normalization (vacuously zero at d=2).
+    A ``b`` not d^2 - 1 long raises ``DimensionMismatchError``.
     """
     d = b.dimension
+    v = _coordinate_rows(b.b, d)
     t = symmetric_tensor(d)
-    v = np.asarray(b.b, dtype=float)
     i, j, k = t.index.T
     bb = float(np.dot(v, v))
     cubic = float(t.data @ (v[i] * v[j] * v[k]))

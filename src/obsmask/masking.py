@@ -17,7 +17,7 @@ from .algebra import (
     plane_frame,
     tensor,
 )
-from .bloch import ObservableCoeffs, generator_basis
+from .bloch import ObservableCoeffs, _coordinate_rows, generator_basis
 from .channels import (
     KrausChannel,
     UnitaryDilation,
@@ -96,12 +96,14 @@ def _require_unit_vector(n) -> np.ndarray:
 def _ball_bound_holds(c: ObservableCoeffs, a_norm: float) -> bool:
     """|1 - a0| sqrt(d / (2(d-1))) <= |a| + DECISION_ATOL, the ball bound
     behind both the necessary condition and, at d = 2, the plane criterion.
-    Refuses non-finite coefficients, on which every comparison is False."""
+    Refuses an ``a`` not d^2 - 1 long (``DimensionMismatchError``) and
+    non-finite coefficients, on which every comparison is False."""
+    d = c.dimension
+    _coordinate_rows(c.a, d)
     if not (math.isfinite(c.a0) and math.isfinite(a_norm)):
         raise NotHermitianError(
             f"observable coefficients are not finite: a0 = {c.a0!r}, |a| = {a_norm!r}"
         )
-    d = c.dimension
     return bool(abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1))) <= a_norm + DECISION_ATOL)
 
 

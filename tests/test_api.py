@@ -10,7 +10,7 @@ import pytest
 import obsmask
 from obsmask import errors
 from obsmask.bloch import BlochVector, ObservableCoeffs
-from obsmask.errors import ValidationError
+from obsmask.errors import DimensionMismatchError, ValidationError
 
 
 def _public_callables():
@@ -131,16 +131,38 @@ def test_validators_refuse_nan():
     assert accepted == []
 
 
+_RENDERERS = {"obsmask.fileio.render_bloch", "obsmask.fileio.render_coeffs"}
+
 # public callables that take coefficient objects and map them to a matrix,
 # a value or a text, so a NaN passes through to their output; every other
 # such callable decides something and must refuse non-finite coordinates
-_COEFFICIENT_CODECS = {
+_COEFFICIENT_CODECS = _RENDERERS | {
     "obsmask.bloch.bloch_to_state",
     "obsmask.bloch.coeffs_to_observable",
     "obsmask.bloch.cubic_condition_value",
-    "obsmask.fileio.render_bloch",
-    "obsmask.fileio.render_coeffs",
 }
+
+
+def _coefficient_callables():
+    """{qualified name: (callable, element kind, whether it takes a
+    sequence)} for every public callable whose first parameter is an
+    ``ObservableCoeffs`` or a ``BlochVector``, or a sequence of them."""
+    found = {}
+    for qualname, func in _public_callables():
+        params = list(inspect.signature(func).parameters.values())
+        kind = str(params[0].annotation) if params else ""
+        element = kind.removeprefix("Sequence[").removesuffix("]")
+        if element in ("ObservableCoeffs", "BlochVector"):
+            found[qualname] = (func, element, element != kind)
+    return found
+
+
+def _call(func, coefficients, sequence):
+    """func on one coefficient object; a sequence-taking callable gets a
+    list of one, with its dimension."""
+    if sequence:
+        return func([coefficients], coefficients.dimension)
+    return func(coefficients)
 
 
 def _nan_coefficients(kind: str):
@@ -164,16 +186,12 @@ def _nan_coefficients(kind: str):
 
 def test_decisions_refuse_nan_coefficients():
     # `x >= bound` is False for nan, so a decision that only compares would
-    # return a confident "no"; each must refuse non-finite coordinates.  A
-    # decision over a sequence of coefficient objects gets a list of one,
-    # with its dimension.
-    decisions = {}
-    for qualname, func in _public_callables():
-        params = list(inspect.signature(func).parameters.values())
-        kind = str(params[0].annotation) if params else ""
-        element = kind.removeprefix("Sequence[").removesuffix("]")
-        if element in ("ObservableCoeffs", "BlochVector") and qualname not in _COEFFICIENT_CODECS:
-            decisions[qualname] = (func, element, element != kind)
+    # return a confident "no"; each must refuse non-finite coordinates
+    decisions = {
+        qualname: entry
+        for qualname, entry in _coefficient_callables().items()
+        if qualname not in _COEFFICIENT_CODECS
+    }
     assert {
         "obsmask.masking.decide_maskable_qubit",
         "obsmask.masking.necessary_condition_d",
@@ -184,11 +202,47 @@ def test_decisions_refuse_nan_coefficients():
     for qualname, (func, element, sequence) in decisions.items():
         for coefficients in _nan_coefficients(element):
             try:
-                if sequence:
-                    func([coefficients], coefficients.dimension)
-                else:
-                    func(coefficients)
+                _call(func, coefficients, sequence)
             except ValidationError:
                 continue
             accepted.append((qualname, coefficients.dimension))
     assert accepted == []
+
+
+def test_coefficient_callables_refuse_wrong_length_rows():
+    # a coordinate row one entry short or long is no expansion at d, so a
+    # callable that reads only its first entries, or all of them, would
+    # answer for another observable or state; each must refuse it
+    callables = {
+        qualname: entry
+        for qualname, entry in _coefficient_callables().items()
+        if qualname not in _RENDERERS
+    }
+    assert {
+        "obsmask.masking.decide_maskable_qubit",
+        "obsmask.masking.necessary_condition_d",
+        "obsmask.bloch.bloch_to_state",
+        "obsmask.bloch.coeffs_to_observable",
+        "obsmask.bloch.cubic_condition_value",
+        "obsmask.bloch.positivity_conditions",
+        "obsmask.comask.find_common_output_state",
+    } <= set(callables)
+    not_refused = []
+    for qualname, (func, element, sequence) in callables.items():
+        for d in (2, 8):
+            for length in (d * d - 2, d * d):
+                row = np.full(length, 0.01)
+                if element == "ObservableCoeffs":
+                    coefficients = ObservableCoeffs(d, 0.5, row)
+                else:
+                    coefficients = BlochVector(d, row)
+                try:
+                    _call(func, coefficients, sequence)
+                except DimensionMismatchError:
+                    continue
+                except Exception as exc:  # recorded, so every offender is listed
+                    outcome = type(exc).__name__
+                else:
+                    outcome = "accepted"
+                not_refused.append((qualname, d, length, outcome))
+    assert not_refused == []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -46,6 +47,16 @@ class TestGeneratorBasis:
 
     def test_memoized(self):
         assert bloch.generator_basis(3) is bloch.generator_basis(3)
+
+    def test_pinned_bytes(self):
+        """The stacks for d = 2..16 hash to a pinned value; adding 0j turns
+        -0.0 into +0.0, so the pin holds the values and not zeros' signs."""
+        digest = hashlib.sha256()
+        for d in range(2, 17):
+            digest.update((bloch.generator_basis(d).matrices + 0j).tobytes())
+        assert digest.hexdigest() == (
+            "2bf0af0daacb1e2a9d8721b8ab993c99764a991e41c14d18612e1537793af11b"
+        )
 
 
 def _concurrent_cold_requests(request, workers=8):
@@ -319,23 +330,36 @@ class TestExpansion:
             assert comask.comask_general(states[: k + 1], d).coefficient_set.affine_dim == d * d - k - 1
 
     def test_concurrent_cold_requests_build_the_layout_once(self, monkeypatch):
-        """Concurrent first requests build the layout once, and the build's
-        own request for a cold basis re-enters the lock."""
+        """Concurrent first requests build the layout once; concurrent first
+        requests for a basis build it once, and its build's own request for
+        a cold layout re-enters the lock."""
         d = 11
+        builds = {"_build_layout": [], "_build_basis": []}
+
+        def counting(name):
+            real = getattr(bloch, name)
+
+            def build(d):
+                builds[name].append(d)
+                return real(d)
+
+            return build
+
+        for name in builds:
+            monkeypatch.setattr(bloch, name, counting(name))
+        with bloch._cache_lock:
+            bloch._layout_cache.pop(d, None)
+        results = _concurrent_cold_requests(lambda: bloch._layout(d))
+        assert builds == {"_build_layout": [d], "_build_basis": []}
+        assert all(r is bloch._layout(d) for r in results)
+
         with bloch._cache_lock:
             bloch._layout_cache.pop(d, None)
             bloch._basis_cache.pop(d, None)
-        builds = []
-        real = bloch._build_layout
-
-        def counting(d):
-            builds.append(d)
-            return real(d)
-
-        monkeypatch.setattr(bloch, "_build_layout", counting)
-        results = _concurrent_cold_requests(lambda: bloch._layout(d))
-        assert builds == [d]
-        assert all(r is bloch._layout(d) for r in results)
+        builds["_build_layout"].clear()
+        results = _concurrent_cold_requests(lambda: bloch.generator_basis(d))
+        assert builds == {"_build_layout": [d], "_build_basis": [d]}
+        assert all(r is bloch.generator_basis(d) for r in results)
 
 
 class TestPositivity:
