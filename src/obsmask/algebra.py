@@ -49,17 +49,23 @@ def _identity_deviation(product: np.ndarray) -> float:
     return max_norm(product)
 
 
+@np.errstate(invalid="ignore")  # inf - inf is NaN, refused as non-finite
 def require_hermitian(m) -> np.ndarray:
     """Validate hermiticity within HERMITICITY_ATOL * max(1, ||M||_max) and
-    return the matrix, so rounding of order eps * ||M|| is not refused."""
-    arr = as_matrix(m)
+    return the matrix, so rounding of order eps * ||M|| is not refused.
+    A NaN or inf entry makes max |M - M^dag| non-finite, so the other
+    checks (matrix, finite, square, scaled) run only when it exceeds ATOL."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
+        dev = max_norm(arr - dagger(arr))
+        if dev <= HERMITICITY_ATOL:
+            return arr
+    arr = as_matrix(arr)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"matrix is {arr.shape}, not square")
-    dev = max_norm(arr - dagger(arr))
-    if dev > HERMITICITY_ATOL:  # only then is the scale read
-        tol = HERMITICITY_ATOL * max(1.0, max_norm(arr))
-        if dev > tol:
-            raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {tol:.1e}")
+    tol = HERMITICITY_ATOL * max(1.0, max_norm(arr))
+    if dev > tol:
+        raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {tol:.1e}")
     return arr
 
 

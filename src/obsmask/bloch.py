@@ -212,9 +212,9 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _memoized(_layout_cache, d, _build_layout)
 
 
-def _coordinate_rows(coords, d: int) -> np.ndarray:
-    """coords as a float array whose rows are d^2 - 1 long; any other
-    length raises ``DimensionMismatchError``."""
+def _coordinate_rows(coords, d: int, stack: bool = True) -> np.ndarray:
+    """coords as a float array whose rows are d^2 - 1 long, one row unless
+    ``stack``; any other shape raises ``DimensionMismatchError``."""
     c = np.asarray(coords, dtype=float)
     n = d * d - 1
     if c.shape[-1:] != (n,):
@@ -222,6 +222,8 @@ def _coordinate_rows(coords, d: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"coordinate row has length {length}, expected {n} at d = {d}"
         )
+    if c.ndim != 1 and not stack:
+        raise DimensionMismatchError(f"expected one coordinate row, got shape {c.shape}")
     return c
 
 
@@ -293,10 +295,11 @@ def positivity_conditions(b: BlochVector):
     ``np.poly`` up to sign, without its per-root overhead).  The first value
     relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.  Non-finite
     coordinates are refused, since every comparison with them is False, and
-    so is a row not d^2 - 1 long (``DimensionMismatchError``).
+    so is a ``b`` that is not one row d^2 - 1 long (``DimensionMismatchError``).
     """
     if not np.isfinite(b.b).all():
         raise InvalidStateError("Bloch vector has non-finite coordinates")
+    _coordinate_rows(b.b, b.dimension, stack=False)
     lam = np.linalg.eigvalsh(bloch_to_state(b))
     e = [1.0] + [0.0] * b.dimension
     for i, x in enumerate(lam.tolist(), 1):
@@ -311,10 +314,10 @@ def cubic_condition_value(b: BlochVector) -> float:
     Equals (d-1)(d-2)/d^2 - 6 (d-2)/d |b|^2 + 4 sum_ijk g_ijk b_i b_j b_k,
     which coincides with 6 e_3 of the reconstructed matrix.  Exposed as a
     read-only cross-check of the g_ijk normalization (vacuously zero at d=2).
-    A ``b`` not d^2 - 1 long raises ``DimensionMismatchError``.
+    A ``b`` that is not one row d^2 - 1 long raises ``DimensionMismatchError``.
     """
     d = b.dimension
-    v = _coordinate_rows(b.b, d)
+    v = _coordinate_rows(b.b, d, stack=False)
     t = symmetric_tensor(d)
     i, j, k = t.index.T
     bb = float(np.dot(v, v))

@@ -382,6 +382,8 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
                 f"observable dimension {c.dimension} != {d}"
             )
     rows = np.stack([np.asarray(c.a, dtype=float) for c in obs_list])
+    if rows.ndim != 2:
+        raise DimensionMismatchError(f"expected one coordinate row each, got {rows.shape[1:]}")
     rhs = np.array([0.5 - c.a0 / 2 for c in obs_list])
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise NotHermitianError("observable coefficients are not finite")

@@ -3,34 +3,30 @@ output-state disk geometry, and the observable no-hiding check."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    HermitianEig,
     _identity_deviation,
     dagger,
     eig_hermitian,
     max_norm,
     plane_frame,
+    require_hermitian,
     tensor,
 )
 from .bloch import ObservableCoeffs, _coordinate_rows, generator_basis
-from .channels import (
-    KrausChannel,
-    UnitaryDilation,
-    _spectral_rows,
-    apply_adjoint,
-    masker_dilation,
-)
+from .channels import KrausChannel, UnitaryDilation, apply_adjoint, masker_dilation
 from .errors import (
     DimensionMismatchError,
     EmptyDiskError,
     NotHermitianError,
     NotMaskableError,
     NotUnitVectorError,
+    NumericalFailureError,
 )
 
 # Boundary band for the maskability criteria and the masking-declared
@@ -96,10 +92,11 @@ def _require_unit_vector(n) -> np.ndarray:
 def _ball_bound_holds(c: ObservableCoeffs, a_norm: float) -> bool:
     """|1 - a0| sqrt(d / (2(d-1))) <= |a| + DECISION_ATOL, the ball bound
     behind both the necessary condition and, at d = 2, the plane criterion.
-    Refuses an ``a`` not d^2 - 1 long (``DimensionMismatchError``) and
-    non-finite coefficients, on which every comparison is False."""
+    Refuses an ``a`` that is not one row d^2 - 1 long
+    (``DimensionMismatchError``) and non-finite coefficients, on which every
+    comparison is False."""
     d = c.dimension
-    _coordinate_rows(c.a, d)
+    _coordinate_rows(c.a, d, stack=False)
     if not (math.isfinite(c.a0) and math.isfinite(a_norm)):
         raise NotHermitianError(
             f"observable coefficients are not finite: a0 = {c.a0!r}, |a| = {a_norm!r}"
@@ -134,9 +131,14 @@ def decide_maskable_oracle(obs) -> MaskabilityVerdict:
 
     A constant channel onto sigma masks O exactly when Tr(sigma O) = 1, and
     Tr(sigma O) over all states sweeps [lambda_min, lambda_max]; so O is
-    maskable iff that interval contains 1.
+    maskable iff that interval contains 1.  The verdict reads only the
+    spectrum, so it comes from one ``eigvalsh``.
     """
-    return _oracle_verdict(eig_hermitian(obs).eigenvalues)
+    try:
+        vals = np.linalg.eigvalsh(require_hermitian(obs))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+    return _oracle_verdict(vals)
 
 
 def _oracle_verdict(eigenvalues: np.ndarray) -> MaskabilityVerdict:
@@ -188,33 +190,31 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     The target's spectral decomposition is read off O's: weight p / m_max
     on each eigenvector within DECISION_ATOL of lambda_max and
     (1 - p) / m_min on each within DECISION_ATOL of lambda_min (the two add
-    where the sets overlap), or 1/d on all when the spectrum is flat.  It is
-    handed to ``_spectral_rows`` in ascending weight, ties in O's order,
-    and its rows are the masker's amplitudes, each on every input index.
+    where the sets overlap), or 1/d on all when the spectrum is flat.  The
+    rows sqrt(w_j) v_j of the weights from 1e-12 up, in descending weight
+    (ties in reverse O order), are the masker's amplitudes on every input.
     """
     eig = eig_hermitian(obs)
-    vals = eig.eigenvalues
-    verdict = _oracle_verdict(vals)
+    verdict = _oracle_verdict(eig.eigenvalues)
     if not verdict.maskable:
         return verdict, None
     # halved, so no difference of two eigenvalues overflows; halving is exact
-    # above the subnormal range, so p and both bands are those of vals
-    half = vals * 0.5
+    # above the subnormal range, so p and both bands are those of the values
+    half = [x * 0.5 for x in eig.eigenvalues.tolist()]
     lo, hi = half[0], half[-1]
-    d = len(vals)
+    d = len(half)
     if hi - lo <= DECISION_ATOL / 2:
-        weights = np.full(d, 1.0 / d)
+        weights = [1.0 / d] * d
     else:
         p = min(max((0.5 - lo) / (hi - lo), 0.0), 1.0)
-        top = np.abs(half - hi) <= DECISION_ATOL / 2
-        bottom = np.abs(half - lo) <= DECISION_ATOL / 2
-        weights = top * (p / np.count_nonzero(top)) + bottom * (
-            (1.0 - p) / np.count_nonzero(bottom)
-        )
-    order = np.argsort(weights, kind="stable")
-    target = HermitianEig(eigenvalues=weights[order], eigenvectors=eig.eigenvectors[:, order])
-    rows = _spectral_rows(target)
-    return verdict, KrausChannel.rank_one(rows, np.ones((len(rows), d)))
+        top = [abs(x - hi) <= DECISION_ATOL / 2 for x in half]
+        bottom = [abs(x - lo) <= DECISION_ATOL / 2 for x in half]
+        w_top, w_bottom = p / sum(top), (1.0 - p) / sum(bottom)
+        weights = [t * w_top + b * w_bottom for t, b in zip(top, bottom)]
+    order = sorted(range(d), key=weights.__getitem__)[::-1]
+    terms = [j for j in order if weights[j] >= 1e-12]
+    rows = (np.sqrt([weights[j] for j in terms]) * eig.eigenvectors[:, terms]).T
+    return verdict, KrausChannel.rank_one(rows, np.ones((len(terms), d)))
 
 
 def rotation_unitary(n) -> np.ndarray:
@@ -249,12 +249,21 @@ def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, UnitaryDilatio
 
 def _swap_dilation(w: np.ndarray, u0, u1) -> UnitaryDilation:
     """U' = (w^dag (x) I) U of ``build_masker_swap``; u0, u1 are validated
-    once, in ``masker_dilation``, and U' once, as a ``UnitaryDilation``."""
-    base = masker_dilation(
+    once, in ``masker_dilation``, and U' once, as a ``UnitaryDilation``.
+    The default pair's U, the swap, is built once and shared."""
+    base = _swap() if u0 is None and u1 is None else masker_dilation(
         np.eye(2) if u0 is None else u0, np.eye(2) if u1 is None else u1
     )
     unitary = tensor(dagger(w), np.eye(2)) @ base.unitary
     return UnitaryDilation(system_dim=2, env_dim=2, unitary=unitary)
+
+
+@functools.cache
+def _swap() -> UnitaryDilation:
+    """``masker_dilation(I, I)``, built on first use, its unitary read-only."""
+    swap = masker_dilation(np.eye(2), np.eye(2))
+    swap.unitary.setflags(write=False)
+    return swap
 
 
 def verify_masking(channel: KrausChannel, obs) -> float:

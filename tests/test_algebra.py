@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,88 @@ class TestUnitaryCompletion:
 def test_require_orthonormal_rejects_non_finite(bad):
     with pytest.raises(NotOrthonormalError, match="input family contains non-finite"):
         algebra.require_orthonormal([KET0, np.array([bad, 1.0])], "input")
+
+
+def require_hermitian_two_pass(m):
+    """``algebra.require_hermitian`` as it was before its one-pass form,
+    verbatim: the finiteness pass of ``as_matrix`` runs before the
+    deviation is measured."""
+    arr = algebra.as_matrix(m)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatchError(f"matrix is {arr.shape}, not square")
+    dev = algebra.max_norm(arr - algebra.dagger(arr))
+    if dev > algebra.HERMITICITY_ATOL:  # only then is the scale read
+        tol = algebra.HERMITICITY_ATOL * max(1.0, algebra.max_norm(arr))
+        if dev > tol:
+            raise NotHermitianError(f"max |M - M^dag| = {dev:.3e} exceeds {tol:.1e}")
+    return arr
+
+
+def _with_entries(base, value, *positions):
+    m = np.array(base, dtype=complex)
+    for pos in positions:
+        m[pos] = value
+    return m
+
+
+def _hermiticity_cases():
+    """{name: input} for the refusal table: non-finite entries on and off
+    the diagonal, wrong shapes, and matrices at the scaled tolerance."""
+    h = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.7]])
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    big = 1e8 * h
+    cases = {}
+    for name, bad in {
+        "nan": np.nan, "+inf": np.inf, "-inf": -np.inf,
+        "nan-im": complex(0.0, np.nan), "+inf-im": complex(0.0, np.inf),
+        "-inf-im": complex(0.0, -np.inf), "inf-inf-im": complex(np.inf, np.inf),
+    }.items():
+        cases[f"{name}-diagonal"] = _with_entries(h, bad, (1, 1))
+        cases[f"{name}-off-diagonal"] = _with_entries(h, bad, (0, 1))
+        # both mirrored entries, equal or conjugate: M - M^dag meets
+        # inf - inf in the real part of one and the imaginary part of the other
+        cases[f"{name}-mirrored"] = _with_entries(h, bad, (0, 1), (1, 0))
+        cases[f"{name}-conjugate-mirrored"] = _with_entries(
+            _with_entries(h, bad, (0, 1)), np.conj(bad), (1, 0)
+        )
+        cases[f"{name}-whole-diagonal"] = _with_entries(h, bad, (0, 0), (1, 1))
+        cases[f"{name}-3x2"] = _with_entries(np.zeros((3, 2)), bad, (2, 1))
+        cases[f"{name}-1d"] = np.array([0.5, bad])
+        cases[f"{name}-3d"] = _with_entries(np.zeros((2, 2, 2)), bad, (1, 0, 0))
+    cases.update({
+        "finite-2x3": np.ones((2, 3)),
+        "finite-1d": np.ones(3),
+        "finite-3d": np.ones((2, 2, 2)),
+        "scalar": np.array(1.0),
+        "empty": np.zeros((0, 0)),
+        "hermitian": h,
+        "not-hermitian": h + 1e-3 * skew,
+        "1e8-within-scaled-tolerance": big + 1e-3 * skew,
+        "1e8-beyond-scaled-tolerance": big + 1e-1 * skew,
+        "1e8-hermitian": big,
+    })
+    return cases
+
+
+_HERMITICITY_CASES = _hermiticity_cases()
+
+
+@pytest.mark.parametrize("m", _HERMITICITY_CASES.values(), ids=_HERMITICITY_CASES.keys())
+def test_require_hermitian_refusals_match_two_pass(m):
+    # each input gets the error class and message of the two-pass check,
+    # and no warning from either (inf - inf is measured as NaN quietly)
+    def outcome(check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = check(m)
+            except Exception as exc:
+                return type(exc), str(exc)
+        return "accepted", out.shape, out.tobytes()
+
+    got = outcome(algebra.require_hermitian)
+    assert got == outcome(require_hermitian_two_pass)
+    assert got[0] is not RuntimeWarning, got
 
 
 @settings(max_examples=50, deadline=None)

@@ -143,6 +143,10 @@ _COEFFICIENT_CODECS = _RENDERERS | {
 }
 
 
+# the codecs that map a stack of coordinate rows to a stack of matrices
+_STACK_CODECS = {"obsmask.bloch.bloch_to_state", "obsmask.bloch.coeffs_to_observable"}
+
+
 def _coefficient_callables():
     """{qualified name: (callable, element kind, whether it takes a
     sequence)} for every public callable whose first parameter is an
@@ -212,7 +216,10 @@ def test_decisions_refuse_nan_coefficients():
 def test_coefficient_callables_refuse_wrong_length_rows():
     # a coordinate row one entry short or long is no expansion at d, so a
     # callable that reads only its first entries, or all of them, would
-    # answer for another observable or state; each must refuse it
+    # answer for another observable or state; each must refuse it.  A
+    # stack of two rows is neither one observable nor one state, so a
+    # decision that reads the norm of the whole stack answers for neither;
+    # only the codecs, which map a stack to a stack of matrices, take one
     callables = {
         qualname: entry
         for qualname, entry in _coefficient_callables().items()
@@ -230,8 +237,11 @@ def test_coefficient_callables_refuse_wrong_length_rows():
     not_refused = []
     for qualname, (func, element, sequence) in callables.items():
         for d in (2, 8):
-            for length in (d * d - 2, d * d):
-                row = np.full(length, 0.01)
+            shapes = [(d * d - 2,), (d * d,)]
+            if qualname not in _STACK_CODECS:
+                shapes.append((2, d * d - 1))
+            for shape in shapes:
+                row = np.full(shape, 0.01)
                 if element == "ObservableCoeffs":
                     coefficients = ObservableCoeffs(d, 0.5, row)
                 else:
@@ -244,5 +254,5 @@ def test_coefficient_callables_refuse_wrong_length_rows():
                     outcome = type(exc).__name__
                 else:
                     outcome = "accepted"
-                not_refused.append((qualname, d, length, outcome))
+                not_refused.append((qualname, d, shape, outcome))
     assert not_refused == []

@@ -80,6 +80,29 @@ def spectral_kraus_reference(eig, input_dim, columns):
     return ops.reshape(-1, d, input_dim)
 
 
+def masker_target_reference(eig):
+    """The constant masker's target state, as the library decomposed it
+    on arrays before it weighed the target on Python floats: weight
+    p / m_max on O's eigenvectors within DECISION_ATOL of lambda_max and
+    (1 - p) / m_min on those near lambda_min (1/d each on a flat spectrum),
+    sorted by ascending weight, ties in O's order."""
+    half = eig.eigenvalues * 0.5
+    lo, hi = half[0], half[-1]
+    d = len(half)
+    band = masking.DECISION_ATOL / 2
+    if hi - lo <= band:
+        weights = np.full(d, 1.0 / d)
+    else:
+        p = min(max((0.5 - lo) / (hi - lo), 0.0), 1.0)
+        top = np.abs(half - hi) <= band
+        bottom = np.abs(half - lo) <= band
+        weights = top * (p / np.count_nonzero(top)) + bottom * (
+            (1.0 - p) / np.count_nonzero(bottom)
+        )
+    order = np.argsort(weights, kind="stable")
+    return algebra.HermitianEig(weights[order], eig.eigenvectors[:, order])
+
+
 def assert_actions_match(chan, ops, rng):
     """Both actions, on a single matrix and on a stack, against einsums over
     the Kraus family ``ops``."""
@@ -106,19 +129,13 @@ class TestRankOneFactors:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("spectrum", list(SPECTRA))
-    def test_masker_matches_dense_reference(self, d, spectrum, monkeypatch):
+    def test_masker_matches_dense_reference(self, d, spectrum):
         rng = np.random.default_rng(70 + d)
         u = samplers.haar_unitary(rng, d)
         obs = (u * SPECTRA[spectrum](rng, d)) @ u.conj().T
-        targets = []
-
-        def capture(eig):
-            targets.append(eig)
-            return channels._spectral_rows(eig)
-
-        monkeypatch.setattr(masking, "_spectral_rows", capture)
         chan = masking.build_constant_masker(obs)
-        ref = spectral_kraus_reference(targets[0], d, range(d))
+        target = masker_target_reference(algebra.eig_hermitian(obs))
+        ref = spectral_kraus_reference(target, d, range(d))
         assert chan.kraus.tobytes() == ref.tobytes()
         assert int(chan.support.sum()) == len(ref)
         assert_actions_match(chan, ref, rng)

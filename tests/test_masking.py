@@ -7,7 +7,9 @@ from obsmask.errors import (
     EmptyDiskError,
     NotHermitianError,
     NotMaskableError,
+    NotUnitaryError,
     NotUnitVectorError,
+    NumericalFailureError,
 )
 from obsmask.invariants import REGISTRY
 
@@ -70,6 +72,50 @@ class TestOracle:
         rng = np.random.default_rng(3)
         _, disagreements = REGISTRY["qubit_oracle_agreement"].run(rng, 2, 2000)
         assert disagreements == 0
+
+    def test_qubit_range_is_the_eigendecomposition_extremes(self):
+        # at d = 2 eigvalsh and eigh return the same eigenvalues, bit for bit
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            obs = samplers.hermitian(rng, 2) * rng.uniform(0.1, 3.0)
+            vals = algebra.eig_hermitian(obs).eigenvalues
+            got = masking.decide_maskable_oracle(obs).eig_range
+            assert np.array([got]).tobytes() == np.array([vals[0], vals[-1]]).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4, 8, 16])
+    def test_range_within_rounding_of_the_eigendecomposition(self, d):
+        # at d >= 3 the two solvers may differ by ulps; every spectrum whose
+        # extremes lie outside the DECISION_ATOL band edges gets the verdict
+        # of its eigh extremes and of its construction
+        rng = np.random.default_rng(18 + d)
+        eps = np.finfo(float).eps
+        edges = {1.0: True, 1.0 + 2 * masking.DECISION_ATOL: True,
+                 1.0 - 2 * masking.DECISION_ATOL: False}
+        for top, maskable in edges.items():
+            for at_min in (False, True):
+                # the edge value at lambda_max, the rest below it; or, as
+                # 2 - spectrum, the mirrored edge 2 - top at lambda_min, the
+                # rest above it, which 1 lies between exactly when it did
+                spectrum = np.r_[rng.uniform(-2.0, top, d - 1), top]
+                if at_min:
+                    spectrum = 2.0 - spectrum
+                u = samplers.haar_unitary(rng, d)
+                obs = (u * spectrum) @ u.conj().T
+                vals = algebra.eig_hermitian(obs).eigenvalues
+                verdict = masking.decide_maskable_oracle(obs)
+                bound = 4 * d * eps * max(1.0, np.abs(vals).max())
+                assert abs(verdict.eig_range[0] - vals[0]) <= bound
+                assert abs(verdict.eig_range[1] - vals[-1]) <= bound
+                assert verdict.maskable == maskable
+                assert masking.oracle_masker(obs)[0].maskable == maskable
+
+    def test_eigensolver_failure_is_a_numerical_failure(self, monkeypatch):
+        def fail(arr):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalFailureError, match="^eigensolver failed: Eigen"):
+            masking.decide_maskable_oracle(np.diag([3.0, -1.0]))
 
 
 class TestNecessaryCondition:
@@ -405,6 +451,53 @@ class TestNoHiding:
         assert len(unit_checks) <= 2
         assert channels_built == []
 
+    def test_default_dilation_matches_explicit_identities(self):
+        # u0 = u1 = None shares one swap; passing I, I builds and validates
+        # it afresh in masker_dilation, so both must give the same bytes
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = samplers.unit_vector(rng, 3)
+            shared = masking.verify_nohiding(n)
+            fresh = masking.verify_nohiding(n, np.eye(2), np.eye(2))
+            assert shared.swap_residual == fresh.swap_residual
+            assert shared.recovery_residual == fresh.recovery_residual
+            _, dil = masking.build_masker_swap(n)
+            _, ref = masking.build_masker_swap(n, np.eye(2), np.eye(2))
+            assert dil.unitary.tobytes() == ref.unitary.tobytes()
+
+    def test_shared_swap_is_read_only(self):
+        swap = masking._swap()
+        assert swap is masking._swap()
+        assert np.array_equal(swap.unitary, SWAP)
+        with pytest.raises(ValueError):
+            swap.unitary[0, 0] = 2.0
+        # each default dilation is its own product, not the shared array
+        _, dil = masking.build_masker_swap([0.0, 0.0, 1.0])
+        assert dil.unitary is not swap.unitary
+
+    def test_default_dilation_validates_only_the_rotated_unitary(self, monkeypatch):
+        masking._swap()  # built and validated on first use
+        seen = []
+        require_unitary = channels.require_unitary
+
+        def spy_unitary(u):
+            seen.append(u)
+            return require_unitary(u)
+
+        monkeypatch.setattr(channels, "require_unitary", spy_unitary)
+        assert masking.verify_nohiding([0.6, 0.0, 0.8]).verified
+        assert len(seen) == 1
+
+    def test_non_unitary_environment_refused_every_call(self):
+        masking._swap()
+        bad = np.array([[1.0, 0.0], [0.0, 0.5]])
+        for _ in range(3):
+            with pytest.raises(NotUnitaryError):
+                masking.verify_nohiding([0.0, 0.0, 1.0], u0=bad)
+            with pytest.raises(NotUnitaryError):
+                masking.build_masker_swap([0.0, 0.0, 1.0], u1=bad)
+            assert masking.verify_nohiding([0.0, 0.0, 1.0]).verified
+
     def test_random_directions_identity_env(self):
         rng = np.random.default_rng(9)
         assert REGISTRY["nohiding_swap_identity"].run(rng, 2, 25) == (25, 0)
@@ -485,7 +578,9 @@ class TestHotPathCallCounts:
         return counts
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_maskable_chain_makes_two_eigh(self, d, monkeypatch):
+    def test_maskable_chain_makes_one_eigh_and_one_eigvalsh(self, d, monkeypatch):
+        # the verdict reads the spectrum alone; only the masker needs the
+        # eigenvectors
         rng = np.random.default_rng(14)
         u = samplers.haar_unitary(rng, d)
         obs = (u * np.linspace(-1.0, 1.5, d)) @ u.conj().T
@@ -494,7 +589,17 @@ class TestHotPathCallCounts:
         assert masking.decide_maskable_oracle(obs).maskable
         channel = masking.build_constant_masker(obs)
         assert masking.verify_masking(channel, obs) < masking.DECISION_ATOL
-        assert counts == {"eigh": 2, "eigvalsh": 0, "svd": 0, "pinv": 0}
+        assert counts == {"eigh": 1, "eigvalsh": 1, "svd": 0, "pinv": 0}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unmaskable_chain_makes_one_eigvalsh(self, d, monkeypatch):
+        rng = np.random.default_rng(16)
+        u = samplers.haar_unitary(rng, d)
+        obs = (u * np.linspace(-1.0, 0.5, d)) @ u.conj().T
+        counts = self.spy(monkeypatch, np.linalg, ["eigh", "eigvalsh"])
+        bloch.observable_coeffs(obs)
+        assert not masking.decide_maskable_oracle(obs).maskable
+        assert counts == {"eigh": 0, "eigvalsh": 1}
 
     def test_nohiding_makes_one_einsum(self, monkeypatch):
         rng = np.random.default_rng(15)
