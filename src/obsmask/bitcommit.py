@@ -105,7 +105,7 @@ def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
     weights = np.asarray(lam, dtype=float).reshape(-1)
     if not np.isfinite(weights).all():
         raise BadSpectrumError("weights contain non-finite entries")
-    if np.any(weights < -NEGATIVE_WEIGHT_ATOL) or abs(np.sum(weights) - 1.0) > NORMALIZATION_ATOL:
+    if (weights < -NEGATIVE_WEIGHT_ATOL).any() or abs(weights.sum() - 1.0) > NORMALIZATION_ATOL:
         raise BadSpectrumError("weights must be nonnegative and sum to 1")
     r = weights.size
     a0 = _check_family(basis_a0, r, "basis_a0")
@@ -113,7 +113,7 @@ def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
     b = _check_family(basis_b, r, "basis_b")
     if a1.shape[0] != a0.shape[0]:
         raise NotOrthonormalError("basis_a0 and basis_a1 live in different dimensions")
-    roots = np.sqrt(np.clip(weights, 0.0, None))
+    roots = np.sqrt(weights.clip(0.0, None))
     # M_x = sum_i sqrt(lam_i) a^x_i b_i^T
     m0, m1 = ((a[:, :r] * roots) @ b[:, :r].T for a in (a0, a1))
     return _pair(m0, m1)
@@ -123,7 +123,7 @@ def concealment_gap(pair: CommitmentPair) -> float:
     """Trace distance between the two B-marginals; 0 means perfectly
     concealing (no observable separates the committed bits)."""
     diff = pair.marginal_b0 - pair.marginal_b1
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def cheating_unitary(pair: CommitmentPair) -> CheatResult:
@@ -142,7 +142,7 @@ def cheating_unitary(pair: CommitmentPair) -> CheatResult:
     u, _, vh = np.linalg.svd(m1 @ dagger(m0))
     unitary = u @ vh
     residual = max_norm(unitary @ m0 - m1)
-    fidelity = float(abs(np.trace(dagger(m1) @ unitary @ m0)))
+    fidelity = float(abs((dagger(m1) @ unitary @ m0).trace()))
     return CheatResult(
         unitary_a=unitary,
         fidelity=fidelity,
@@ -156,18 +156,19 @@ def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
     Kraus operators sqrt(p^i_j) |e^i_j><k| pair the spectral terms of rho_i
     with the basis kets of effect i (k = 0, or k >= 1); for d = 2 this is the
     familiar sqrt(p^i_j) |e^i_j><i| family.  One state passed twice, as
-    the demo does, is decomposed once.
+    the demo does, is decomposed once and its spectral rows are formed once.
     """
     eig0 = require_density(rho0)
-    states = [eig0, eig0 if rho1 is rho0 else require_density(rho1)]
-    for eig in states:
+    eig1 = eig0 if rho1 is rho0 else require_density(rho1)
+    for eig in (eig0, eig1):
         if eig.eigenvectors.shape != (d, d):
             raise DimensionMismatchError(f"state shape {eig.eigenvectors.shape} != ({d}, {d})")
-    rows = [_spectral_rows(eig) for eig in states]
+    rows0 = _spectral_rows(eig0)
+    rows1 = rows0 if eig1 is eig0 else _spectral_rows(eig1)
     # the terms of rho_0 on k = 0, then those of rho_1 on k >= 1
-    support = np.zeros((len(rows[0]) + len(rows[1]), d))
-    support[: len(rows[0]), 0] = support[len(rows[0]):, 1:] = 1
-    return KrausChannel.rank_one(np.concatenate(rows), support)
+    support = np.zeros((len(rows0) + len(rows1), d))
+    support[: len(rows0), 0] = support[len(rows0):, 1:] = 1
+    return KrausChannel.rank_one(np.concatenate((rows0, rows1)), support)
 
 
 def random_commitment_pair(rng: np.random.Generator, d: int) -> CommitmentPair:
@@ -208,7 +209,7 @@ def no_bit_commitment_demo(d: int, seed: int) -> RunReport:
     # hermitian(size=...) would draw every real part before any imaginary
     # part, and so change the observables a seed gives
     obs = samplers.hermitian_stack(rng, d, DEMO_OBSERVABLES)
-    expectation = np.trace(rho_b @ obs, axis1=-2, axis2=-1).real
+    expectation = (rho_b @ obs).trace(axis1=-2, axis2=-1).real
     out = apply_adjoint(channel, obs)
     eye = np.eye(d)
     residual = _max_norms(out - expectation[:, None, None] * eye)

@@ -42,7 +42,7 @@ def require_density(rho) -> HermitianEig:
         eig = eig_hermitian(rho)
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from exc
-    tr = np.sum(eig.eigenvalues)
+    tr = eig.eigenvalues.sum()
     if abs(tr - 1.0) > CHANNEL_ATOL:
         raise InvalidStateError(f"trace is {float(tr)!r}, not 1")
     min_eig = float(eig.eigenvalues[0])

@@ -4,12 +4,12 @@ state feasibility search."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger
 from .bloch import (
     POSITIVITY_ATOL,
     BlochVector,
@@ -55,6 +55,15 @@ def _require_independent(dirs: np.ndarray) -> None:
         svals = np.linalg.svd(dirs, compute_uv=False)
         if svals[-1] <= RANK_RTOL * svals[0]:
             raise ValueError("directions are not linearly independent")
+
+
+def _pinv(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.pinv(rows, rcond=RANK_RTOL)`` for a real 2-D ``rows``,
+    from one reduced SVD with numpy's cutoff and product order, so bit for
+    bit its result."""
+    u, s, vt = np.linalg.svd(rows, full_matrices=False)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_RTOL * s.max())
+    return vt.T @ (inv[:, None] * u.T)
 
 
 def _unit_block_certifies(rest: np.ndarray) -> bool:
@@ -356,6 +365,18 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     return ObservableCoeffs(dimension=d, a0=a0, a=a)
 
 
+def _require_rows(observables: Sequence[ObservableCoeffs], d: int) -> None:
+    """Refuse the first observable whose ``a`` is not one row of d^2 - 1
+    coordinates."""
+    n = d * d - 1
+    for i, c in enumerate(observables):
+        shape = np.shape(c.a)
+        if shape != (n,):
+            raise DimensionMismatchError(
+                f"observable {i} has coordinates of shape {shape}, expected ({n},)"
+            )
+
+
 def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) -> np.ndarray:
     """Search for one state masking every observable in the list.
 
@@ -363,15 +384,18 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     all masking equations a0/2 + a.b = 1/2 and the positive unit-trace
     matrices (projected by eigenvalue clipping and trace renormalization).
     Returns a density matrix meeting every constraint within
-    CONSTRAINT_ATOL; raises ``NotHermitianError`` for non-finite
-    coefficients, ``NoAffineSolutionError`` when the linear system itself
-    is inconsistent and ``InfeasibleError`` (carrying the final gap between
-    the sets) when the iteration stalls or the cap is reached.
+    CONSTRAINT_ATOL; raises ``DimensionMismatchError`` naming the first
+    observable whose row is not d^2 - 1 long, ``NotHermitianError`` for
+    non-finite coefficients, ``NoAffineSolutionError`` when the linear
+    system itself is inconsistent and ``InfeasibleError`` (carrying the
+    final gap between the sets) when the iteration stalls or the cap is
+    reached.
 
-    The input is validated once, here: each round builds rho = I/d + b.g
-    from the generators' structure, as ``bloch_to_state`` does, and maps it
-    back through the unvalidated coordinate product, with one ``eigh`` and
-    one residual vector.
+    The input is validated once, here, and the pseudo-inverse of its rows
+    is taken once (``_pinv``): each round builds rho = I/d + b.g from the
+    generators' structure, as ``bloch_to_state`` does, and maps it back
+    through the unvalidated coordinate product, with one ``eigh`` and one
+    residual vector.
     """
     obs_list = list(observables)
     if not obs_list:
@@ -381,13 +405,17 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
             raise DimensionMismatchError(
                 f"observable dimension {c.dimension} != {d}"
             )
-    rows = np.stack([np.asarray(c.a, dtype=float) for c in obs_list])
-    if rows.ndim != 2:
-        raise DimensionMismatchError(f"expected one coordinate row each, got {rows.shape[1:]}")
+    try:
+        rows = np.array([c.a for c in obs_list], dtype=float)
+    except ValueError:  # a ragged family: name its first misfit
+        _require_rows(obs_list, d)
+        raise
+    if rows.shape[1:] != (d * d - 1,):
+        _require_rows(obs_list, d)
     rhs = np.array([0.5 - c.a0 / 2 for c in obs_list])
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise NotHermitianError("observable coefficients are not finite")
-    pinv = np.linalg.pinv(rows, rcond=RANK_RTOL)
+    pinv = _pinv(rows)
     b = pinv @ rhs
     if np.abs(rows @ b - rhs).max() > 1e-9:
         raise NoAffineSolutionError("masking equations are mutually inconsistent")
@@ -399,13 +427,14 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
         vals, vecs = np.linalg.eigh(_expansion(b, d, 1.0 / d))
         clipped = np.maximum(vals, 0.0)
         # the iterate has unit trace, so its positive eigenvalues sum to >= 1
-        rho_psd = (vecs * (clipped / float(clipped.sum()))) @ dagger(vecs)
+        rho_psd = (vecs * (clipped / float(clipped.sum()))) @ vecs.conj().T
         b_psd = _coordinates(rho_psd, gens)
         residual = rows @ b_psd - rhs
         if np.abs(residual).max() < CONSTRAINT_ATOL:
             return rho_psd
         b_next = b_psd - pinv @ residual
-        gap = float(np.linalg.norm(b_next - b_psd))
+        step = b_next - b_psd
+        gap = math.sqrt(step @ step)
         if prev_gap is not None and abs(gap - prev_gap) < STALL_ATOL and gap > INFEASIBLE_GAP:
             raise InfeasibleError(
                 f"projections stalled at set distance {gap:.3e}", residual=gap

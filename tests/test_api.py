@@ -219,7 +219,9 @@ def test_coefficient_callables_refuse_wrong_length_rows():
     # answer for another observable or state; each must refuse it.  A
     # stack of two rows is neither one observable nor one state, so a
     # decision that reads the norm of the whole stack answers for neither;
-    # only the codecs, which map a stack to a stack of matrices, take one
+    # only the codecs, which map a stack to a stack of matrices, take one.
+    # A callable taking a sequence also gets ragged families, whose second
+    # row is one entry short or long
     callables = {
         qualname: entry
         for qualname, entry in _coefficient_callables().items()
@@ -237,22 +239,26 @@ def test_coefficient_callables_refuse_wrong_length_rows():
     not_refused = []
     for qualname, (func, element, sequence) in callables.items():
         for d in (2, 8):
-            shapes = [(d * d - 2,), (d * d,)]
+            n = d * d - 1
+            shapes = [(n - 1,), (n + 1,)]
             if qualname not in _STACK_CODECS:
-                shapes.append((2, d * d - 1))
-            for shape in shapes:
-                row = np.full(shape, 0.01)
+                shapes.append((2, n))
+            families = [[shape] for shape in shapes]
+            if sequence:
+                families += [[(n,), (n - 1,)], [(n,), (n + 1,)]]
+            for family in families:
+                rows = [np.full(shape, 0.01) for shape in family]
                 if element == "ObservableCoeffs":
-                    coefficients = ObservableCoeffs(d, 0.5, row)
+                    coefficients = [ObservableCoeffs(d, 0.5, row) for row in rows]
                 else:
-                    coefficients = BlochVector(d, row)
+                    coefficients = [BlochVector(d, row) for row in rows]
                 try:
-                    _call(func, coefficients, sequence)
+                    func(coefficients, d) if sequence else func(*coefficients)
                 except DimensionMismatchError:
                     continue
                 except Exception as exc:  # recorded, so every offender is listed
                     outcome = type(exc).__name__
                 else:
                     outcome = "accepted"
-                not_refused.append((qualname, d, shape, outcome))
+                not_refused.append((qualname, d, family, outcome))
     assert not_refused == []

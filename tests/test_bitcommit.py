@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,34 @@ def test_demo_decomposes_its_marginal_once(monkeypatch):
     for d in (2, 3, 5):
         bitcommit.no_bit_commitment_demo(d, seed=d)
     assert per_channel == [1, 1, 1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_measure_prepare_forms_spectral_rows_once_per_distinct_state(d, spy):
+    rng = np.random.default_rng(30 + d)
+    rho, sigma = samplers.density(rng, d), samplers.density(rng, d)
+    counts = spy(bitcommit, ["_spectral_rows"])
+    bitcommit.measure_prepare_channel(rho, rho, d)
+    assert counts == {"_spectral_rows": 1}
+    counts.update(_spectral_rows=0)
+    bitcommit.measure_prepare_channel(rho, sigma, d)
+    assert counts == {"_spectral_rows": 2}
+
+
+def test_demo_raw_values_are_pinned():
+    # the report prints residuals of ~1e-16 as 0; the repr of every raw
+    # value and the channel's amplitude bytes see every bit
+    digest = hashlib.sha256()
+    for d in (2, 3, 4, 8):
+        for seed in range(10):
+            for key, value in bitcommit.no_bit_commitment_demo(d, seed).entries:
+                digest.update(f"{key}: {value!r}\n".encode())
+            rng = np.random.default_rng(seed)
+            rho = bitcommit.random_commitment_pair(rng, d).marginal_b0
+            digest.update(bitcommit.measure_prepare_channel(rho, rho, d).amplitudes.tobytes())
+    assert digest.hexdigest() == (
+        "0289500d30a864324ae0f3ef34bf6ddbe487ac1b9789d197fce70e13320f7e2b"
+    )
 
 
 def test_demo_draws_stacks(monkeypatch):

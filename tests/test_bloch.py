@@ -621,20 +621,8 @@ def test_comask_general_refuses_huge_point_without_warning():
     assert 1.0 / 16 + 1e200 * np.vdot(v, traceless @ v).real < -bloch.POSITIVITY_ATOL
 
 
-def test_one_eigvalsh_and_no_eigh(monkeypatch):
+def test_one_eigvalsh_and_no_eigh(spy):
     # the verdict and the values come from one spectrum
-    counts = {"eigh": 0, "eigvalsh": 0}
-
-    def spy(name):
-        real = getattr(np.linalg, name)
-
-        def counting(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        return counting
-
-    for name in counts:
-        monkeypatch.setattr(np.linalg, name, spy(name))
+    counts = spy(np.linalg, ["eigh", "eigvalsh"])
     bloch.positivity_conditions(bloch.BlochVector(5, np.zeros(24)))
     assert counts == {"eigh": 0, "eigvalsh": 1}

@@ -701,6 +701,49 @@ def test_search_matches_validating_reference_bit_for_bit():
     assert 0 < infeasible < len(outcomes)
 
 
+def _pinv_row_sets(seed, count):
+    """``count`` seeded k x n row sets, k = 1..4 and n in {3, 8, 15, 35,
+    255}: generic rows, a row duplicated within 1e-13 (a singular value
+    under the cutoff), an all-zero row, and rows scaled by 10^+-300."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for i in range(count):
+        k, n = 1 + i % 4, (3, 8, 15, 35, 255)[i // 4 % 5]
+        rows = rng.normal(size=(k, n))
+        variant = i // 20 % 4
+        if variant == 1 and k > 1:
+            rows[-1] = rows[0] + 1e-13 * rng.normal(size=n)
+        elif variant == 2:
+            rows[rng.integers(k)] = 0.0
+        elif variant == 3:
+            rows *= 10.0 ** rng.choice([-300, 300])
+        sets.append(rows)
+    return sets
+
+
+def test_search_pinv_matches_numpy_bit_for_bit():
+    cut = 0
+    for rows in _pinv_row_sets(24, 4000):
+        got = comask._pinv(rows)
+        assert got.tobytes() == np.linalg.pinv(rows, rcond=comask.RANK_RTOL).tobytes()
+        svals = np.linalg.svd(rows, compute_uv=False)
+        cut += bool(svals[-1] <= comask.RANK_RTOL * svals[0])
+    # the cutoff path runs: some sets have a singular value under it
+    assert 0 < cut < 4000
+
+
+@pytest.mark.parametrize(
+    "family",
+    [[coeffs(2, 0.0, [0, 0, 1])], [coeffs(2, 0.0, [0, 0, 1]), coeffs(2, 0.0, [1, 0, 1])]],
+    ids=["one", "two"],
+)
+def test_one_round_search_makes_one_svd_and_one_eigh(family, spy):
+    # the pseudo-inverse is one SVD of the rows, not a pinv call
+    counts = spy(np.linalg, ["svd", "pinv", "eigh"])
+    comask.find_common_output_state(family, 2)
+    assert counts == {"svd": 1, "pinv": 0, "eigh": 1}
+
+
 def test_search_round_is_one_eigh_without_validation(monkeypatch):
     """Each round makes one eigh call and no require_hermitian call: the
     input is validated once, at entry.  The reference makes one of each per
@@ -754,6 +797,13 @@ class TestCommonOutputState:
         )
         b = bloch.state_to_bloch(rho).b
         assert np.allclose(b, [0, 0, 0.5], atol=1e-6)
+
+    def test_short_rows_refused_before_solving(self):
+        # two short rows that are inconsistent as equations: the family is
+        # refused for its shape, not answered as inconsistent
+        family = [coeffs(2, 0.0, [1, 0]), coeffs(2, 0.0, [2, 0])]
+        with pytest.raises(DimensionMismatchError, match=r"observable 0 .* \(2,\), expected \(3,\)"):
+            comask.find_common_output_state(family, 2)
 
     def test_counterexample_rejected_with_exact_masker(self):
         # an observable with |a| = 1 is masked exactly at the single tangent

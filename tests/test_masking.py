@@ -560,31 +560,14 @@ class TestHotPathCallCounts:
     """Guards on the numpy calls of the qubit-scan chains, so a second
     decomposition or a rebuilt einsum cannot creep back in unnoticed."""
 
-    @staticmethod
-    def spy(monkeypatch, module, names):
-        counts = dict.fromkeys(names, 0)
-
-        def counting(name):
-            real = getattr(module, name)
-
-            def call(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-
-            return call
-
-        for name in names:
-            monkeypatch.setattr(module, name, counting(name))
-        return counts
-
     @pytest.mark.parametrize("d", [2, 3])
-    def test_maskable_chain_makes_one_eigh_and_one_eigvalsh(self, d, monkeypatch):
+    def test_maskable_chain_makes_one_eigh_and_one_eigvalsh(self, d, spy):
         # the verdict reads the spectrum alone; only the masker needs the
         # eigenvectors
         rng = np.random.default_rng(14)
         u = samplers.haar_unitary(rng, d)
         obs = (u * np.linspace(-1.0, 1.5, d)) @ u.conj().T
-        counts = self.spy(monkeypatch, np.linalg, ["eigh", "eigvalsh", "svd", "pinv"])
+        counts = spy(np.linalg, ["eigh", "eigvalsh", "svd", "pinv"])
         bloch.observable_coeffs(obs)
         assert masking.decide_maskable_oracle(obs).maskable
         channel = masking.build_constant_masker(obs)
@@ -592,18 +575,18 @@ class TestHotPathCallCounts:
         assert counts == {"eigh": 1, "eigvalsh": 1, "svd": 0, "pinv": 0}
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_unmaskable_chain_makes_one_eigvalsh(self, d, monkeypatch):
+    def test_unmaskable_chain_makes_one_eigvalsh(self, d, spy):
         rng = np.random.default_rng(16)
         u = samplers.haar_unitary(rng, d)
         obs = (u * np.linspace(-1.0, 0.5, d)) @ u.conj().T
-        counts = self.spy(monkeypatch, np.linalg, ["eigh", "eigvalsh"])
+        counts = spy(np.linalg, ["eigh", "eigvalsh"])
         bloch.observable_coeffs(obs)
         assert not masking.decide_maskable_oracle(obs).maskable
         assert counts == {"eigh": 0, "eigvalsh": 1}
 
-    def test_nohiding_makes_one_einsum(self, monkeypatch):
+    def test_nohiding_makes_one_einsum(self, spy):
         rng = np.random.default_rng(15)
         n = samplers.unit_vector(rng, 3)
-        counts = self.spy(monkeypatch, np, ["einsum"])
+        counts = spy(np, ["einsum"])
         assert masking.verify_nohiding(n).verified
         assert counts == {"einsum": 1}
