@@ -47,7 +47,10 @@ class SymmetricTensor:
     Stored sparsely: row m of ``index`` holds (i, j, k) and ``data[m]`` holds
     the nonzero g_ijk, every ordering of each index triple listed once and
     rows in lexicographic order.  That is 9 065 entries at d = 12 and 22 727
-    at d = 16, against (d^2 - 1)^3 dense entries.
+    at d = 16, against (d^2 - 1)^3 dense entries.  Contracted with a Bloch
+    vector, ``data @ (b[i] b[j] b[k])`` is Tr(B^3) / 2 for
+    B = sum_i b_i g_i, the value ``cubic_condition_value`` computes from B
+    directly; no library function reads the tensor.
     """
 
     dimension: int
@@ -158,6 +161,8 @@ def symmetric_tensor(d: int) -> SymmetricTensor:
 
     Built from the nonzero entries of the generators alone, in O(d^3) time
     and memory: a few milliseconds and under 7 MB of allocations at d = 16.
+    Kept as a public reference for the g_ijk normalization; the cubic
+    positivity value is computed without it.
     """
     return _memoized(_tensor_cache, d, _build_tensor)
 
@@ -309,17 +314,19 @@ def positivity_conditions(b: BlochVector):
 
 
 def cubic_condition_value(b: BlochVector) -> float:
-    """The cubic positivity combination built from the symmetric tensor.
+    """The cubic positivity combination of the Bloch vector.
 
     Equals (d-1)(d-2)/d^2 - 6 (d-2)/d |b|^2 + 4 sum_ijk g_ijk b_i b_j b_k,
-    which coincides with 6 e_3 of the reconstructed matrix.  Exposed as a
-    read-only cross-check of the g_ijk normalization (vacuously zero at d=2).
-    A ``b`` that is not one row d^2 - 1 long raises ``DimensionMismatchError``.
+    which coincides with 6 e_3 of the reconstructed matrix (vacuously zero
+    at d = 2).  With B = sum_i b_i g_i, the cubic term is
+    Tr({B, B} B) / 4 = Tr(B^3) / 2, taken from one d x d product; the
+    symmetric tensor is not read.  A ``b`` that is not one row d^2 - 1 long
+    raises ``DimensionMismatchError``.
     """
     d = b.dimension
     v = _coordinate_rows(b.b, d, stack=False)
-    t = symmetric_tensor(d)
-    i, j, k = t.index.T
+    m = _expansion(v, d, 0.0)
     bb = float(np.dot(v, v))
-    cubic = float(t.data @ (v[i] * v[j] * v[k]))
+    # vdot conjugates its first factor: sum conj(B) * B^2 = Tr(B^dag B^2)
+    cubic = float(np.vdot(m, m @ m).real) / 2.0
     return (d - 1) * (d - 2) / d**2 - 6.0 * (d - 2) / d * bb + 4.0 * cubic

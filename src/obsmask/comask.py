@@ -125,7 +125,11 @@ class AffineSet:
     @classmethod
     def echelon(cls, base_point, units, rest) -> AffineSet:
         """The set base_point + span of the echelon rows given by ``units``
-        and ``rest``; both factors are copied once."""
+        and ``rest``.  Both factors are copied once and checked: unit
+        columns outside [0, ambient_dim) raise ``ValueError``, as do
+        repeated ones or a ``rest`` not (m, ambient_dim - m).  Then the
+        independence certificate runs, with the SVD where it fails; the
+        factors are held read-only."""
         base = np.asarray(base_point, dtype=float).reshape(-1)
         n = base.size
         unit_cols = np.array(units, dtype=np.intp).reshape(-1)
@@ -143,6 +147,7 @@ class AffineSet:
         if not _unit_block_certifies(block):
             _require_independent(_echelon_dense(unit_cols, others, block, n))
         unit_cols.setflags(write=False)
+        others.setflags(write=False)
         block.setflags(write=False)
         self = object.__new__(cls)
         _set(self, ambient_dim=n, base_point=base, units=unit_cols, rest=block,
@@ -285,7 +290,7 @@ def comask_general(points, d: int) -> ComaskDescription:
     of the points b0, b1, ... (dimension k, from one reduced SVD of the
     differences b_i - b0), members satisfy a ⊥ V and a0 = 1 - 2 a.b0.  The
     directions are held in reduced row echelon form as the factors of
-    ``AffineSet.echelon``, in O(k d^2) after the eigensolve: Gauss-Jordan on
+    ``AffineSet.echelon``, in O(k d^2) after the SVD: Gauss-Jordan on
     V gives R with k pivot columns, R[:, piv] = I; each of the other
     d^2 - 1 - k coordinates of a gets one direction with a 1 there,
     a[piv] = -R[:, free]^T and a0 = -2 a.b0, and only the a0 and a[piv]

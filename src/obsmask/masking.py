@@ -34,6 +34,13 @@ from .errors import (
 DECISION_ATOL = 1e-9
 # Largest residual of the two no-hiding identities that counts as verified.
 NOHIDING_ATOL = 1e-10
+# eigvalsh and eigh may round the same spectrum differently: the largest gap
+# measured between their extremes was 1.25 d eps ||O|| (Haar-rotated spectra,
+# d <= 16).  An extreme eigenvalue within EDGE_GUARD d eps max(1, |lambda|) of
+# its band edge 1 -+ DECISION_ATOL takes its verdict from eigh, as the masker
+# does; the margin is observed, not proven.
+EDGE_GUARD = 4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -132,19 +139,27 @@ def decide_maskable_oracle(obs) -> MaskabilityVerdict:
     A constant channel onto sigma masks O exactly when Tr(sigma O) = 1, and
     Tr(sigma O) over all states sweeps [lambda_min, lambda_max]; so O is
     maskable iff that interval contains 1.  The verdict reads only the
-    spectrum, so it comes from one ``eigvalsh``.
+    spectrum, so it comes from one ``eigvalsh``, unless an extreme lies
+    within rounding (``EDGE_GUARD``) of its band edge: then the verdict and
+    range come from the ``eigh`` eigenvalues the masker decides on.
     """
+    arr = require_hermitian(obs)
     try:
-        vals = np.linalg.eigvalsh(require_hermitian(obs))
+        vals = np.linalg.eigvalsh(arr).tolist()
+        lo, hi = vals[0], vals[-1]
+        # lo <= hi, so max(|lo|, |hi|) = max(-lo, hi)
+        guard = EDGE_GUARD * _EPS * len(vals) * max(1.0, -lo, hi)
+        if (abs(lo - 1.0 - DECISION_ATOL) <= guard
+                or abs(hi - 1.0 + DECISION_ATOL) <= guard):
+            vals = np.linalg.eigh(arr)[0].tolist()
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    return _oracle_verdict(vals)
+    return _oracle_verdict(vals[0], vals[-1])
 
 
-def _oracle_verdict(eigenvalues: np.ndarray) -> MaskabilityVerdict:
-    """The oracle's verdict from the ascending eigenvalues of the observable."""
-    lo = float(eigenvalues[0])
-    hi = float(eigenvalues[-1])
+def _oracle_verdict(lo: float, hi: float) -> MaskabilityVerdict:
+    """The oracle's verdict from the least and greatest eigenvalues of the
+    observable."""
     return MaskabilityVerdict(
         maskable=(lo <= 1.0 + DECISION_ATOL) and (1.0 <= hi + DECISION_ATOL),
         method="oracle",
@@ -195,12 +210,13 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     (ties in reverse O order), are the masker's amplitudes on every input.
     """
     eig = eig_hermitian(obs)
-    verdict = _oracle_verdict(eig.eigenvalues)
+    vals = eig.eigenvalues.tolist()
+    verdict = _oracle_verdict(vals[0], vals[-1])
     if not verdict.maskable:
         return verdict, None
     # halved, so no difference of two eigenvalues overflows; halving is exact
     # above the subnormal range, so p and both bands are those of the values
-    half = [x * 0.5 for x in eig.eigenvalues.tolist()]
+    half = [x * 0.5 for x in vals]
     lo, hi = half[0], half[-1]
     d = len(half)
     if hi - lo <= DECISION_ATOL / 2:

@@ -417,6 +417,65 @@ class TestPositivity:
             assert abs(bloch.cubic_condition_value(b) - 6.0 * vals[1]) < 1e-10
 
 
+def tensor_cubic_value(b):
+    """The cubic value as it was once computed, from the sparse symmetric
+    tensor: (d-1)(d-2)/d^2 - 6 (d-2)/d |b|^2 + 4 sum_ijk g_ijk b_i b_j b_k."""
+    d = b.dimension
+    v = np.asarray(b.b, dtype=float)
+    t = bloch.symmetric_tensor(d)
+    i, j, k = t.index.T
+    cubic = float(t.data @ (v[i] * v[j] * v[k]))
+    return (d - 1) * (d - 2) / d**2 - 6.0 * (d - 2) / d * float(np.dot(v, v)) + 4.0 * cubic
+
+
+def _cubic_samples(rng, d, count):
+    """``count`` states, then ``count`` vectors in random directions at up
+    to 1.2 times the pure-state radius, many of them not states."""
+    radius = np.sqrt((d - 1) / (2.0 * d))
+    for _ in range(count):
+        yield bloch.state_to_bloch(samplers.density(rng, d))
+    for _ in range(count):
+        v = samplers.unit_vector(rng, d * d - 1) * radius * rng.uniform(0.0, 1.2)
+        yield bloch.BlochVector(d, v)
+
+
+class TestCubicFromOneProduct:
+    @pytest.mark.parametrize("d", [3, 4, 8, 12, 16])
+    def test_matches_tensor_form(self, d):
+        rng = np.random.default_rng(1500 + d)
+        for b in _cubic_samples(rng, d, 30):
+            got = bloch.cubic_condition_value(b)
+            want = tensor_cubic_value(b)
+            assert type(got) is float
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 12])
+    def test_tensor_contracts_to_half_trace_cube(self, d):
+        # the tensor's own normalization: data @ (b_i b_j b_k) = Tr(B^3) / 2,
+        # with B summed from the generator matrices
+        rng = np.random.default_rng(1600 + d)
+        t = bloch.symmetric_tensor(d)
+        g = bloch.generator_basis(d).matrices
+        i, j, k = t.index.T
+        for b in _cubic_samples(rng, d, 10):
+            mat = np.einsum("i,iab->ab", b.b, g)
+            want = np.trace(mat @ mat @ mat).real / 2.0
+            assert abs(t.data @ (b.b[i] * b.b[j] * b.b[k]) - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_builds_no_tensor(self, d, spy, monkeypatch):
+        monkeypatch.setattr(bloch, "_tensor_cache", {})
+        counts = spy(bloch, ["_build_tensor"])
+        bloch.cubic_condition_value(bloch.BlochVector(d, np.full(d * d - 1, 0.01)))
+        assert counts == {"_build_tensor": 0}
+        bloch.symmetric_tensor(d)
+        assert counts == {"_build_tensor": 1}
+
+    def test_refuses_a_stack(self):
+        with pytest.raises(DimensionMismatchError, match="one coordinate row"):
+            bloch.cubic_condition_value(bloch.BlochVector(3, np.full((2, 8), 0.01)))
+
+
 def _spectral_states(rng, d, count):
     """Full-rank density matrices, pure states and low-rank states with
     Dirichlet(0.3) weights on ceil(d/2) levels, each in a Haar basis."""

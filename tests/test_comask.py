@@ -370,6 +370,56 @@ def test_general_never_decomposes_the_direction_matrix(monkeypatch):
         assert views == []
 
 
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_general_factors_match_the_public_echelon(d, k):
+    """The set comask_general builds is the one ``AffineSet.echelon``
+    builds again from its factors, bit for bit, and every factor of it is
+    read-only."""
+    rng = np.random.default_rng(1700 + 4 * d + k)
+    pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
+    got = comask.comask_general(pts, d).coefficient_set
+    want = comask.AffineSet.echelon(got.base_point, got.units, got.rest)
+    for name in ("units", "rest", "_others", "base_point"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.directions.tobytes() == want.directions.tobytes()
+    assert got.ambient_dim == want.ambient_dim == d * d
+    for name in ("units", "rest", "_others"):
+        assert not getattr(got, name).flags.writeable, name
+
+
+@pytest.mark.parametrize("d", [2, 8, 16])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_general_call_counts(d, k, spy):
+    """One independence certificate, one stacked Cholesky, one SVD of the
+    differences when k >= 1 and no eigensolver, for k + 1 valid states."""
+    rng = np.random.default_rng(1800 + 4 * d + k)
+    pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
+    certs = spy(comask, ["_unit_block_certifies"])
+    linalg = spy(np.linalg, ["cholesky", "svd", "eigvalsh", "eigh"])
+    comask.comask_general(pts, d)
+    assert certs == {"_unit_block_certifies": 1}
+    assert linalg == {"cholesky": 1, "svd": int(k >= 1), "eigvalsh": 0, "eigh": 0}
+
+
+def test_general_reads_points_of_any_flat_shape():
+    """Rows of a 2-D array, columns of shape (n, 1) and plain lists give the
+    set that 1-D arrays give, bit for bit."""
+    rng = np.random.default_rng(19)
+    d = 3
+    pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(3)]
+    want = comask.comask_general(pts, d).coefficient_set
+    for points in (np.stack(pts), [p[:, None] for p in pts], [p.tolist() for p in pts],
+                   (p for p in pts), [pts[0][None, :], pts[1], pts[2]]):
+        got = comask.comask_general(points, d).coefficient_set
+        assert got.rest.tobytes() == want.rest.tobytes()
+        assert got.units.tobytes() == want.units.tobytes()
+    with pytest.raises(DimensionMismatchError, match="^point 2 has length 9, expected 8$"):
+        comask.comask_general([pts[0][:, None], pts[1], np.zeros((3, 3))], d)
+
+
 def reference_directions(points, d):
     """The dense direction matrix comask_general once built, [a0 column | I
     on the free columns | -coupling^T on the pivot columns], from the same

@@ -109,6 +109,35 @@ class TestOracle:
                 assert verdict.maskable == maskable
                 assert masking.oracle_masker(obs)[0].maskable == maskable
 
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_agrees_with_the_masker_at_the_band_edge(self, d):
+        # lambda_max = 1 - DECISION_ATOL exactly, and mirrored lambda_min =
+        # 1 + DECISION_ATOL: eigvalsh and eigh round the extreme to either
+        # side of the edge, so the oracle takes such verdicts from eigh
+        rng = np.random.default_rng(1900 + d)
+        edge = 1.0 - masking.DECISION_ATOL
+        for _ in range(200):
+            for at_min in (False, True):
+                spectrum = np.r_[rng.uniform(-2.0, edge, d - 1), edge]
+                if at_min:
+                    spectrum = 2.0 - spectrum
+                u = samplers.haar_unitary(rng, d)
+                obs = (u * spectrum) @ u.conj().T
+                verdict = masking.decide_maskable_oracle(obs)
+                masker_verdict, channel = masking.oracle_masker(obs)
+                assert verdict.maskable == (channel is not None) == masker_verdict.maskable
+
+    def test_edge_guard_is_read_on_each_call(self, monkeypatch, spy):
+        # lambda_max = 1 - 1e-6 lies 1e-6 from its edge: outside the default
+        # guard, inside one widened after import
+        obs = np.diag([0.5, 1.0 - 1e-6])
+        counts = spy(np.linalg, ["eigvalsh", "eigh"])
+        masking.decide_maskable_oracle(obs)
+        assert counts == {"eigvalsh": 1, "eigh": 0}
+        monkeypatch.setattr(masking, "EDGE_GUARD", 1e12)
+        masking.decide_maskable_oracle(obs)
+        assert counts == {"eigvalsh": 2, "eigh": 1}
+
     def test_eigensolver_failure_is_a_numerical_failure(self, monkeypatch):
         def fail(arr):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
