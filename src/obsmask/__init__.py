@@ -31,13 +31,13 @@ _EXPORTS = {
     ),
     "channels": (
         "KrausChannel", "UnitaryDilation", "apply_adjoint", "apply_forward",
-        "constant_channel", "isometric_extension", "masker_dilation",
+        "isometric_extension", "masker_dilation",
     ),
     "masking": (
-        "MaskabilityVerdict", "OutputDisk", "build_constant_masker",
-        "build_masker_swap", "decide_maskable_oracle", "decide_maskable_qubit",
-        "necessary_condition_d", "output_disk", "rotation_unitary",
-        "verify_masking", "verify_nohiding",
+        "MaskabilityVerdict", "build_constant_masker", "build_masker_swap",
+        "decide_maskable_oracle", "decide_maskable_qubit",
+        "necessary_condition_d", "rotation_unitary", "verify_masking",
+        "verify_nohiding",
     ),
     "comask": (
         "AffineSet", "ComaskDescription", "comask_general", "comask_qubit",

@@ -112,18 +112,6 @@ def eig_hermitian(m) -> HermitianEig:
     return HermitianEig(eigenvalues=vals, eigenvectors=vecs * phases)
 
 
-def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane orthogonal to a unit
-    3-vector: the coordinate axis least aligned with it, projected, then the
-    cross product."""
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(normal)))] = 1.0
-    e1 = seed - normal * np.dot(normal, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    return e1, e2
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices, first factor major: one broadcast
     product of the same entry pairs ``np.kron`` multiplies, reshaped."""

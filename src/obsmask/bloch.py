@@ -3,6 +3,7 @@ and positivity constraints evaluated from one eigensolve."""
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -321,12 +322,16 @@ def cubic_condition_value(b: BlochVector) -> float:
     at d = 2).  With B = sum_i b_i g_i, the cubic term is
     Tr({B, B} B) / 4 = Tr(B^3) / 2, taken from one d x d product; the
     symmetric tensor is not read.  A ``b`` that is not one row d^2 - 1 long
-    raises ``DimensionMismatchError``.
+    raises ``DimensionMismatchError``, and non-finite coordinates are
+    refused as ``positivity_conditions`` refuses them.
     """
     d = b.dimension
     v = _coordinate_rows(b.b, d, stack=False)
-    m = _expansion(v, d, 0.0)
     bb = float(np.dot(v, v))
+    # a finite |b|^2 proves every coordinate finite
+    if not math.isfinite(bb) and not np.isfinite(v).all():
+        raise InvalidStateError("Bloch vector has non-finite coordinates")
+    m = _expansion(v, d, 0.0)
     # vdot conjugates its first factor: sum conj(B) * B^2 = Tr(B^dag B^2)
     cubic = float(np.vdot(m, m @ m).real) / 2.0
     return (d - 1) * (d - 2) / d**2 - 6.0 * (d - 2) / d * bb + 4.0 * cubic

@@ -1,5 +1,5 @@
-"""Kraus-channel algebra: forward and adjoint action, constant channels,
-isometric extension, and the swap-type masker dilation."""
+"""Kraus-channel algebra: forward and adjoint action, isometric extension,
+and the swap-type masker dilation."""
 
 from __future__ import annotations
 
@@ -241,16 +241,6 @@ def _spectral_rows(eig: HermitianEig) -> np.ndarray:
     the state."""
     terms = np.flatnonzero(eig.eigenvalues >= 1e-12)[::-1]
     return (np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]).T
-
-
-def constant_channel(sigma0, input_dim: int) -> KrausChannel:
-    """Channel mapping every input state to ``sigma0``.
-
-    Kraus family sqrt(p_j) |e_j><k| over the nonzero spectral terms of
-    sigma0 (descending weight) and k = 0..input_dim-1.
-    """
-    rows = _spectral_rows(require_density(sigma0))
-    return KrausChannel.rank_one(rows, np.ones((len(rows), input_dim)))
 
 
 def isometric_extension(channel: KrausChannel) -> np.ndarray:

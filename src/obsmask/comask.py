@@ -103,7 +103,7 @@ class AffineSet:
     (``_unit_block_certifies``; the SVD runs only where that bound fails),
     ``sample`` costs O(m (ambient_dim - m)), and ``directions`` is a
     read-only dense view built on each access.  Both factors are None for a
-    general family.
+    general family.  Either form holds read-only copies of its arrays.
     """
 
     ambient_dim: int
@@ -112,25 +112,26 @@ class AffineSet:
     rest: np.ndarray | None
 
     def __init__(self, ambient_dim: int, base_point, directions):
-        base = np.asarray(base_point, dtype=float).reshape(-1)
+        base = np.array(base_point, dtype=float).reshape(-1)
         if base.shape != (ambient_dim,):
             raise DimensionMismatchError(
                 f"base point has length {base.shape[0]}, expected {ambient_dim}"
             )
-        dirs = np.asarray(directions, dtype=float).reshape(-1, ambient_dim)
+        dirs = np.array(directions, dtype=float).reshape(-1, ambient_dim)
         _require_independent(dirs)
+        base.setflags(write=False)
+        dirs.setflags(write=False)
         _set(self, ambient_dim=ambient_dim, base_point=base, units=None, rest=None,
              _directions=dirs)
 
     @classmethod
     def echelon(cls, base_point, units, rest) -> AffineSet:
         """The set base_point + span of the echelon rows given by ``units``
-        and ``rest``.  Both factors are copied once and checked: unit
-        columns outside [0, ambient_dim) raise ``ValueError``, as do
-        repeated ones or a ``rest`` not (m, ambient_dim - m).  Then the
-        independence certificate runs, with the SVD where it fails; the
-        factors are held read-only."""
-        base = np.asarray(base_point, dtype=float).reshape(-1)
+        and ``rest``, each copied once and held read-only.  Unit columns
+        outside [0, ambient_dim) raise ``ValueError``, as do repeated ones
+        or a ``rest`` not (m, ambient_dim - m).  Then the independence
+        certificate runs, with the SVD where it fails."""
+        base = np.array(base_point, dtype=float).reshape(-1)
         n = base.size
         unit_cols = np.array(units, dtype=np.intp).reshape(-1)
         block = np.array(rest, dtype=float)
@@ -146,6 +147,7 @@ class AffineSet:
             )
         if not _unit_block_certifies(block):
             _require_independent(_echelon_dense(unit_cols, others, block, n))
+        base.setflags(write=False)
         unit_cols.setflags(write=False)
         others.setflags(write=False)
         block.setflags(write=False)

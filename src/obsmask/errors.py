@@ -70,10 +70,6 @@ class NotMaskableError(ObsMaskError):
     """Requested a masker for an observable that has none."""
 
 
-class EmptyDiskError(ObsMaskError):
-    """The masking plane misses the Bloch ball; no output states exist."""
-
-
 class InconsistentConstraintsError(ObsMaskError):
     """No single coefficient vector satisfies all masking constraints."""
 

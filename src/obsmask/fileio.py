@@ -1,10 +1,10 @@
-"""Plain-text serialization for matrices, coefficient vectors, and Bloch
-vectors.
+"""Plain-text parsing of matrix, coefficient, vector and Bloch documents,
+and rendering of matrices and Kraus families.
 
 Headers are one of ``matrix R C``, ``coeffs D a0 a1 ... a_{D^2-1}``,
 ``vector N``, ``bloch D b1 ... b_{D^2-1}``.  Complex entries are written
 ``re,im`` with plain decimal notation, whitespace separated; ``#`` starts a
-comment.  Rendered files parse back to the same values.
+comment.  Rendered matrices and Kraus files parse back to the same values.
 """
 
 from __future__ import annotations
@@ -163,10 +163,6 @@ def parse_bloch_lines(text: str, d: int) -> list[np.ndarray]:
     return vectors
 
 
-def _real(x: float) -> str:
-    return repr(float(x))
-
-
 def _entry(z: complex) -> str:
     """``re,im`` of a Python complex, as from ``tolist()``: its parts are
     Python floats, so they need no conversion."""
@@ -179,22 +175,6 @@ def render_matrix(matrix) -> str:
     lines = [f"matrix {rows} {cols}"]
     lines.extend(" ".join(map(_entry, row)) for row in arr.tolist())
     return "\n".join(lines) + "\n"
-
-
-def render_coeffs(c: ObservableCoeffs) -> str:
-    values = " ".join(_real(v) for v in [c.a0, *np.asarray(c.a, float)])
-    return f"coeffs {c.dimension} {values}\n"
-
-
-def render_bloch(b: BlochVector) -> str:
-    values = " ".join(_real(v) for v in np.asarray(b.b, float))
-    return f"bloch {b.dimension} {values}\n"
-
-
-def render_vector(v) -> str:
-    arr = np.asarray(v, dtype=complex).reshape(-1)
-    entries = " ".join(map(_entry, arr.tolist()))
-    return f"vector {arr.size}\n{entries}\n"
 
 
 def render_kraus(channel: KrausChannel) -> str:

@@ -1,5 +1,5 @@
-"""Maskability decisions, masker construction, masking verification, the
-output-state disk geometry, and the observable no-hiding check."""
+"""Maskability decisions, masker construction, masking verification, and
+the observable no-hiding check."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .algebra import (
     dagger,
     eig_hermitian,
     max_norm,
-    plane_frame,
     require_hermitian,
     tensor,
 )
@@ -22,7 +21,6 @@ from .bloch import ObservableCoeffs, _coordinate_rows, generator_basis
 from .channels import KrausChannel, UnitaryDilation, apply_adjoint, masker_dilation
 from .errors import (
     DimensionMismatchError,
-    EmptyDiskError,
     NotHermitianError,
     NotMaskableError,
     NotUnitVectorError,
@@ -56,25 +54,6 @@ class MaskabilityVerdict:
     method: str  # "bloch-criterion" | "oracle"
     plane_distance: float | None = None
     eig_range: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class OutputDisk:
-    """The disk of valid output Bloch vectors masking a qubit observable.
-
-    The disk is the slice of the Bloch ball by the plane a.b = 1/2; its rim
-    lies on the Bloch sphere (radius^2 + |center|^2 = 1/4).
-    """
-
-    center: np.ndarray
-    radius: float
-    normal: np.ndarray
-
-    def point(self, radial_fraction: float, angle: float) -> np.ndarray:
-        """A point of the disk at fraction in [0, 1] of the radius."""
-        e1, e2 = plane_frame(self.normal)
-        offset = self.radius * radial_fraction * (np.cos(angle) * e1 + np.sin(angle) * e2)
-        return self.center + offset
 
 
 @dataclass(frozen=True)
@@ -308,23 +287,3 @@ def verify_nohiding(n, u0=None, u1=None) -> NoHidingReport:
         verified=bool(swap_residual < NOHIDING_ATOL and recovery_residual < NOHIDING_ATOL),
     )
 
-
-def output_disk(a) -> OutputDisk:
-    """Disk of Bloch vectors b with a.b = 1/2 inside the ball |b| <= 1/2.
-
-    Defined for traceless qubit observables (a0 = 0); empty when |a| < 1
-    because the plane then misses the ball.
-    """
-    arr = np.asarray(a, dtype=float).reshape(-1)
-    if arr.shape != (3,):
-        raise DimensionMismatchError(f"expected a real 3-vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NotHermitianError("observable coefficients are not finite")
-    a_norm = float(np.linalg.norm(arr))
-    if a_norm < 1.0 - DECISION_ATOL:
-        raise EmptyDiskError(f"|a| = {a_norm!r} < 1: plane misses the Bloch ball")
-    a_norm = max(a_norm, 1.0)
-    normal = arr / a_norm
-    center = normal / (2.0 * a_norm)
-    radius = 0.5 * np.sqrt(max(0.0, 1.0 - 1.0 / a_norm**2))
-    return OutputDisk(center=center, radius=float(radius), normal=normal)

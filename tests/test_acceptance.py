@@ -9,6 +9,7 @@ the ones ``obsmask selftest`` runs at small counts.
 import numpy as np
 
 from obsmask import algebra, bitcommit, bloch, comask, masking, samplers
+from obsmask.channels import apply_forward
 from obsmask.errors import InfeasibleError
 from obsmask.invariants import REGISTRY
 
@@ -69,8 +70,6 @@ def test_criterion_3_masker_correctness():
     ):
         failures.append("sigma3 masker Kraus family differs from |0><0|, |0><1|")
     rng = np.random.default_rng(3001)
-    from obsmask.channels import apply_forward
-
     for _ in range(50):
         out = apply_forward(chan, samplers.density(rng, 2))
         if algebra.max_norm(out - np.outer(KET0, KET0.conj())) > 1e-10:
@@ -113,6 +112,27 @@ def test_criterion_5_nohiding():
     passed, _ = REGISTRY["nohiding_swap_identity"].run(rng, 2, 1000)
     if passed < 1000:
         failures.append(f"{1000 - passed}/1000 swap or recovery residuals >= 1e-10")
+    # the dilation realises its masker: tracing the environment out of
+    # U'(rho (x) |0><0|)U'^dag gives the masker's output, onto which n.sigma
+    # is masked
+    rng = np.random.default_rng(5002)
+    env = np.outer(KET0, KET0.conj())
+    for _ in range(200):
+        n = samplers.unit_vector(rng, 3)
+        chan, dil = masking.build_masker_swap(n)
+        residual = masking.verify_masking(chan, n[0] * S1 + n[1] * S2 + n[2] * S3)
+        if residual >= masking.DECISION_ATOL:
+            failures.append(f"swap masker adjoint residual {residual:.3e}")
+            break
+        rho = samplers.density(rng, 2)
+        u = dil.unitary
+        joint = u @ algebra.tensor(rho, env) @ algebra.dagger(u)
+        gap = algebra.max_norm(
+            algebra.partial_trace(joint, (2, 2), "B") - apply_forward(chan, rho)
+        )
+        if gap > 1e-12:
+            failures.append(f"dilation output differs from the masker's by {gap:.3e}")
+            break
     _finish(5, "no-hiding swap identity", failures)
 
 
@@ -176,6 +196,25 @@ def test_criterion_8_bitcommit_reduction():
     cheat = bitcommit.cheating_unitary(pair)
     if algebra.max_norm(cheat.unitary_a - HADAMARD) > 1e-10:
         failures.append("Bell/Hadamard golden case does not yield the Hadamard")
+    # a pair that is not concealing binds: Alice's best cheat reaches only
+    # the root fidelity ||sqrt(rho_B0) sqrt(rho_B1)||_1 of the B-marginals
+    theta = 0.7
+    psi0 = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    psi1 = np.array([np.cos(theta), 0, 0, np.sin(theta)])
+    pair = bitcommit.commitment_pair_from_vectors(psi0, psi1, (2, 2))
+    cheat = bitcommit.cheating_unitary(pair)
+    roots = []
+    for psi in (psi0, psi1):
+        m = psi.reshape(2, 2)
+        vals, vecs = np.linalg.eigh(m.T @ m.conj())
+        roots.append((vecs * np.sqrt(vals.clip(0.0))) @ vecs.conj().T)
+    root_fidelity = np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum()
+    if not bitcommit.concealment_gap(pair) > 0:
+        failures.append("tilted Bell pair reads as concealing")
+    if cheat.feasible:
+        failures.append("tilted Bell pair admits an exact cheat")
+    if abs(cheat.fidelity - root_fidelity) > 1e-12:
+        failures.append(f"cheat fidelity {cheat.fidelity!r} != root fidelity {root_fidelity!r}")
     _finish(8, "no-bit-commitment reduction", failures)
 
 
@@ -188,4 +227,17 @@ def test_criterion_9_positivity_machinery():
             failures.append(
                 f"d={d}: {10_000 - passed} verdict, ball-identity or round-trip failures"
             )
+    # the cubic value is 6 e_3, on states and non-states out to 1.2 times
+    # the pure-state radius
+    for d in (3, 4, 8, 16):
+        rng = np.random.default_rng(9100 + d)
+        radius = np.sqrt((d - 1) / (2 * d))
+        for _ in range(200):
+            direction = samplers.unit_vector(rng, d * d - 1)
+            b = bloch.BlochVector(d, direction * rng.uniform(0, 1.2 * radius))
+            value = bloch.cubic_condition_value(b)
+            e3 = bloch.positivity_conditions(b)[0][1]
+            if abs(value - 6 * e3) > 1e-12 * max(1.0, abs(value)):
+                failures.append(f"d={d}: cubic value {value!r} != 6 e_3 = {6 * e3!r}")
+                break
     _finish(9, "positivity machinery", failures)

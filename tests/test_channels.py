@@ -262,7 +262,9 @@ class TestForward:
             assert algebra.max_norm(out - np.diag([1.0, 0.0])) < 1e-12
 
     def test_depolarizing_to_maximally_mixed(self):
-        chan = channels.constant_channel(np.eye(2) / 2, 2)
+        # both effects prepare I/2
+        rho = np.eye(2) / 2
+        chan = bitcommit.measure_prepare_channel(rho, rho, 2)
         rng = np.random.default_rng(3)
         out = channels.apply_forward(chan, samplers.density(rng, 2))
         assert algebra.max_norm(out - np.eye(2) / 2) < 1e-12
@@ -298,40 +300,20 @@ class TestAdjoint:
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_stack_equals_scalar_calls(self, d):
         # each matrix of a stack goes through the products of a single call,
-        # so the results agree bit for bit; the constant channel of a
-        # full-rank state has d^2 Kraus operators
+        # so the results agree bit for bit; the measure-and-prepare channel
+        # of a full-rank state has d + d (d - 1) = d^2 Kraus operators
         rng = np.random.default_rng(40 + d)
-        constant = channels.constant_channel(samplers.density(rng, d), d)
-        assert len(constant.kraus) == d * d
+        rho = samplers.density(rng, d)
+        prepare = bitcommit.measure_prepare_channel(rho, rho, d)
+        assert len(prepare.kraus) == d * d
         obs = samplers.hermitian(rng, d, size=(2, 3))
-        for chan in (random_channel(rng, d, 3), constant):
+        for chan in (random_channel(rng, d, 3), prepare):
             out = channels.apply_adjoint(chan, obs)
             assert out.shape == (2, 3, d, d)
             for idx in np.ndindex(2, 3):
                 assert np.array_equal(out[idx], channels.apply_adjoint(chan, obs[idx]))
         with pytest.raises(DimensionMismatchError):
-            channels.apply_adjoint(constant, np.zeros((3, d, d + 1)))
-
-
-class TestConstantChannel:
-    def test_ket0_target_gives_masker_kraus(self):
-        chan = channels.constant_channel(np.diag([1.0, 0.0]), 2)
-        expected = masker_kraus()
-        assert len(chan.kraus) == 2
-        for got, want in zip(chan.kraus, expected):
-            assert algebra.max_norm(got - want) < 1e-12
-
-    def test_forward_is_constant(self):
-        rng = np.random.default_rng(6)
-        sigma = samplers.density(rng, 3)
-        chan = channels.constant_channel(sigma, 3)
-        for _ in range(5):
-            out = channels.apply_forward(chan, samplers.density(rng, 3))
-            assert algebra.max_norm(out - sigma) < 1e-10
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(InvalidStateError):
-            channels.constant_channel(np.diag([1.5, -0.5]), 2)
+            channels.apply_adjoint(prepare, np.zeros((3, d, d + 1)))
 
 
 class TestRequireDensity:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from obsmask import algebra, bloch, comask, masking, samplers
+from obsmask import algebra, bloch, comask, samplers
 from obsmask.errors import (
     DimensionMismatchError,
     IdenticalPointsError,
@@ -40,6 +40,26 @@ def min_norm(points):
     return np.linalg.lstsq(np.stack(points), np.full(len(points), 0.5), rcond=None)[0]
 
 
+def null_frame(a):
+    """Orthonormal rows spanning the plane orthogonal to the 3-vector a,
+    from its SVD."""
+    return np.linalg.svd(np.reshape(a, (1, 3)))[2][1:]
+
+
+def disk_points(a, rng, count, low):
+    """``count`` points of the disk of qubit states b with a . b = 1/2:
+    a / (2|a|^2) + r (cos t, sin t) . frame, with r^2 <= 1/4 - 1/(4|a|^2)
+    drawn from fraction ``low`` to 1 of that radius."""
+    a = np.asarray(a, dtype=float)
+    center, frame = a / (2 * a @ a), null_frame(a)
+    radius = np.sqrt(0.25 - 0.25 / (a @ a))
+    points = []
+    for _ in range(count):
+        r, t = radius * rng.uniform(low, 1.0), rng.uniform(0, 2 * np.pi)
+        points.append(center + r * (np.cos(t) * frame[0] + np.sin(t) * frame[1]))
+    return points
+
+
 def assert_traceless_set(got, base, directions, rng):
     """The AffineSet ``got`` is {(0, base + w . directions)}: the same base
     point, and each set contains the other's samples."""
@@ -65,6 +85,21 @@ class TestAffineSet:
         assert s.contains([1.0, 5.0, 0.0])
         assert not s.contains([1.0, 0.0, 0.1])
         assert np.allclose(s.sample([2.0]), [1, 2, 0])
+
+    def test_constructors_own_their_arrays(self):
+        # both forms copy what they are given, so a later write to the
+        # caller's arrays does not move the set
+        base, dirs = np.zeros(4), np.eye(4)[1:3]
+        sets = [
+            comask.AffineSet.echelon(base, [1, 2], np.zeros((2, 2))),
+            comask.AffineSet(4, base, dirs),
+        ]
+        base[0] = 5.0
+        dirs[0] = [1.0, 0.0, 0.0, 0.0]
+        for s in sets:
+            assert s.contains([0.0, 1.0, 1.0, 0.0])
+            assert not s.base_point.flags.writeable
+            assert not s.directions.flags.writeable
 
     def test_rejects_dependent_directions(self):
         with pytest.raises(ValueError):
@@ -245,14 +280,8 @@ class TestLineCase:
 
 class TestPlanarCase:
     def test_disk_points_recover_center_observable(self):
-        from obsmask import masking
-
-        disk = masking.output_disk([0.0, 0.0, 2.0])
         rng = np.random.default_rng(6)
-        points = [
-            disk.point(rng.uniform(0.3, 1.0), rng.uniform(0, 2 * np.pi))
-            for _ in range(10)
-        ]
+        points = disk_points([0.0, 0.0, 2.0], rng, 10, 0.3)
         desc = comask.comask_qubit(points)
         assert desc.kind == "singleton"
         assert desc.affine_dim == 0
@@ -496,14 +525,12 @@ def test_qubit_cases_match_closed_forms():
     for _ in range(200):
         b, p, q = (samplers.unit_vector(rng, 3) * rng.uniform(0.1, 0.5) for _ in range(3))
         plane = comask.comask_qubit([b]).coefficient_set
-        frame = algebra.plane_frame(b / np.linalg.norm(b))
-        assert_traceless_set(plane, b / (2 * b @ b), frame, rng)
+        assert_traceless_set(plane, b / (2 * b @ b), null_frame(b), rng)
         n = np.cross(p, q)
         if np.linalg.norm(n) > 1e-2:
             line = comask.comask_qubit([p, q]).coefficient_set
             assert_traceless_set(line, min_norm([p, q]), n / np.linalg.norm(n), rng)
-        disk = masking.output_disk(samplers.unit_vector(rng, 3) * rng.uniform(1.1, 5.0))
-        pts = [disk.point(rng.uniform(0.1, 1), rng.uniform(0, 2 * np.pi)) for _ in range(5)]
+        pts = disk_points(samplers.unit_vector(rng, 3) * rng.uniform(1.1, 5.0), rng, 5, 0.1)
         singleton = comask.comask_qubit(pts).coefficient_set
         assert_traceless_set(singleton, min_norm(pts), [], rng)
 

@@ -4,7 +4,6 @@ import pytest
 from obsmask import algebra, bloch, channels, masking, samplers
 from obsmask.errors import (
     DimensionMismatchError,
-    EmptyDiskError,
     NotHermitianError,
     NotMaskableError,
     NotUnitaryError,
@@ -330,7 +329,8 @@ def _maskable_observable(rng, d, i):
 
 class TestConstantMaskerAgainstTargetState:
     """The masker read off O's eigendecomposition against the constant
-    channel onto the target state sigma0, formed and decomposed."""
+    channel onto the target state sigma0, formed and decomposed: the
+    rank-one family of sigma0's spectral rows on every input ket."""
 
     @staticmethod
     def reference(obs, lam):
@@ -343,7 +343,8 @@ class TestConstantMaskerAgainstTargetState:
 
         p = (1.0 - lo) / (hi - lo)
         sigma0 = p * eigenspace_state(hi) + (1.0 - p) * eigenspace_state(lo)
-        return channels.constant_channel(sigma0, len(lam)), p
+        rows = channels._spectral_rows(channels.require_density(sigma0))
+        return channels.KrausChannel.rank_one(rows, np.ones((len(rows), len(lam)))), p
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_matches_constant_channel(self, d):
@@ -541,48 +542,6 @@ class TestNoHiding:
             )
             assert report.swap_residual < 1e-10
             assert report.verified
-
-
-class TestOutputDisk:
-    def test_tangent_plane(self):
-        disk = masking.output_disk([0.0, 0.0, 1.0])
-        assert np.allclose(disk.center, [0, 0, 0.5], atol=1e-12)
-        assert disk.radius < 1e-12
-
-    def test_interior_plane(self):
-        disk = masking.output_disk([0.0, 0.0, 2.0])
-        assert np.allclose(disk.center, [0, 0, 0.25], atol=1e-12)
-        assert abs(disk.radius - np.sqrt(3) / 4) < 1e-12
-
-    def test_short_vector_empty(self):
-        with pytest.raises(EmptyDiskError):
-            masking.output_disk([0.5, 0.0, 0.0])
-
-    def test_refuses_non_finite_coefficients(self):
-        # |a| = nan passes the emptiness test `|a| < 1`
-        with pytest.raises(NotHermitianError):
-            masking.output_disk([np.nan, 0.0, 1.0])
-
-    def test_rim_on_bloch_sphere(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = samplers.unit_vector(rng, 3) * rng.uniform(1.0, 4.0)
-            disk = masking.output_disk(a)
-            assert abs(disk.radius**2 + np.dot(disk.center, disk.center) - 0.25) < 1e-12
-            rim = disk.point(1.0, rng.uniform(0, 2 * np.pi))
-            assert abs(np.linalg.norm(rim) - 0.5) < 1e-10
-
-    def test_sampled_points_are_states_and_mask(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            a = samplers.unit_vector(rng, 3) * rng.uniform(1.0, 3.0)
-            disk = masking.output_disk(a)
-            for _ in range(5):
-                b = disk.point(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
-                vec = bloch.BlochVector(2, b)
-                _, positive = bloch.positivity_conditions(vec)
-                assert positive
-                assert abs(np.dot(a, b) - 0.5) < 1e-10
 
 
 class TestHotPathCallCounts:
