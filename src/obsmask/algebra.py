@@ -1,11 +1,13 @@
-"""Dense complex matrix substrate: Hermitian eigendecomposition, tensor
-products, partial trace, and unitary completion."""
+"""Dense complex matrix substrate: the LAPACK seam every decomposition runs
+through, Hermitian eigendecomposition, tensor products, partial trace, and
+unitary completion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -19,6 +21,84 @@ from .errors import (
 HERMITICITY_ATOL = 1e-10
 # Tolerance for orthonormality / normalization of input vector families.
 ORTHONORMALITY_ATOL = 1e-9
+
+
+# The LAPACK seam.  Each helper calls the numpy.linalg._umath_linalg gufunc
+# that numpy's own wrapper calls (numpy >= 2), with that wrapper's signature
+# and error state, so its results are numpy's bit for bit and a failure
+# raises LinAlgError with numpy's message; the wrapper's Python work (array
+# coercion, dtype dispatch, result casts), which costs more than LAPACK at
+# d <= 16, is skipped.  Each takes a float64 or complex128 array, or a stack
+# of them with the matrix axes last.  invariants.py keeps the public
+# np.linalg calls as its reference.
+
+def _raiser(message: str):
+    def raise_linalg_error(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return raise_linalg_error
+
+
+_EIG_FAILED = _raiser("Eigenvalues did not converge")
+_SVD_FAILED = _raiser("SVD did not converge")
+_CHOLESKY_FAILED = _raiser("Matrix is not positive definite")
+_QR_FAILED = _raiser("Incorrect argument found while performing QR factorization")
+
+
+def _errstate(handler) -> np.errstate:
+    """numpy.linalg's error state: the gufuncs flag a failed factorization
+    as an invalid value, which calls ``handler``; rounding flags are
+    ignored."""
+    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _eigh(a: np.ndarray):
+    """``np.linalg.eigh(a)``: ascending eigenvalues and the eigenvectors."""
+    with _errstate(_EIG_FAILED):
+        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``."""
+    with _errstate(_EIG_FAILED):
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _svd(a: np.ndarray):
+    """``np.linalg.svd(a, full_matrices=False)``: u, s, vh."""
+    with _errstate(_SVD_FAILED):
+        return _umath_linalg.svd_s(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+
+
+def _svd_full(a: np.ndarray):
+    """``np.linalg.svd(a)``: u, s, vh with u and vh square."""
+    with _errstate(_SVD_FAILED):
+        return _umath_linalg.svd_f(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+
+
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(a, compute_uv=False)``."""
+    with _errstate(_SVD_FAILED):
+        return _umath_linalg.svd(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky(a)``: the lower factor."""
+    with _errstate(_CHOLESKY_FAILED):
+        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+def _qr(a: np.ndarray):
+    """``np.linalg.qr(a)`` (reduced): q and r.  As numpy does, the
+    Householder factorization runs in place on a copy, q is formed from it
+    and r is its upper triangle."""
+    complex_ = a.dtype.kind == "c"
+    raw = a.astype(complex if complex_ else float, copy=True)
+    with _errstate(_QR_FAILED):
+        tau = _umath_linalg.qr_r_raw(raw, signature="D->D" if complex_ else "d->d")
+        q = _umath_linalg.qr_reduced(raw, tau, signature="DD->D" if complex_ else "dd->d")
+    return q, np.triu(raw[..., : min(a.shape[-2:]), :])
 
 
 def as_matrix(m) -> np.ndarray:
@@ -90,7 +170,7 @@ def eig_hermitian(m) -> HermitianEig:
     """Eigendecompose a Hermitian matrix; eigenvalues ascending."""
     arr = require_hermitian(m)
     try:
-        vals, vecs = np.linalg.eigh(arr)
+        vals, vecs = _eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
     # rotate each column so its first entry above 1e-12 in magnitude is real

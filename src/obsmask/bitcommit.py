@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import samplers
+from . import algebra, samplers
 from .algebra import dagger, max_norm, require_orthonormal
 from .channels import KrausChannel, _spectral_rows, apply_adjoint, require_density
 from .errors import (
@@ -113,8 +113,14 @@ def make_commitment_pair(lam, basis_a0, basis_a1, basis_b) -> CommitmentPair:
     b = _check_family(basis_b, r, "basis_b")
     if a1.shape[0] != a0.shape[0]:
         raise NotOrthonormalError("basis_a0 and basis_a1 live in different dimensions")
-    roots = np.sqrt(weights.clip(0.0, None))
-    # M_x = sum_i sqrt(lam_i) a^x_i b_i^T
+    return _schmidt_pair(np.sqrt(weights.clip(0.0, None)), a0, a1, b)
+
+
+def _schmidt_pair(roots: np.ndarray, a0: np.ndarray, a1: np.ndarray,
+                  b: np.ndarray) -> CommitmentPair:
+    """The pair M_x = sum_i roots_i a^x_i b_i^T from bases held as columns,
+    unchecked."""
+    r = roots.size
     m0, m1 = ((a[:, :r] * roots) @ b[:, :r].T for a in (a0, a1))
     return _pair(m0, m1)
 
@@ -123,7 +129,7 @@ def concealment_gap(pair: CommitmentPair) -> float:
     """Trace distance between the two B-marginals; 0 means perfectly
     concealing (no observable separates the committed bits)."""
     diff = pair.marginal_b0 - pair.marginal_b1
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float(0.5 * np.abs(algebra._eigvalsh(diff)).sum())
 
 
 def cheating_unitary(pair: CommitmentPair) -> CheatResult:
@@ -139,7 +145,7 @@ def cheating_unitary(pair: CommitmentPair) -> CheatResult:
     """
     m0 = pair.psi0.reshape(pair.dim_a, pair.dim_b)
     m1 = pair.psi1.reshape(pair.dim_a, pair.dim_b)
-    u, _, vh = np.linalg.svd(m1 @ dagger(m0))
+    u, _, vh = algebra._svd_full(m1 @ dagger(m0))
     unitary = u @ vh
     residual = max_norm(unitary @ m0 - m1)
     fidelity = float(abs((dagger(m1) @ unitary @ m0).trace()))
@@ -176,9 +182,10 @@ def random_commitment_pair(rng: np.random.Generator, d: int) -> CommitmentPair:
     and Haar-random bases: the pair the demo draws."""
     lam = rng.random(d) + 0.2
     lam /= lam.sum()
-    # each family is the columns of one unitary, so iterate its transpose
-    ua0, ua1, ub = samplers.haar_unitary(rng, d, size=(3,)).swapaxes(-1, -2)
-    return make_commitment_pair(lam, ua0, ua1, ub)
+    # each family is the columns of one Haar unitary, orthonormal by
+    # construction, so the pair is built without make_commitment_pair's checks
+    ua0, ua1, ub = samplers.haar_unitary(rng, d, size=(3,))
+    return _schmidt_pair(np.sqrt(lam), ua0, ua1, ub)
 
 
 def _max_norms(stack: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .algebra import require_hermitian
 from .errors import DimensionMismatchError, InvalidStateError, NotUnitTraceError
 
@@ -306,7 +307,7 @@ def positivity_conditions(b: BlochVector):
     if not np.isfinite(b.b).all():
         raise InvalidStateError("Bloch vector has non-finite coordinates")
     _coordinate_rows(b.b, b.dimension, stack=False)
-    lam = np.linalg.eigvalsh(bloch_to_state(b))
+    lam = algebra._eigvalsh(bloch_to_state(b))
     e = [1.0] + [0.0] * b.dimension
     for i, x in enumerate(lam.tolist(), 1):
         for k in range(i, 0, -1):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .bloch import (
     POSITIVITY_ATOL,
     BlochVector,
@@ -52,7 +53,7 @@ def _require_independent(dirs: np.ndarray) -> None:
     """The singular-value rank test: the smallest singular value of the rows
     must exceed RANK_RTOL times the largest."""
     if dirs.shape[0]:
-        svals = np.linalg.svd(dirs, compute_uv=False)
+        svals = algebra._svdvals(dirs)
         if svals[-1] <= RANK_RTOL * svals[0]:
             raise ValueError("directions are not linearly independent")
 
@@ -61,7 +62,7 @@ def _pinv(rows: np.ndarray) -> np.ndarray:
     """``np.linalg.pinv(rows, rcond=RANK_RTOL)`` for a real 2-D ``rows``,
     from one reduced SVD with numpy's cutoff and product order, so bit for
     bit its result."""
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
+    u, s, vt = algebra._svd(rows)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_RTOL * s.max())
     return vt.T @ (inv[:, None] * u.T)
 
@@ -193,7 +194,7 @@ class AffineSet:
             )
         v = x - self.base_point
         if self.affine_dim:
-            q = np.linalg.qr(self.directions.T)[0]
+            q = algebra._qr(self.directions.T)[0]
             v = v - q @ (q.T @ v)
         return bool(np.max(np.abs(v), initial=0.0) <= 1e-9)
 
@@ -209,11 +210,11 @@ class AffineSet:
         offset = value - self.base_point[index]
         directions = self.directions
         if np.max(np.abs(directions[:, index]), initial=0.0) > 1e-12:
-            q = np.linalg.qr(directions.T)[0]
+            q = algebra._qr(directions.T)[0]
             row = q[index]
             base = self.base_point + q @ (offset * row / np.dot(row, row))
             # directions keeping the coordinate fixed: null space of row
-            dirs = np.linalg.svd(row.reshape(1, -1))[2][1:] @ q.T
+            dirs = algebra._svd_full(row.reshape(1, -1))[2][1:] @ q.T
         elif abs(offset) <= 1e-9:
             base, dirs = self.base_point.copy(), directions.copy()
         else:
@@ -324,17 +325,17 @@ def comask_general(points, d: int) -> ComaskDescription:
         raise InvalidStateError("Bloch vector has non-finite coordinates")
     rhos = bloch_to_state(BlochVector(d, pts))
     try:
-        np.linalg.cholesky(rhos + POSITIVITY_ATOL * np.eye(d))
+        algebra._cholesky(rhos + POSITIVITY_ATOL * np.eye(d))
     except np.linalg.LinAlgError:
-        failing = np.flatnonzero(np.linalg.eigvalsh(rhos)[:, 0] < -POSITIVITY_ATOL)
+        failing = np.flatnonzero(algebra._eigvalsh(rhos)[:, 0] < -POSITIVITY_ATOL)
         if failing.size:
             i = failing[0]
-            witness = np.linalg.eigh(rhos[i])[1][:, 0]
+            witness = algebra._eigh(rhos[i])[1][:, 0]
             raise InvalidStateError(f"point {i} is not a valid state", witness=witness) from None
     b0 = pts[0]
     v = np.zeros((0, n))
     if len(pts) > 1:
-        _, svals, vh = np.linalg.svd(pts[1:] - b0, full_matrices=False)
+        _, svals, vh = algebra._svd(pts[1:] - b0)
         v = vh[: int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))]
     r, piv = _pivoted_echelon(v)
     free = np.ones(n, dtype=bool)
@@ -431,7 +432,7 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     gap = np.inf
     prev_gap = None
     for _ in range(SEARCH_MAX_ITER):
-        vals, vecs = np.linalg.eigh(_expansion(b, d, 1.0 / d))
+        vals, vecs = algebra._eigh(_expansion(b, d, 1.0 / d))
         clipped = np.maximum(vals, 0.0)
         # the iterate has unit trace, so its positive eigenvalues sum to >= 1
         rho_psd = (vecs * (clipped / float(clipped.sum()))) @ vecs.conj().T

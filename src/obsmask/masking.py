@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .algebra import (
     _identity_deviation,
     dagger,
@@ -124,13 +125,13 @@ def decide_maskable_oracle(obs) -> MaskabilityVerdict:
     """
     arr = require_hermitian(obs)
     try:
-        vals = np.linalg.eigvalsh(arr).tolist()
+        vals = algebra._eigvalsh(arr).tolist()
         lo, hi = vals[0], vals[-1]
         # lo <= hi, so max(|lo|, |hi|) = max(-lo, hi)
         guard = EDGE_GUARD * _EPS * len(vals) * max(1.0, -lo, hi)
         if (abs(lo - 1.0 - DECISION_ATOL) <= guard
                 or abs(hi - 1.0 + DECISION_ATOL) <= guard):
-            vals = np.linalg.eigh(arr)[0].tolist()
+            vals = algebra._eigh(arr)[0].tolist()
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
     return _oracle_verdict(vals[0], vals[-1])

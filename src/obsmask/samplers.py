@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from . import algebra
+
 
 def _gaussians(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """n complex Gaussian d x d matrices from one draw, matrix after matrix,
@@ -64,7 +66,7 @@ def haar_unitary(rng: np.random.Generator, d: int, size: tuple = ()) -> np.ndarr
     stacked QR and one phase fix; a single unitary is a stack of one.
     """
     g = _gaussians(rng, d, math.prod(size)).reshape(*size, d, d)
-    q, r = np.linalg.qr(g)
+    q, r = algebra._qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 

@@ -290,3 +290,87 @@ def test_require_hermitian_refusals_match_two_pass(m):
 def test_eigh_reconstruction_property(d, seed):
     rng = np.random.default_rng(seed)
     assert REGISTRY["algebra_eig_reconstruction"].run(rng, d, 1) == (1, 0)
+
+
+# each decomposition of the algebra seam, with the np.linalg call it stands for
+_SEAM = {
+    "_eigh": np.linalg.eigh,
+    "_eigvalsh": np.linalg.eigvalsh,
+    "_svd": lambda a: np.linalg.svd(a, full_matrices=False),
+    "_svd_full": np.linalg.svd,
+    "_svdvals": lambda a: np.linalg.svd(a, compute_uv=False),
+    "_cholesky": np.linalg.cholesky,
+    "_qr": np.linalg.qr,
+}
+
+
+def _seam_inputs(name, rng, d, dtype):
+    """A single d x d matrix and a stack of three, the kind ``name`` takes:
+    Hermitian for the eigensolvers, positive definite for Cholesky and
+    general otherwise; the SVDs and QR also get k x n and n x k blocks."""
+    shapes = [(d, d), (3, d, d)]
+    if name.startswith(("_svd", "_qr")):
+        shapes += [(k, n) for k in (1, 2, 3) for n in (d, 4 * d - 1)] + [(2, d, 3)]
+    for shape in shapes:
+        g = rng.normal(size=shape)
+        if dtype is complex:
+            g = g + 1j * rng.normal(size=shape)
+        if name in ("_eigh", "_eigvalsh"):
+            g = g + np.swapaxes(g.conj(), -1, -2)
+        elif name == "_cholesky":
+            g = g @ np.swapaxes(g.conj(), -1, -2) + np.eye(d)
+        yield g
+
+
+def _results(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _assert_same_bits(got, want):
+    got, want = _results(got), _results(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is np.ndarray and g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestLapackSeam:
+    @pytest.mark.parametrize("name", list(_SEAM))
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float64", "complex128"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_matches_numpy_bit_for_bit(self, name, dtype, d):
+        rng = np.random.default_rng(2700 + d)
+        helper = getattr(algebra, name)
+        for a in _seam_inputs(name, rng, d, dtype):
+            _assert_same_bits(helper(a), _SEAM[name](a))
+            # a transposed view (Hermitian or positive definite as a is), as
+            # AffineSet hands QR its directions
+            if a.ndim == 2:
+                _assert_same_bits(helper(a.T), _SEAM[name](a.T))
+
+    def test_qr_leaves_its_input_alone(self):
+        a = np.random.default_rng(2).normal(size=(4, 3))
+        before = a.copy()
+        algebra._qr(a)
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float64", "complex128"])
+    def test_cholesky_of_an_indefinite_matrix_raises(self, dtype):
+        indefinite = np.diag([1.0, -1.0]), np.stack([np.eye(3), -np.eye(3)])
+        for a in (m.astype(dtype) for m in indefinite):
+            with pytest.raises(np.linalg.LinAlgError) as exc:
+                algebra._cholesky(a)
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                np.linalg.cholesky(a)
+            assert str(exc.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", list(_SEAM))
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float64", "complex128"])
+    def test_scale_1e300_raises_no_warning(self, name, dtype):
+        rng = np.random.default_rng(2800)
+        for a in _seam_inputs(name, rng, 4, dtype):
+            big = a * (1e300 / np.abs(a).max())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = getattr(algebra, name)(big)
+            _assert_same_bits(got, _SEAM[name](big))

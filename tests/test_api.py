@@ -95,6 +95,50 @@ def test_every_public_name_has_a_reader():
     assert _BENCH_HELD <= defined - read
 
 
+_DECOMPOSITIONS = {"eigh", "eigvalsh", "svd", "cholesky", "qr"}
+
+
+def _linalg_calls(tree) -> list[tuple[int, str]]:
+    """(line, name) of each numpy.linalg decomposition the tree reads, as
+    ``np.linalg.<name>``, ``linalg.<name>`` or a name imported from
+    ``numpy.linalg``, and of each read of numpy's ``_umath_linalg``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _DECOMPOSITIONS:
+            owner = node.value
+            if isinstance(owner, (ast.Attribute, ast.Name)) and "linalg" in (
+                getattr(owner, "attr", None), getattr(owner, "id", None)
+            ):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in _DECOMPOSITIONS | {"_umath_linalg"}]
+        elif isinstance(node, ast.Attribute) and node.attr == "_umath_linalg":
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_decompositions_run_through_the_algebra_seam():
+    # every eigen-, singular-value, Cholesky and QR decomposition of the
+    # package calls the gufunc helpers of obsmask.algebra, the only module
+    # that reaches numpy's _umath_linalg; the invariant registry keeps the
+    # public np.linalg calls as its reference
+    package = Path(obsmask.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "invariants.py":
+            continue
+        calls = _linalg_calls(ast.parse(path.read_text()))
+        if path.name == "algebra.py":
+            calls = [call for call in calls if call[1] != "_umath_linalg"]
+        if calls:
+            offenders[path.name] = calls
+    assert offenders == {}
+    # the guard sees the reference calls it exempts, so it is not blind
+    reference = _linalg_calls(ast.parse((package / "invariants.py").read_text()))
+    assert "eigvalsh" in {name for _, name in reference}
+
+
 def test_all_names_resolve():
     assert [name for name in obsmask.__all__ if not hasattr(obsmask, name)] == []
 

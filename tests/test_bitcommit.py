@@ -319,7 +319,7 @@ def test_demo_draws_stacks(monkeypatch):
     """A demo factors its three bases with one QR call and makes at most two
     Gaussian draws: one stack for the bases and one for the observables."""
     calls = {"qr": 0, "normal": 0}
-    real_qr, real_rng = np.linalg.qr, np.random.default_rng
+    real_qr, real_rng = algebra._qr, np.random.default_rng
 
     class CountingGenerator:
         def __init__(self, rng):
@@ -337,12 +337,25 @@ def test_demo_draws_stacks(monkeypatch):
         return real_qr(*args, **kwargs)
 
     expected = {d: bitcommit.no_bit_commitment_demo(d, seed=d).render() for d in (2, 3, 8)}
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(algebra, "_qr", counting_qr)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(real_rng(seed)))
     for d, text in expected.items():
         calls.update(qr=0, normal=0)
         assert bitcommit.no_bit_commitment_demo(d, seed=d).render() == text
         assert calls["qr"] == 1 and calls["normal"] <= 2, (d, calls)
+
+
+def test_demo_runs_no_orthonormality_check(spy):
+    """The demo's bases are the columns of Haar unitaries it has just drawn,
+    so no Gram check runs on them; a caller's bases are still checked."""
+    counts = spy(bitcommit, ["require_orthonormal"])
+    for d in (2, 3, 8):
+        bitcommit.no_bit_commitment_demo(d, seed=d)
+        bitcommit.random_commitment_pair(np.random.default_rng(d), d)
+    assert counts == {"require_orthonormal": 0}
+    eye = np.eye(2)
+    bitcommit.make_commitment_pair([0.5, 0.5], eye, eye, eye)
+    assert counts == {"require_orthonormal": 3}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])

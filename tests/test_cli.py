@@ -245,13 +245,13 @@ class TestMaskCommand:
 
     def test_one_eigh(self, tmp_path, capsys, monkeypatch):
         calls = []
-        eigh = np.linalg.eigh
+        eigh = algebra._eigh
 
         def counting(*args, **kwargs):
             calls.append(args)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(algebra, "_eigh", counting)
         obs = tmp_path / "d3.mat"
         obs.write_text("matrix 3 3\n3,0 0,0 0,0\n0,0 0.5,0 0,0\n0,0 0,0 -1,0\n")
         out_path = tmp_path / "d3.kraus"

@@ -376,17 +376,21 @@ def test_general_never_decomposes_the_direction_matrix(monkeypatch):
     the (255 - k) x 256 direction matrix is never formed: it is certified
     from its echelon factors."""
     rows, views = [], []
-    svd, dense = np.linalg.svd, comask._echelon_dense
+    dense = comask._echelon_dense
 
-    def spy(a, *args, **kwargs):
-        rows.append(np.shape(a)[0])
-        return svd(a, *args, **kwargs)
+    def spy(real):
+        def recording(a):
+            rows.append(np.shape(a)[0])
+            return real(a)
+
+        return recording
 
     def dense_spy(*args):
         views.append(args[0].size)
         return dense(*args)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    for name in ("_svd", "_svd_full", "_svdvals"):
+        monkeypatch.setattr(algebra, name, spy(getattr(algebra, name)))
     monkeypatch.setattr(comask, "_echelon_dense", dense_spy)
     rng = np.random.default_rng(17)
     for k in range(4):
@@ -395,7 +399,7 @@ def test_general_never_decomposes_the_direction_matrix(monkeypatch):
         desc = comask.comask_general(pts, 16)
         assert desc.affine_dim == 255 - k
         desc.element(rng.normal(size=255 - k))
-        assert all(r <= k for r in rows), rows
+        assert len(rows) == int(k >= 1) and all(r <= k for r in rows), rows
         assert views == []
 
 
@@ -427,10 +431,11 @@ def test_general_call_counts(d, k, spy):
     rng = np.random.default_rng(1800 + 4 * d + k)
     pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
     certs = spy(comask, ["_unit_block_certifies"])
-    linalg = spy(np.linalg, ["cholesky", "svd", "eigvalsh", "eigh"])
+    linalg = spy(algebra, ["_cholesky", "_svd", "_svd_full", "_svdvals", "_eigvalsh", "_eigh"])
     comask.comask_general(pts, d)
     assert certs == {"_unit_block_certifies": 1}
-    assert linalg == {"cholesky": 1, "svd": int(k >= 1), "eigvalsh": 0, "eigh": 0}
+    assert linalg == {"_cholesky": 1, "_svd": int(k >= 1), "_svd_full": 0, "_svdvals": 0,
+                      "_eigvalsh": 0, "_eigh": 0}
 
 
 def test_general_reads_points_of_any_flat_shape():
@@ -815,16 +820,20 @@ def test_search_pinv_matches_numpy_bit_for_bit():
     ids=["one", "two"],
 )
 def test_one_round_search_makes_one_svd_and_one_eigh(family, spy):
-    # the pseudo-inverse is one SVD of the rows, not a pinv call
-    counts = spy(np.linalg, ["svd", "pinv", "eigh"])
+    # the pseudo-inverse is one reduced SVD of the rows, not a pinv call,
+    # and every decomposition runs through the seam
+    counts = spy(algebra, ["_svd", "_svd_full", "_svdvals", "_eigh"])
+    public = spy(np.linalg, ["svd", "pinv", "eigh"])
     comask.find_common_output_state(family, 2)
-    assert counts == {"svd": 1, "pinv": 0, "eigh": 1}
+    assert counts == {"_svd": 1, "_svd_full": 0, "_svdvals": 0, "_eigh": 1}
+    assert public == {"svd": 0, "pinv": 0, "eigh": 0}
 
 
 def test_search_round_is_one_eigh_without_validation(monkeypatch):
     """Each round makes one eigh call and no require_hermitian call: the
     input is validated once, at entry.  The reference makes one of each per
-    round, so its counts give the number of rounds."""
+    round, so its counts give the number of rounds.  The search's eigh is
+    the seam's, the reference's numpy's public one: both are counted."""
     counts = {"eigh": 0, "require_hermitian": 0}
 
     def spy(name, real):
@@ -835,6 +844,7 @@ def test_search_round_is_one_eigh_without_validation(monkeypatch):
         return counting
 
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    monkeypatch.setattr(algebra, "_eigh", spy("eigh", algebra._eigh))
     for module in (algebra, bloch):
         counting = spy("require_hermitian", module.require_hermitian)
         monkeypatch.setattr(module, "require_hermitian", counting)
