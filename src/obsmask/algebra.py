@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import (
@@ -31,6 +32,13 @@ ORTHONORMALITY_ATOL = 1e-9
 # d <= 16, is skipped.  Each takes a float64 or complex128 array, or a stack
 # of them with the matrix axes last.  invariants.py keeps the public
 # np.linalg calls as its reference.
+#
+# numpy.linalg's error states are built once, here, with numpy's private
+# _make_extobj, and each helper enters its state by setting numpy's
+# _extobj_contextvar and resetting the token on exit: the two calls
+# np.errstate makes, without building the object and its state on every
+# call.  The states live in a context variable, so each thread and asyncio
+# task keeps its own.
 
 def _raiser(message: str):
     def raise_linalg_error(err, flag):
@@ -39,54 +47,72 @@ def _raiser(message: str):
     return raise_linalg_error
 
 
-_EIG_FAILED = _raiser("Eigenvalues did not converge")
-_SVD_FAILED = _raiser("SVD did not converge")
-_CHOLESKY_FAILED = _raiser("Matrix is not positive definite")
-_QR_FAILED = _raiser("Incorrect argument found while performing QR factorization")
-
-
-def _errstate(handler) -> np.errstate:
+def _linalg_state(message: str):
     """numpy.linalg's error state: the gufuncs flag a failed factorization
-    as an invalid value, which calls ``handler``; rounding flags are
-    ignored."""
-    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+    as an invalid value, which raises LinAlgError(message); rounding flags
+    are ignored."""
+    return _make_extobj(call=_raiser(message), invalid="call", over="ignore",
+                        divide="ignore", under="ignore")
+
+
+_EIG_STATE = _linalg_state("Eigenvalues did not converge")
+_SVD_STATE = _linalg_state("SVD did not converge")
+_CHOLESKY_STATE = _linalg_state("Matrix is not positive definite")
+_QR_STATE = _linalg_state("Incorrect argument found while performing QR factorization")
 
 
 def _eigh(a: np.ndarray):
     """``np.linalg.eigh(a)``: ascending eigenvalues and the eigenvectors."""
-    with _errstate(_EIG_FAILED):
+    token = _extobj_contextvar.set(_EIG_STATE)
+    try:
         return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh(a)``."""
-    with _errstate(_EIG_FAILED):
+    token = _extobj_contextvar.set(_EIG_STATE)
+    try:
         return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _svd(a: np.ndarray):
     """``np.linalg.svd(a, full_matrices=False)``: u, s, vh."""
-    with _errstate(_SVD_FAILED):
+    token = _extobj_contextvar.set(_SVD_STATE)
+    try:
         return _umath_linalg.svd_s(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _svd_full(a: np.ndarray):
     """``np.linalg.svd(a)``: u, s, vh with u and vh square."""
-    with _errstate(_SVD_FAILED):
+    token = _extobj_contextvar.set(_SVD_STATE)
+    try:
         return _umath_linalg.svd_f(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _svdvals(a: np.ndarray) -> np.ndarray:
     """``np.linalg.svd(a, compute_uv=False)``."""
-    with _errstate(_SVD_FAILED):
+    token = _extobj_contextvar.set(_SVD_STATE)
+    try:
         return _umath_linalg.svd(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """``np.linalg.cholesky(a)``: the lower factor."""
-    with _errstate(_CHOLESKY_FAILED):
+    token = _extobj_contextvar.set(_CHOLESKY_STATE)
+    try:
         return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _qr(a: np.ndarray):
@@ -95,9 +121,12 @@ def _qr(a: np.ndarray):
     and r is its upper triangle."""
     complex_ = a.dtype.kind == "c"
     raw = a.astype(complex if complex_ else float, copy=True)
-    with _errstate(_QR_FAILED):
+    token = _extobj_contextvar.set(_QR_STATE)
+    try:
         tau = _umath_linalg.qr_r_raw(raw, signature="D->D" if complex_ else "d->d")
         q = _umath_linalg.qr_reduced(raw, tau, signature="DD->D" if complex_ else "dd->d")
+    finally:
+        _extobj_contextvar.reset(token)
     return q, np.triu(raw[..., : min(a.shape[-2:]), :])
 
 
@@ -129,7 +158,6 @@ def _identity_deviation(product: np.ndarray) -> float:
     return max_norm(product)
 
 
-@np.errstate(invalid="ignore")  # inf - inf is NaN, refused as non-finite
 def require_hermitian(m) -> np.ndarray:
     """Validate hermiticity within HERMITICITY_ATOL * max(1, ||M||_max) and
     return the matrix, so rounding of order eps * ||M|| is not refused.
@@ -137,7 +165,13 @@ def require_hermitian(m) -> np.ndarray:
     checks (matrix, finite, square, scaled) run only when it exceeds ATOL."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        dev = max_norm(arr - dagger(arr))
+        # inf - inf is NaN, refused below as non-finite; the caller's other
+        # flags still apply
+        token = _extobj_contextvar.set(_make_extobj(invalid="ignore"))
+        try:
+            dev = max_norm(arr - dagger(arr))
+        finally:
+            _extobj_contextvar.reset(token)
         if dev <= HERMITICITY_ATOL:
             return arr
     arr = as_matrix(arr)

@@ -42,7 +42,8 @@ HULL_ATOL = 1e-9
 # The common-state search accepts a state once every masking equation holds
 # within CONSTRAINT_ATOL.  It reports infeasibility after SEARCH_MAX_ITER
 # rounds, or when the gap between the two sets changes by less than
-# STALL_ATOL while it exceeds INFEASIBLE_GAP.
+# STALL_ATOL while it exceeds INFEASIBLE_GAP or the iterate maps to itself
+# exactly (a fixed point every later round would repeat).
 CONSTRAINT_ATOL = 1e-7
 SEARCH_MAX_ITER = 10_000
 STALL_ATOL = 1e-9
@@ -396,8 +397,8 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     observable whose row is not d^2 - 1 long, ``NotHermitianError`` for
     non-finite coefficients, ``NoAffineSolutionError`` when the linear
     system itself is inconsistent and ``InfeasibleError`` (carrying the
-    final gap between the sets) when the iteration stalls or the cap is
-    reached.
+    final gap between the sets, or the constraint residual at an exact
+    fixed point) when the iteration stalls or the cap is reached.
 
     The input is validated once, here, and the pseudo-inverse of its rows
     is taken once (``_pinv``): each round builds rho = I/d + b.g from the
@@ -443,10 +444,17 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
         b_next = b_psd - pinv @ residual
         step = b_next - b_psd
         gap = math.sqrt(step @ step)
-        if prev_gap is not None and abs(gap - prev_gap) < STALL_ATOL and gap > INFEASIBLE_GAP:
-            raise InfeasibleError(
-                f"projections stalled at set distance {gap:.3e}", residual=gap
-            )
+        if prev_gap is not None and abs(gap - prev_gap) < STALL_ATOL:
+            if gap > INFEASIBLE_GAP:
+                raise InfeasibleError(
+                    f"projections stalled at set distance {gap:.3e}", residual=gap
+                )
+            if (b_next == b).all():
+                worst = float(np.abs(residual).max())
+                raise InfeasibleError(
+                    f"projections reached a fixed point with constraint residual {worst:.3e}",
+                    residual=worst,
+                )
         prev_gap = gap
         b = b_next
     raise InfeasibleError(

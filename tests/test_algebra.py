@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -304,6 +306,20 @@ _SEAM = {
 }
 
 
+_UMATH_LINALG = algebra._umath_linalg
+
+# the LinAlgError message numpy.linalg gives for each failed factorization
+_SEAM_MESSAGES = {
+    "_eigh": "Eigenvalues did not converge",
+    "_eigvalsh": "Eigenvalues did not converge",
+    "_svd": "SVD did not converge",
+    "_svd_full": "SVD did not converge",
+    "_svdvals": "SVD did not converge",
+    "_cholesky": "Matrix is not positive definite",
+    "_qr": "Incorrect argument found while performing QR factorization",
+}
+
+
 def _seam_inputs(name, rng, d, dtype):
     """A single d x d matrix and a stack of three, the kind ``name`` takes:
     Hermitian for the eigensolvers, positive definite for Cholesky and
@@ -363,6 +379,92 @@ class TestLapackSeam:
             with pytest.raises(np.linalg.LinAlgError) as want:
                 np.linalg.cholesky(a)
             assert str(exc.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", list(_SEAM))
+    def test_gufuncs_run_in_numpys_linalg_error_state(self, name, monkeypatch):
+        # the state inside every gufunc call is the one numpy.linalg's
+        # wrappers enter, whatever the caller's own state is
+        inside = []
+
+        class Recorder:
+            def __getattr__(self, attr):
+                real = getattr(_UMATH_LINALG, attr)
+
+                def call(*args, **kwargs):
+                    inside.append((np.geterr(), np.geterrcall()))
+                    return real(*args, **kwargs)
+
+                return call
+
+        monkeypatch.setattr(algebra, "_umath_linalg", Recorder())
+        a = next(_seam_inputs(name, np.random.default_rng(3), 3, complex))
+        with np.errstate(all="raise", call=print):
+            getattr(algebra, name)(a)
+        assert inside
+        for state, handler in inside:
+            with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                             under="ignore"):
+                assert (state, handler) == (np.geterr(), np.geterrcall())
+            with pytest.raises(np.linalg.LinAlgError, match=_SEAM_MESSAGES[name]):
+                handler("invalid", 8)
+
+    @pytest.mark.parametrize("caller", [{}, {"over": "raise"}], ids=["default", "over-raise"])
+    def test_caller_state_survives_success_and_failure(self, caller):
+        def state():
+            return np.geterr(), np.geterrcall(), np.getbufsize()
+
+        with np.errstate(**caller):
+            before = state()
+            for name in _SEAM:
+                a = next(_seam_inputs(name, np.random.default_rng(4), 3, float))
+                getattr(algebra, name)(a)
+                assert state() == before, name
+            with pytest.raises(np.linalg.LinAlgError):
+                algebra._cholesky(-np.eye(2))
+            assert state() == before
+
+    def test_threads_keep_their_own_state(self):
+        # contextvars are per thread: each thread's state survives the
+        # other's seam calls, interleaved by a short switch interval
+        callers = [{"over": "raise"}, {"divide": "raise", "under": "warn"}]
+        a = samplers.hermitian(np.random.default_rng(5), 3)
+        want = np.linalg.eigh(a)
+        start = threading.Barrier(len(callers))
+        kept = [None] * len(callers)
+
+        def work(i):
+            with np.errstate(**callers[i]):
+                own = np.geterr()
+                start.wait(timeout=10)
+                ok = True
+                for _ in range(2000):
+                    _assert_same_bits(algebra._eigh(a), want)
+                    ok &= np.geterr() == own
+                kept[i] = ok
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(callers))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert kept == [True] * len(callers)
+
+    def test_require_hermitian_quiets_only_invalid(self):
+        # inf - inf is refused as non-finite without a warning; an overflow
+        # of M - M^dag still follows the caller's own flag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                algebra.require_hermitian(np.array([[np.inf, 1.0], [1.0, -np.inf]]))
+        overflowing = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            algebra.require_hermitian(overflowing)
 
     @pytest.mark.parametrize("name", list(_SEAM))
     @pytest.mark.parametrize("dtype", [float, complex], ids=["float64", "complex128"])

@@ -139,6 +139,51 @@ def test_decompositions_run_through_the_algebra_seam():
     assert "eigvalsh" in {name for _, name in reference}
 
 
+_EXTOBJ = {"_make_extobj", "_extobj_contextvar"}
+
+
+def _errstate_uses(tree) -> list[tuple[int, str]]:
+    """(line, name) of each ``errstate`` the tree reads, called or as a
+    decorator, and of each read of numpy's private error-state names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _EXTOBJ | {"errstate"}:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in _EXTOBJ | {"errstate"}:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in _EXTOBJ | {"errstate"}]
+    return found
+
+
+def test_error_states_are_entered_only_by_the_algebra_seam():
+    # no module builds an np.errstate per call; numpy's private error-state
+    # names are read by obsmask.algebra alone, which builds its states once
+    package = Path(obsmask.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        uses = _errstate_uses(ast.parse(path.read_text()))
+        if path.name == "algebra.py":
+            uses = [use for use in uses if use[1] not in _EXTOBJ]
+        if uses:
+            offenders[path.name] = uses
+    assert offenders == {}
+    # the guard sees each form it forbids, so it is not blind
+    seen = {name for _, name in _errstate_uses(ast.parse(
+        "import numpy as np\n"
+        "from numpy import errstate\n"
+        "from numpy._core.umath import _make_extobj, _extobj_contextvar\n"
+        "@np.errstate(invalid='ignore')\n"
+        "def f():\n"
+        "    with errstate(over='raise'):\n"
+        "        np._core.umath._extobj_contextvar.set(_make_extobj())\n"
+    ))}
+    assert seen == _EXTOBJ | {"errstate"}
+    algebra_uses = _errstate_uses(ast.parse((package / "algebra.py").read_text()))
+    assert {name for _, name in algebra_uses} == _EXTOBJ
+
+
 def test_all_names_resolve():
     assert [name for name in obsmask.__all__ if not hasattr(obsmask, name)] == []
 

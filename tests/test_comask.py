@@ -727,6 +727,12 @@ def _reference_search(observables, d):
         stalled = prev_gap is not None and abs(gap - prev_gap) < comask.STALL_ATOL
         if stalled and gap > comask.INFEASIBLE_GAP:
             raise InfeasibleError(f"projections stalled at set distance {gap:.3e}", residual=gap)
+        if stalled and np.array_equal(b_next, b):
+            worst = float(np.max(np.abs(rows @ b_psd - rhs)))
+            raise InfeasibleError(
+                f"projections reached a fixed point with constraint residual {worst:.3e}",
+                residual=worst,
+            )
         prev_gap = gap
         b = b_next
     raise InfeasibleError(
@@ -867,6 +873,17 @@ def test_search_round_is_one_eigh_without_validation(monkeypatch):
 
 
 class TestCommonOutputState:
+    def test_exact_fixed_point_stops_early(self, spy):
+        # the affine solution b = 2.5e-309 is subnormal: the eigh round trip
+        # clips it to b_psd = 0 and the projection maps that back to the same
+        # b bit for bit, so every later round would repeat the first (the
+        # observable is maskable: only the early stop is held here)
+        counts = spy(algebra, ["_eigh"])
+        with pytest.raises(InfeasibleError, match="fixed point") as exc:
+            comask.find_common_output_state([coeffs(2, 0.0, [1e308, 1e308, 0])], 2)
+        assert counts["_eigh"] <= 3
+        assert exc.value.residual == 0.5
+
     def test_sigma3_alone(self):
         rho = comask.find_common_output_state([coeffs(2, 0.0, [0, 0, 1])], 2)
         assert algebra.max_norm(rho - np.diag([1.0, 0.0])) < 1e-7
