@@ -40,79 +40,47 @@ ORTHONORMALITY_ATOL = 1e-9
 # call.  The states live in a context variable, so each thread and asyncio
 # task keeps its own.
 
-def _raiser(message: str):
-    def raise_linalg_error(err, flag):
-        raise np.linalg.LinAlgError(message)
-
-    return raise_linalg_error
-
-
 def _linalg_state(message: str):
     """numpy.linalg's error state: the gufuncs flag a failed factorization
     as an invalid value, which raises LinAlgError(message); rounding flags
     are ignored."""
-    return _make_extobj(call=_raiser(message), invalid="call", over="ignore",
+    def raise_linalg_error(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return _make_extobj(call=raise_linalg_error, invalid="call", over="ignore",
                         divide="ignore", under="ignore")
 
 
-_EIG_STATE = _linalg_state("Eigenvalues did not converge")
-_SVD_STATE = _linalg_state("SVD did not converge")
-_CHOLESKY_STATE = _linalg_state("Matrix is not positive definite")
+def _gufunc(name: str, message: str, real: str, complex_: str):
+    """The seam helper calling ``_umath_linalg.<name>``, looked up per call,
+    with signature ``real`` on float64 input and ``complex_`` on complex128,
+    in numpy.linalg's error state for ``message``, built here once."""
+    state = _linalg_state(message)
+
+    def helper(a: np.ndarray):
+        token = _extobj_contextvar.set(state)
+        try:
+            return getattr(_umath_linalg, name)(
+                a, signature=complex_ if a.dtype.kind == "c" else real)
+        finally:
+            _extobj_contextvar.reset(token)
+
+    return helper
+
+
+# np.linalg.eigh(a): ascending eigenvalues and the eigenvectors
+_eigh = _gufunc("eigh_lo", "Eigenvalues did not converge", "d->dd", "D->dD")
+# np.linalg.eigvalsh(a)
+_eigvalsh = _gufunc("eigvalsh_lo", "Eigenvalues did not converge", "d->d", "D->d")
+# np.linalg.svd(a, full_matrices=False): u, s, vh
+_svd = _gufunc("svd_s", "SVD did not converge", "d->ddd", "D->DdD")
+# np.linalg.svd(a): u, s, vh with u and vh square
+_svd_full = _gufunc("svd_f", "SVD did not converge", "d->ddd", "D->DdD")
+# np.linalg.svd(a, compute_uv=False)
+_svdvals = _gufunc("svd", "SVD did not converge", "d->d", "D->d")
+# np.linalg.cholesky(a): the lower factor
+_cholesky = _gufunc("cholesky_lo", "Matrix is not positive definite", "d->d", "D->D")
 _QR_STATE = _linalg_state("Incorrect argument found while performing QR factorization")
-
-
-def _eigh(a: np.ndarray):
-    """``np.linalg.eigh(a)``: ascending eigenvalues and the eigenvectors."""
-    token = _extobj_contextvar.set(_EIG_STATE)
-    try:
-        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)``."""
-    token = _extobj_contextvar.set(_EIG_STATE)
-    try:
-        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def _svd(a: np.ndarray):
-    """``np.linalg.svd(a, full_matrices=False)``: u, s, vh."""
-    token = _extobj_contextvar.set(_SVD_STATE)
-    try:
-        return _umath_linalg.svd_s(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def _svd_full(a: np.ndarray):
-    """``np.linalg.svd(a)``: u, s, vh with u and vh square."""
-    token = _extobj_contextvar.set(_SVD_STATE)
-    try:
-        return _umath_linalg.svd_f(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def _svdvals(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.svd(a, compute_uv=False)``."""
-    token = _extobj_contextvar.set(_SVD_STATE)
-    try:
-        return _umath_linalg.svd(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.cholesky(a)``: the lower factor."""
-    token = _extobj_contextvar.set(_CHOLESKY_STATE)
-    try:
-        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
-    finally:
-        _extobj_contextvar.reset(token)
 
 
 def _qr(a: np.ndarray):
@@ -128,6 +96,12 @@ def _qr(a: np.ndarray):
     finally:
         _extobj_contextvar.reset(token)
     return q, np.triu(raw[..., : min(a.shape[-2:]), :])
+
+
+def _require_dimension(d: int) -> None:
+    """Refuse a Hilbert-space dimension below 2: no generators, no masking."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
 
 
 def as_matrix(m) -> np.ndarray:

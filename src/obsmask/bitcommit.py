@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, samplers
-from .algebra import dagger, max_norm, require_orthonormal
+from .algebra import _require_dimension, dagger, max_norm, require_orthonormal
 from .channels import KrausChannel, _spectral_rows, apply_adjoint, require_density
 from .errors import (
     BadSpectrumError,
@@ -202,8 +202,7 @@ def no_bit_commitment_demo(d: int, seed: int) -> RunReport:
     (equal) marginals: its adjoint sends every observable to Tr(rho_B O) I,
     and masks exactly the observables with unit expectation.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _require_dimension(d)
     rng = np.random.default_rng(seed)
     pair = random_commitment_pair(rng, d)
     gap = concealment_gap(pair)

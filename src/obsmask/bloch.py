@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import require_hermitian
+from .algebra import _require_dimension, require_hermitian
 from .errors import DimensionMismatchError, InvalidStateError, NotUnitTraceError
 
 # A minimum eigenvalue this far below zero still counts as positive (absorbs
@@ -100,8 +100,7 @@ def _memoized(cache: dict, d: int, build):
     value = cache.get(d)
     if value is not None:
         return value
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _require_dimension(d)
     with _cache_lock:
         value = cache.get(d)
         if value is None:
@@ -282,8 +281,9 @@ def observable_coeffs(obs) -> ObservableCoeffs:
     """Coefficients a0 = Tr(O)/d, a_i = Tr(O g_i)/2 of a Hermitian matrix."""
     arr = require_hermitian(obs)
     d = arr.shape[0]
+    gens = _real_generators(d)  # first: it refuses d < 2
     a0 = float(np.trace(arr).real) / d
-    return ObservableCoeffs(dimension=d, a0=a0, a=_coordinates(arr, _real_generators(d)))
+    return ObservableCoeffs(dimension=d, a0=a0, a=_coordinates(arr, gens))
 
 
 def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:

@@ -359,6 +359,7 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     a0 = 1 - 2 a . b', so the masking equation a0/2 + a . b = 1/2 holds at
     b' and fails at b by exactly |b - b'|.
     """
+    algebra._require_dimension(d)
     n = d * d - 1
     b_arr = np.asarray(b, dtype=float).reshape(-1)
     bp_arr = np.asarray(b_prime, dtype=float).reshape(-1)
@@ -406,6 +407,7 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     through the unvalidated coordinate product, with one ``eigh`` and one
     residual vector.
     """
+    gens = _real_generators(d)  # first: it refuses d < 2
     obs_list = list(observables)
     if not obs_list:
         raise ValueError("need at least one observable")
@@ -429,7 +431,6 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     if np.abs(rows @ b - rhs).max() > 1e-9:
         raise NoAffineSolutionError("masking equations are mutually inconsistent")
 
-    gens = _real_generators(d)
     gap = np.inf
     prev_gap = None
     for _ in range(SEARCH_MAX_ITER):

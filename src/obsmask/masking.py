@@ -33,13 +33,6 @@ from .errors import (
 DECISION_ATOL = 1e-9
 # Largest residual of the two no-hiding identities that counts as verified.
 NOHIDING_ATOL = 1e-10
-# eigvalsh and eigh may round the same spectrum differently: the largest gap
-# measured between their extremes was 1.25 d eps ||O|| (Haar-rotated spectra,
-# d <= 16).  An extreme eigenvalue within EDGE_GUARD d eps max(1, |lambda|) of
-# its band edge 1 -+ DECISION_ATOL takes its verdict from eigh, as the masker
-# does; the margin is observed, not proven.
-EDGE_GUARD = 4
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -118,28 +111,24 @@ def decide_maskable_oracle(obs) -> MaskabilityVerdict:
 
     A constant channel onto sigma masks O exactly when Tr(sigma O) = 1, and
     Tr(sigma O) over all states sweeps [lambda_min, lambda_max]; so O is
-    maskable iff that interval contains 1.  The verdict reads only the
-    spectrum, so it comes from one ``eigvalsh``, unless an extreme lies
-    within rounding (``EDGE_GUARD``) of its band edge: then the verdict and
-    range come from the ``eigh`` eigenvalues the masker decides on.
+    maskable iff that interval contains 1.  The verdict and range come from
+    the ``eigh`` eigenvalues ``oracle_masker`` decides on, the same call on
+    the same array, so the two verdicts agree.
     """
     arr = require_hermitian(obs)
     try:
-        vals = algebra._eigvalsh(arr).tolist()
-        lo, hi = vals[0], vals[-1]
-        # lo <= hi, so max(|lo|, |hi|) = max(-lo, hi)
-        guard = EDGE_GUARD * _EPS * len(vals) * max(1.0, -lo, hi)
-        if (abs(lo - 1.0 - DECISION_ATOL) <= guard
-                or abs(hi - 1.0 + DECISION_ATOL) <= guard):
-            vals = algebra._eigh(arr)[0].tolist()
+        vals = algebra._eigh(arr)[0].tolist()
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    return _oracle_verdict(vals[0], vals[-1])
+    return _oracle_verdict(vals)
 
 
-def _oracle_verdict(lo: float, hi: float) -> MaskabilityVerdict:
-    """The oracle's verdict from the least and greatest eigenvalues of the
-    observable."""
+def _oracle_verdict(vals: list[float]) -> MaskabilityVerdict:
+    """The oracle's verdict from the ascending eigenvalues of the
+    observable; an empty (0 x 0) observable is refused."""
+    if not vals:
+        raise DimensionMismatchError("observable is 0 x 0")
+    lo, hi = vals[0], vals[-1]
     return MaskabilityVerdict(
         maskable=(lo <= 1.0 + DECISION_ATOL) and (1.0 <= hi + DECISION_ATOL),
         method="oracle",
@@ -154,6 +143,7 @@ def necessary_condition_d(c: ObservableCoeffs) -> bool:
     |b| <= sqrt((d-1) / (2d)).  Necessary in every dimension; also
     sufficient only at d = 2, where it reduces to the plane criterion.
     """
+    algebra._require_dimension(c.dimension)  # the bound divides by d - 1
     return _ball_bound_holds(c, c.a_norm())
 
 
@@ -191,7 +181,7 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     """
     eig = eig_hermitian(obs)
     vals = eig.eigenvalues.tolist()
-    verdict = _oracle_verdict(vals[0], vals[-1])
+    verdict = _oracle_verdict(vals)
     if not verdict.maskable:
         return verdict, None
     # halved, so no difference of two eigenvalues overflows; halving is exact

@@ -243,6 +243,11 @@ class TestDemo:
         assert report.get("proportionality_checks") == "20/20"
         assert report.get("masking_matches_unit_expectation") == "20/20"
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_dimension_below_two_is_refused(self, d):
+        with pytest.raises(ValueError, match=f"^dimension must be >= 2, got {d}$"):
+            bitcommit.no_bit_commitment_demo(d, seed=7)
+
     def test_deterministic_bytes(self):
         a = bitcommit.no_bit_commitment_demo(2, seed=42).render()
         b = bitcommit.no_bit_commitment_demo(2, seed=42).render()

@@ -225,6 +225,11 @@ class TestObservableCodec:
         assert abs(c.a0 - 1.0) < 1e-12
         assert np.allclose(c.a, [0, 0, 2], atol=1e-12)
 
+    def test_empty_observable_is_refused(self):
+        # the generator basis is looked up before Tr(O) is divided by d
+        with pytest.raises(ValueError, match="^dimension must be >= 2, got 0$"):
+            bloch.observable_coeffs(np.zeros((0, 0)))
+
     def test_round_trip(self):
         rng = np.random.default_rng(29)
         for d in (2, 3, 4):

@@ -228,37 +228,24 @@ class TestMaskCommand:
         assert not out_path.exists()
 
 
-    def test_one_eigendecomposition(self, tmp_path, capsys, monkeypatch):
-        calls = []
-
-        def counting(m, *args):
-            calls.append(m)
-            return algebra.eig_hermitian(m, *args)
-
-        monkeypatch.setattr(masking, "eig_hermitian", counting)
+    def test_one_eigendecomposition(self, tmp_path, capsys, spy):
+        counts = spy(masking, ["eig_hermitian"])
         obs = tmp_path / "sz.obs"
         obs.write_text(SZ_COEFFS)
         out_path = tmp_path / "sz.kraus"
         code, _ = run_cli(capsys, "mask", "--observable", str(obs), "--out", str(out_path))
         assert code == 0
-        assert len(calls) == 1
+        assert counts == {"eig_hermitian": 1}
 
-    def test_one_eigh(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        eigh = algebra._eigh
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(algebra, "_eigh", counting)
+    def test_one_eigh(self, tmp_path, capsys, spy):
+        counts = spy(algebra, ["_eigh"])
         obs = tmp_path / "d3.mat"
         obs.write_text("matrix 3 3\n3,0 0,0 0,0\n0,0 0.5,0 0,0\n0,0 0,0 -1,0\n")
         out_path = tmp_path / "d3.kraus"
         code, out = run_cli(capsys, "mask", "--observable", str(obs), "--out", str(out_path))
         assert code == 0
         assert "kraus_count: 6" in out
-        assert len(calls) == 1
+        assert counts == {"_eigh": 1}
 
     def test_maskable_within_band_is_masked(self, tmp_path, capsys):
         # 1 lies just below the spectrum, inside the decision band
@@ -401,6 +388,14 @@ class TestCounterexampleCommand:
         assert "a0: 0.5" in out
         assert "value_at_bprime: 0.5" in out
         assert "value_at_b: 0.75" in out
+
+    def test_dimension_one_is_refused(self, tmp_path, capsys):
+        for name in ("b.bl", "bp.bl"):
+            (tmp_path / name).write_text("bloch 1\n")
+        code = main(["counterexample", "--b", str(tmp_path / "b.bl"),
+                     "--bprime", str(tmp_path / "bp.bl"), "--dim", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: dimension must be >= 2, got 1\n"
 
 
 def demo_stdout(d, seed):

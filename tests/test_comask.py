@@ -692,6 +692,11 @@ class TestCounterexample:
         with pytest.raises(IdenticalPointsError):
             comask.universal_counterexample([0.1, 0, 0], [0.1, 0, 0], 2)
 
+    def test_dimension_one_is_refused(self):
+        # at d = 1 both Bloch vectors are empty, and so would coincide
+        with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+            comask.universal_counterexample([], [], 1)
+
     def test_refuses_non_finite_points(self):
         # the gap |b - b'| of a nan point is nan, which passes `gap < atol`
         with pytest.raises(InvalidStateError):
@@ -883,6 +888,10 @@ class TestCommonOutputState:
             comask.find_common_output_state([coeffs(2, 0.0, [1e308, 1e308, 0])], 2)
         assert counts["_eigh"] <= 3
         assert exc.value.residual == 0.5
+
+    def test_dimension_one_is_refused(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+            comask.find_common_output_state([coeffs(1, 1.0, [])], 1)
 
     def test_sigma3_alone(self):
         rho = comask.find_common_output_state([coeffs(2, 0.0, [0, 0, 1])], 2)

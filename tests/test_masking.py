@@ -72,22 +72,22 @@ class TestOracle:
         _, disagreements = REGISTRY["qubit_oracle_agreement"].run(rng, 2, 2000)
         assert disagreements == 0
 
-    def test_qubit_range_is_the_eigendecomposition_extremes(self):
-        # at d = 2 eigvalsh and eigh return the same eigenvalues, bit for bit
-        rng = np.random.default_rng(17)
-        for _ in range(500):
-            obs = samplers.hermitian(rng, 2) * rng.uniform(0.1, 3.0)
-            vals = algebra.eig_hermitian(obs).eigenvalues
-            got = masking.decide_maskable_oracle(obs).eig_range
-            assert np.array([got]).tobytes() == np.array([vals[0], vals[-1]]).tobytes()
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_range_is_the_eigendecomposition_extremes(self, d):
+        # the range is the extremes of the eigendecomposition, bit for bit,
+        # on random observables and on spectra with an extreme at a band
+        # edge, or 2 DECISION_ATOL beyond it on either side; each of those
+        # gets the verdict of its construction from the oracle and the masker
+        rng = np.random.default_rng(1700 + d)
 
-    @pytest.mark.parametrize("d", [3, 4, 8, 16])
-    def test_range_within_rounding_of_the_eigendecomposition(self, d):
-        # at d >= 3 the two solvers may differ by ulps; every spectrum whose
-        # extremes lie outside the DECISION_ATOL band edges gets the verdict
-        # of its eigh extremes and of its construction
-        rng = np.random.default_rng(18 + d)
-        eps = np.finfo(float).eps
+        def range_verdict(obs):
+            vals = algebra.eig_hermitian(obs).eigenvalues
+            verdict = masking.decide_maskable_oracle(obs)
+            assert np.array(verdict.eig_range).tobytes() == vals[[0, -1]].tobytes()
+            return verdict
+
+        for _ in range(500):
+            range_verdict(samplers.hermitian(rng, d) * rng.uniform(0.1, 3.0))
         edges = {1.0: True, 1.0 + 2 * masking.DECISION_ATOL: True,
                  1.0 - 2 * masking.DECISION_ATOL: False}
         for top, maskable in edges.items():
@@ -100,19 +100,14 @@ class TestOracle:
                     spectrum = 2.0 - spectrum
                 u = samplers.haar_unitary(rng, d)
                 obs = (u * spectrum) @ u.conj().T
-                vals = algebra.eig_hermitian(obs).eigenvalues
-                verdict = masking.decide_maskable_oracle(obs)
-                bound = 4 * d * eps * max(1.0, np.abs(vals).max())
-                assert abs(verdict.eig_range[0] - vals[0]) <= bound
-                assert abs(verdict.eig_range[1] - vals[-1]) <= bound
-                assert verdict.maskable == maskable
+                assert range_verdict(obs).maskable == maskable
                 assert masking.oracle_masker(obs)[0].maskable == maskable
 
-    @pytest.mark.parametrize("d", [3, 4, 8])
+    @pytest.mark.parametrize("d", [3, 4, 8, 16])
     def test_agrees_with_the_masker_at_the_band_edge(self, d):
         # lambda_max = 1 - DECISION_ATOL exactly, and mirrored lambda_min =
-        # 1 + DECISION_ATOL: eigvalsh and eigh round the extreme to either
-        # side of the edge, so the oracle takes such verdicts from eigh
+        # 1 + DECISION_ATOL: the rounded extreme may fall to either side of
+        # the edge, and the oracle and the masker read the same eigh of it
         rng = np.random.default_rng(1900 + d)
         edge = 1.0 - masking.DECISION_ATOL
         for _ in range(200):
@@ -125,25 +120,25 @@ class TestOracle:
                 verdict = masking.decide_maskable_oracle(obs)
                 masker_verdict, channel = masking.oracle_masker(obs)
                 assert verdict.maskable == (channel is not None) == masker_verdict.maskable
-
-    def test_edge_guard_is_read_on_each_call(self, monkeypatch, spy):
-        # lambda_max = 1 - 1e-6 lies 1e-6 from its edge: outside the default
-        # guard, inside one widened after import
-        obs = np.diag([0.5, 1.0 - 1e-6])
-        counts = spy(algebra, ["_eigvalsh", "_eigh"])
-        masking.decide_maskable_oracle(obs)
-        assert counts == {"_eigvalsh": 1, "_eigh": 0}
-        monkeypatch.setattr(masking, "EDGE_GUARD", 1e12)
-        masking.decide_maskable_oracle(obs)
-        assert counts == {"_eigvalsh": 2, "_eigh": 1}
+                got = np.array(verdict.eig_range).tobytes()
+                assert got == np.array(masker_verdict.eig_range).tobytes()
 
     def test_eigensolver_failure_is_a_numerical_failure(self, monkeypatch):
         def fail(arr):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(algebra, "_eigvalsh", fail)
+        monkeypatch.setattr(algebra, "_eigh", fail)
         with pytest.raises(NumericalFailureError, match="^eigensolver failed: Eigen"):
             masking.decide_maskable_oracle(np.diag([3.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "decide", [masking.decide_maskable_oracle, masking.oracle_masker,
+                   masking.build_constant_masker],
+        ids=["oracle", "oracle_masker", "constant_masker"],
+    )
+    def test_empty_observable_is_refused(self, decide):
+        with pytest.raises(DimensionMismatchError, match="0 x 0"):
+            decide(np.zeros((0, 0)))
 
 
 class TestNecessaryCondition:
@@ -163,6 +158,10 @@ class TestNecessaryCondition:
             verdict = masking.decide_maskable_qubit(c).maskable
             assert verdict == masking.necessary_condition_d(c)
             assert verdict == (abs(1.0 - a0) <= np.linalg.norm(a) + tol)
+
+    def test_dimension_one_is_refused(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+            masking.necessary_condition_d(coeffs(1, 1.0, []))
 
     def test_zero_observable_fails(self):
         assert not masking.necessary_condition_d(coeffs(2, 0.0, [0, 0, 0]))
@@ -219,36 +218,18 @@ class TestConstantMasker:
         with pytest.raises(NotMaskableError):
             masking.build_constant_masker(0.4 * S1)
 
-    def test_one_eigendecomposition_per_call(self, monkeypatch):
-        calls = []
-
-        def counting(m, *args):
-            calls.append(m)
-            return algebra.eig_hermitian(m, *args)
-
-        monkeypatch.setattr(masking, "eig_hermitian", counting)
+    def test_one_eigendecomposition_per_call(self, spy):
+        counts = spy(masking, ["eig_hermitian"])
         masking.build_constant_masker(S3)
         with pytest.raises(NotMaskableError, match=r"outside the eigenvalue range \(-0\.4\d*, 0\.4\d*\)"):
             masking.build_constant_masker(0.4 * S1)
-        assert len(calls) == 2
+        assert counts == {"eig_hermitian": 2}
 
     @pytest.mark.parametrize("obs", [S3, np.diag([3.0, -1.0, 0.5])], ids=["sigma3", "d3"])
-    def test_one_eigh_per_matrix_and_no_eigvalsh(self, obs, monkeypatch):
+    def test_one_eigh_per_matrix_and_no_eigvalsh(self, obs, spy):
         # one eigh, for the observable: the target state's spectral
         # decomposition is read off it, never formed and decomposed again
-        counts = {"_eigh": 0, "_eigvalsh": 0}
-
-        def spy(name):
-            real = getattr(algebra, name)
-
-            def counting(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-
-            return counting
-
-        for name in counts:
-            monkeypatch.setattr(algebra, name, spy(name))
+        counts = spy(algebra, ["_eigh", "_eigvalsh"])
         masking.build_constant_masker(obs)
         assert counts == {"_eigh": 1, "_eigvalsh": 0}
 
@@ -549,9 +530,9 @@ class TestHotPathCallCounts:
     decomposition or a rebuilt einsum cannot creep back in unnoticed."""
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_maskable_chain_makes_one_eigh_and_one_eigvalsh(self, d, spy):
-        # the verdict reads the spectrum alone; only the masker needs the
-        # eigenvectors
+    def test_maskable_chain_makes_two_eighs(self, d, spy):
+        # the verdict and the masker each make the one eigh of the observable
+        # that decides maskability; neither makes an eigvalsh
         rng = np.random.default_rng(14)
         u = samplers.haar_unitary(rng, d)
         obs = (u * np.linspace(-1.0, 1.5, d)) @ u.conj().T
@@ -561,18 +542,18 @@ class TestHotPathCallCounts:
         assert masking.decide_maskable_oracle(obs).maskable
         channel = masking.build_constant_masker(obs)
         assert masking.verify_masking(channel, obs) < masking.DECISION_ATOL
-        assert counts == {"_eigh": 1, "_eigvalsh": 1, "_svd": 0, "_svd_full": 0, "_svdvals": 0}
+        assert counts == {"_eigh": 2, "_eigvalsh": 0, "_svd": 0, "_svd_full": 0, "_svdvals": 0}
         assert public == {"pinv": 0}
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_unmaskable_chain_makes_one_eigvalsh(self, d, spy):
+    def test_unmaskable_chain_makes_one_eigh(self, d, spy):
         rng = np.random.default_rng(16)
         u = samplers.haar_unitary(rng, d)
         obs = (u * np.linspace(-1.0, 0.5, d)) @ u.conj().T
         counts = spy(algebra, ["_eigh", "_eigvalsh"])
         bloch.observable_coeffs(obs)
         assert not masking.decide_maskable_oracle(obs).maskable
-        assert counts == {"_eigh": 0, "_eigvalsh": 1}
+        assert counts == {"_eigh": 1, "_eigvalsh": 0}
 
     def test_nohiding_makes_one_einsum(self, spy):
         rng = np.random.default_rng(15)
