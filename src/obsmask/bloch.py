@@ -220,7 +220,9 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _coordinate_rows(coords, d: int, stack: bool = True) -> np.ndarray:
     """coords as a float array whose rows are d^2 - 1 long, one row unless
-    ``stack``; any other shape raises ``DimensionMismatchError``."""
+    ``stack``.  A dimension below 2 raises ``ValueError`` first; any other
+    shape, ``DimensionMismatchError``."""
+    _require_dimension(d)
     c = np.asarray(coords, dtype=float)
     n = d * d - 1
     if c.shape[-1:] != (n,):
@@ -233,17 +235,40 @@ def _coordinate_rows(coords, d: int, stack: bool = True) -> np.ndarray:
     return c
 
 
-def _expansion(coords, d: int, shift: float) -> np.ndarray:
-    """shift I + sum_i coords_i g_i at dimension d; a stack of coordinate
-    rows gives a stack of matrices.
+def _coordinate_family(members, d: int, what: str) -> np.ndarray:
+    """The (m, d^2 - 1) float stack of a family of coordinate rows; refuses
+    d < 2, then an empty family, then the first member not one row d^2 - 1
+    long, named as ``what`` and its index (``DimensionMismatchError``)."""
+    _require_dimension(d)
+    rows = [np.asarray(row, dtype=float) for row in members]
+    if not rows:
+        raise ValueError(f"need at least one {what}")
+    n = d * d - 1
+    for i, row in enumerate(rows):
+        if row.shape != (n,):
+            raise DimensionMismatchError(f"{what} {i} has shape {row.shape}, expected ({n},)")
+    return np.array(rows)
+
+
+def _finite_bloch(c: np.ndarray) -> np.ndarray:
+    """c, once every Bloch coordinate in it is finite; every comparison
+    with NaN is False, so a NaN or infinite one raises ``InvalidStateError``."""
+    if not np.isfinite(c).all():
+        raise InvalidStateError("Bloch vector has non-finite coordinates")
+    return c
+
+
+def _expansion(c: np.ndarray, d: int, shift: float) -> np.ndarray:
+    """shift I + sum_i c_i g_i at dimension d, for coordinate rows ``c``
+    already read by ``_coordinate_rows`` or ``_coordinate_family``; a stack
+    of rows gives a stack of matrices.
 
     Each off-diagonal entry is a single coordinate (negated for the upper
     antisymmetric ones), gathered into place; adding to or subtracting from
     0.0 turns -0.0 into 0.0, so every zero off the diagonal is +0.0 whatever
     the sign of its coordinate.  The diagonal is one (d - 1) x d product
-    plus the shift.  Rows not d^2 - 1 long raise ``DimensionMismatchError``.
+    plus the shift.
     """
-    c = _coordinate_rows(coords, d)
     index, diag = _layout(d)
     m = d * (d - 1) // 2
     row = np.concatenate(
@@ -273,8 +298,8 @@ def bloch_to_state(b: BlochVector) -> np.ndarray:
     implied.  A stack of coordinate rows, shape (m, d^2 - 1), gives the
     stack of m matrices.  Built from the generators' structure: each
     off-diagonal entry is one coordinate, the diagonal one small product;
-    a row not d^2 - 1 long raises ``DimensionMismatchError``."""
-    return _expansion(b.b, b.dimension, 1.0 / b.dimension)
+    d < 2 raises ``ValueError``, a row not d^2 - 1 long ``DimensionMismatchError``."""
+    return _expansion(_coordinate_rows(b.b, b.dimension), b.dimension, 1.0 / b.dimension)
 
 
 def observable_coeffs(obs) -> ObservableCoeffs:
@@ -288,8 +313,8 @@ def observable_coeffs(obs) -> ObservableCoeffs:
 
 def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:
     """Matrix a0 I + sum_i a_i g_i, built as ``bloch_to_state`` builds a
-    state; an ``a`` not d^2 - 1 long raises ``DimensionMismatchError``."""
-    return _expansion(c.a, c.dimension, c.a0)
+    state, with the same refusals."""
+    return _expansion(_coordinate_rows(c.a, c.dimension), c.dimension, c.a0)
 
 
 def positivity_conditions(b: BlochVector):
@@ -300,15 +325,13 @@ def positivity_conditions(b: BlochVector):
     checked against -POSITIVITY_ATOL; the values are the coefficients of
     prod_i (1 + lambda_i t), expanded in place on Python floats (those of
     ``np.poly`` up to sign, without its per-root overhead).  The first value
-    relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.  Non-finite
-    coordinates are refused, since every comparison with them is False, and
-    so is a ``b`` that is not one row d^2 - 1 long (``DimensionMismatchError``).
+    relates to the ball constraint by 2 e_2 = (d-1)/d - 2|b|^2.  Refuses d < 2,
+    then a ``b`` that is not one row d^2 - 1 long, then non-finite coordinates.
     """
-    if not np.isfinite(b.b).all():
-        raise InvalidStateError("Bloch vector has non-finite coordinates")
-    _coordinate_rows(b.b, b.dimension, stack=False)
-    lam = algebra._eigvalsh(bloch_to_state(b))
-    e = [1.0] + [0.0] * b.dimension
+    d = b.dimension
+    v = _finite_bloch(_coordinate_rows(b.b, d, stack=False))
+    lam = algebra._eigvalsh(_expansion(v, d, 1.0 / d))
+    e = [1.0] + [0.0] * d
     for i, x in enumerate(lam.tolist(), 1):
         for k in range(i, 0, -1):
             e[k] += x * e[k - 1]
@@ -322,16 +345,15 @@ def cubic_condition_value(b: BlochVector) -> float:
     which coincides with 6 e_3 of the reconstructed matrix (vacuously zero
     at d = 2).  With B = sum_i b_i g_i, the cubic term is
     Tr({B, B} B) / 4 = Tr(B^3) / 2, taken from one d x d product; the
-    symmetric tensor is not read.  A ``b`` that is not one row d^2 - 1 long
-    raises ``DimensionMismatchError``, and non-finite coordinates are
-    refused as ``positivity_conditions`` refuses them.
+    symmetric tensor is not read.  It refuses what ``positivity_conditions``
+    refuses, in the same order.
     """
     d = b.dimension
     v = _coordinate_rows(b.b, d, stack=False)
     bb = float(np.dot(v, v))
     # a finite |b|^2 proves every coordinate finite
-    if not math.isfinite(bb) and not np.isfinite(v).all():
-        raise InvalidStateError("Bloch vector has non-finite coordinates")
+    if not math.isfinite(bb):
+        _finite_bloch(v)
     m = _expansion(v, d, 0.0)
     # vdot conjugates its first factor: sum conj(B) * B^2 = Tr(B^dag B^2)
     cubic = float(np.vdot(m, m @ m).real) / 2.0

@@ -27,15 +27,19 @@ from .errors import (
 from .report import RunReport
 
 
-def _load(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _load(path: str, *kinds: str):
+    """The value of the document in the file at ``path``, whose kind must be
+    one of ``kinds``."""
+    from . import fileio
+
+    return fileio.parse_as(Path(path).read_text(encoding="utf-8"), *kinds)
 
 
-def _observable_views(text: str, dim: int | None):
+def _observable_views(path: str, dim: int | None):
     """Matrix and coefficient views of an observable file."""
-    from . import bloch, fileio
+    from . import bloch
 
-    value = fileio.parse_matrix(text)
+    value = _load(path, "matrix", "coeffs")
     if isinstance(value, bloch.ObservableCoeffs):
         coeffs = value
         matrix = bloch.coeffs_to_observable(coeffs)
@@ -52,7 +56,7 @@ def _observable_views(text: str, dim: int | None):
 def _cmd_maskable(args) -> RunReport:
     from . import masking
 
-    matrix, coeffs = _observable_views(_load(args.observable), args.dim)
+    matrix, coeffs = _observable_views(args.observable, args.dim)
     d = coeffs.dimension
     report = RunReport()
     report.add("command", "maskable")
@@ -92,7 +96,7 @@ def _cmd_maskable(args) -> RunReport:
 def _cmd_mask(args) -> RunReport:
     from . import fileio, masking
 
-    matrix, coeffs = _observable_views(_load(args.observable), args.dim)
+    matrix, coeffs = _observable_views(args.observable, args.dim)
     report = RunReport()
     report.add("command", "mask")
     report.add("dim", coeffs.dimension)
@@ -116,16 +120,9 @@ def _cmd_nohide(args) -> RunReport:
     n = np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-    def load_unitary(path):
-        from . import fileio
-
-        kind, value = fileio.parse_document(_load(path))
-        if kind != "matrix":
-            raise ParseError(f"expected a matrix document, got {kind!r}", 1, 1)
-        return value
-
-    u0 = load_unitary(args.u0) if args.u0 is not None else None
-    u1 = load_unitary(args.u1) if args.u1 is not None else None
+    u0, u1 = (
+        None if path is None else _load(path, "matrix") for path in (args.u0, args.u1)
+    )
     result = masking.verify_nohiding(n, u0, u1)
     report = RunReport()
     report.add("command", "nohide")
@@ -139,7 +136,7 @@ def _cmd_nohide(args) -> RunReport:
 def _cmd_comask(args) -> RunReport:
     from . import comask, fileio
 
-    points = fileio.parse_bloch_lines(_load(args.states), args.dim)
+    points = fileio.parse_bloch_lines(Path(args.states).read_text(encoding="utf-8"), args.dim)
     desc = comask.comask_general(points, args.dim)
     d = args.dim
     k = d * d - 1 - desc.affine_dim
@@ -159,7 +156,7 @@ def _cmd_common_state(args) -> RunReport:
 
     coeff_list = []
     for path in args.observables:
-        _, coeffs = _observable_views(_load(path), None)
+        _, coeffs = _observable_views(path, None)
         coeff_list.append(coeffs)
     d = coeff_list[0].dimension
     report = RunReport()
@@ -187,12 +184,9 @@ def _cmd_common_state(args) -> RunReport:
 
 
 def _cmd_counterexample(args) -> RunReport:
-    from . import comask, fileio
+    from . import comask
 
-    kind_b, b = fileio.parse_document(_load(args.b))
-    kind_bp, bp = fileio.parse_document(_load(args.bprime))
-    if kind_b != "bloch" or kind_bp != "bloch":
-        raise ParseError("counterexample expects bloch documents", 1, 1)
+    b, bp = (_load(path, "bloch") for path in (args.b, args.bprime))
     if b.dimension != args.dim or bp.dimension != args.dim:
         raise ParseError(
             f"bloch dimensions {b.dimension}/{bp.dimension} do not match "

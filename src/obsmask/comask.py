@@ -13,12 +13,12 @@ import numpy as np
 from . import algebra
 from .bloch import (
     POSITIVITY_ATOL,
-    BlochVector,
     ObservableCoeffs,
+    _coordinate_family,
     _coordinates,
     _expansion,
+    _finite_bloch,
     _real_generators,
-    bloch_to_state,
 )
 from .channels import _set
 from .errors import (
@@ -286,6 +286,12 @@ def _pivoted_echelon(v: np.ndarray):
     return r, piv
 
 
+def _bloch_points(points, d: int) -> np.ndarray:
+    """The (m, d^2 - 1) stack of finite Bloch points, each of any flat shape."""
+    flat = (np.asarray(p, dtype=float).reshape(-1) for p in points)
+    return _finite_bloch(_coordinate_family(flat, d, "point"))
+
+
 def comask_general(points, d: int) -> ComaskDescription:
     """All observables (a0, a) masked onto a given set of output states.
 
@@ -312,19 +318,9 @@ def comask_general(points, d: int) -> ComaskDescription:
     factorization with no such point, possible only within rounding of the
     bound, accepts.
     """
-    n = d * d - 1
-    arrs = []
-    for i, pt in enumerate(points):
-        vec = np.asarray(pt, dtype=float).reshape(-1)
-        if vec.shape != (n,):
-            raise DimensionMismatchError(f"point {i} has length {vec.shape[0]}, expected {n}")
-        arrs.append(vec)
-    if not arrs:
-        raise ValueError("need at least one output state")
-    pts = np.stack(arrs)
-    if not np.isfinite(pts).all():
-        raise InvalidStateError("Bloch vector has non-finite coordinates")
-    rhos = bloch_to_state(BlochVector(d, pts))
+    pts = _bloch_points(points, d)
+    n = pts.shape[1]
+    rhos = _expansion(pts, d, 1.0 / d)
     try:
         algebra._cholesky(rhos + POSITIVITY_ATOL * np.eye(d))
     except np.linalg.LinAlgError:
@@ -359,32 +355,13 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     a0 = 1 - 2 a . b', so the masking equation a0/2 + a . b = 1/2 holds at
     b' and fails at b by exactly |b - b'|.
     """
-    algebra._require_dimension(d)
-    n = d * d - 1
-    b_arr = np.asarray(b, dtype=float).reshape(-1)
-    bp_arr = np.asarray(b_prime, dtype=float).reshape(-1)
-    if b_arr.shape != (n,) or bp_arr.shape != (n,):
-        raise DimensionMismatchError(f"expected Bloch vectors of length {n}")
-    if not (np.isfinite(b_arr).all() and np.isfinite(bp_arr).all()):
-        raise InvalidStateError("Bloch vectors have non-finite coordinates")
+    b_arr, bp_arr = _bloch_points((b, b_prime), d)
     gap = np.linalg.norm(b_arr - bp_arr)
     if gap < 1e-9:
         raise IdenticalPointsError("the two output states coincide")
     a = (b_arr - bp_arr) / gap
     a0 = 1.0 - 2.0 * float(np.dot(a, bp_arr))
     return ObservableCoeffs(dimension=d, a0=a0, a=a)
-
-
-def _require_rows(observables: Sequence[ObservableCoeffs], d: int) -> None:
-    """Refuse the first observable whose ``a`` is not one row of d^2 - 1
-    coordinates."""
-    n = d * d - 1
-    for i, c in enumerate(observables):
-        shape = np.shape(c.a)
-        if shape != (n,):
-            raise DimensionMismatchError(
-                f"observable {i} has coordinates of shape {shape}, expected ({n},)"
-            )
 
 
 def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) -> np.ndarray:
@@ -394,8 +371,9 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     all masking equations a0/2 + a.b = 1/2 and the positive unit-trace
     matrices (projected by eigenvalue clipping and trace renormalization).
     Returns a density matrix meeting every constraint within
-    CONSTRAINT_ATOL; raises ``DimensionMismatchError`` naming the first
-    observable whose row is not d^2 - 1 long, ``NotHermitianError`` for
+    CONSTRAINT_ATOL; raises ``ValueError`` for d < 2 or no observables,
+    ``DimensionMismatchError`` naming the first observable whose row is not
+    d^2 - 1 long, ``NotHermitianError`` for
     non-finite coefficients, ``NoAffineSolutionError`` when the linear
     system itself is inconsistent and ``InfeasibleError`` (carrying the
     final gap between the sets, or the constraint residual at an exact
@@ -407,22 +385,14 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     through the unvalidated coordinate product, with one ``eigh`` and one
     residual vector.
     """
-    gens = _real_generators(d)  # first: it refuses d < 2
     obs_list = list(observables)
-    if not obs_list:
-        raise ValueError("need at least one observable")
     for c in obs_list:
         if c.dimension != d:
             raise DimensionMismatchError(
                 f"observable dimension {c.dimension} != {d}"
             )
-    try:
-        rows = np.array([c.a for c in obs_list], dtype=float)
-    except ValueError:  # a ragged family: name its first misfit
-        _require_rows(obs_list, d)
-        raise
-    if rows.shape[1:] != (d * d - 1,):
-        _require_rows(obs_list, d)
+    rows = _coordinate_family([c.a for c in obs_list], d, "observable")
+    gens = _real_generators(d)
     rhs = np.array([0.5 - c.a0 / 2 for c in obs_list])
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise NotHermitianError("observable coefficients are not finite")

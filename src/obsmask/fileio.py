@@ -1,8 +1,8 @@
-"""Plain-text parsing of matrix, coefficient, vector and Bloch documents,
-and rendering of matrices and Kraus families.
+"""Plain-text parsing of matrix, coefficient and Bloch documents, and
+rendering of matrices and Kraus families.
 
 Headers are one of ``matrix R C``, ``coeffs D a0 a1 ... a_{D^2-1}``,
-``vector N``, ``bloch D b1 ... b_{D^2-1}``.  Complex entries are written
+``bloch D b1 ... b_{D^2-1}``.  Complex entries are written
 ``re,im`` with plain decimal notation, whitespace separated; ``#`` starts a
 comment.  Rendered matrices and Kraus files parse back to the same values.
 """
@@ -100,7 +100,7 @@ def _body(tokens: list[_Token], start: int, need: int, what: str, unit: str):
 
 def parse_document(text: str):
     """Parse one document; returns (kind, value) with kind one of
-    'matrix', 'coeffs', 'vector', 'bloch'."""
+    'matrix', 'coeffs', 'bloch'."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 1, 1)
@@ -118,27 +118,24 @@ def parse_document(text: str):
         return "coeffs", ObservableCoeffs(
             dimension=d, a0=values[0], a=np.array(values[1:])
         )
-    if head.text == "vector":
-        n = _parse_int(_take(tokens, 1, "length"), "length")
-        body = _body(tokens, 2, n, "vector", "entries")
-        return "vector", np.array([_parse_complex(t) for t in body], dtype=complex)
     if head.text == "bloch":
         d = _parse_int(_take(tokens, 1, "dimension"), "dimension")
         body = _body(tokens, 2, d * d - 1, f"bloch for d={d}", "values")
         values = [_parse_real(t, "component") for t in body]
         return "bloch", BlochVector(dimension=d, b=np.array(values))
     raise ParseError(
-        f"unknown header {head.text!r} (expected matrix/coeffs/vector/bloch)",
+        f"unknown header {head.text!r} (expected matrix/coeffs/bloch)",
         head.line,
         head.column,
     )
 
 
-def parse_matrix(text: str):
-    """Parse an observable file: a 'matrix' or 'coeffs' document."""
+def parse_as(text: str, *kinds: str):
+    """The value of the one document in ``text``, whose kind must be one of
+    ``kinds``; a document of another kind raises ``ParseError``."""
     kind, value = parse_document(text)
-    if kind not in ("matrix", "coeffs"):
-        raise ParseError(f"expected matrix or coeffs document, got {kind!r}", 1, 1)
+    if kind not in kinds:
+        raise ParseError(f"expected a {' or '.join(kinds)} document, got {kind!r}", 1, 1)
     return value
 
 

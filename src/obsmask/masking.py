@@ -72,9 +72,9 @@ def _require_unit_vector(n) -> np.ndarray:
 def _ball_bound_holds(c: ObservableCoeffs, a_norm: float) -> bool:
     """|1 - a0| sqrt(d / (2(d-1))) <= |a| + DECISION_ATOL, the ball bound
     behind both the necessary condition and, at d = 2, the plane criterion.
-    Refuses an ``a`` that is not one row d^2 - 1 long
-    (``DimensionMismatchError``) and non-finite coefficients, on which every
-    comparison is False."""
+    Refuses, through ``bloch``'s row check, a dimension below 2 and an ``a``
+    that is not one row d^2 - 1 long, and then non-finite coefficients, on
+    which every comparison is False."""
     d = c.dimension
     _coordinate_rows(c.a, d, stack=False)
     if not (math.isfinite(c.a0) and math.isfinite(a_norm)):
@@ -143,7 +143,6 @@ def necessary_condition_d(c: ObservableCoeffs) -> bool:
     |b| <= sqrt((d-1) / (2d)).  Necessary in every dimension; also
     sufficient only at d = 2, where it reduces to the plane criterion.
     """
-    algebra._require_dimension(c.dimension)  # the bound divides by d - 1
     return _ball_bound_holds(c, c.a_norm())
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import obsmask
-from obsmask import errors
+from obsmask import comask, errors
 from obsmask.bloch import BlochVector, ObservableCoeffs
 from obsmask.errors import DimensionMismatchError, ValidationError
 
@@ -276,6 +277,14 @@ def _coefficient_callables():
     return found
 
 
+# the public callables that read raw Bloch points, which carry no annotation
+# to find them by; each entry calls one on two points and d
+_POINT_CALLABLES = {
+    "obsmask.comask.comask_general": lambda b, b_prime, d: comask.comask_general([b, b_prime], d),
+    "obsmask.comask.universal_counterexample": comask.universal_counterexample,
+}
+
+
 def _call(func, coefficients, sequence):
     """func on one coefficient object; a sequence-taking callable gets a
     list of one, with its dimension."""
@@ -326,6 +335,17 @@ def test_decisions_refuse_nan_coefficients():
             except ValidationError:
                 continue
             accepted.append((qualname, coefficients.dimension))
+    # a point callable gets the non-finite point first and second, beside
+    # the maximally mixed state
+    for qualname, call in _POINT_CALLABLES.items():
+        for point in _nan_coefficients("BlochVector"):
+            d, mixed = point.dimension, np.zeros_like(point.b)
+            for pair in ((point.b, mixed), (mixed, point.b)):
+                try:
+                    call(*pair, d)
+                except ValidationError:
+                    continue
+                accepted.append((qualname, d))
     assert accepted == []
 
 
@@ -337,7 +357,8 @@ def test_coefficient_callables_refuse_wrong_length_rows():
     # decision that reads the norm of the whole stack answers for neither;
     # only the codecs, which map a stack to a stack of matrices, take one.
     # A callable taking a sequence also gets ragged families, whose second
-    # row is one entry short or long
+    # row is one entry short or long.  A point callable gets each misfit as
+    # its first and as its second point, beside one of the right length
     callables = _coefficient_callables()
     assert {
         "obsmask.masking.decide_maskable_qubit",
@@ -373,4 +394,59 @@ def test_coefficient_callables_refuse_wrong_length_rows():
                 else:
                     outcome = "accepted"
                 not_refused.append((qualname, d, family, outcome))
+    for qualname, call in _POINT_CALLABLES.items():
+        for d in (2, 8):
+            n = d * d - 1
+            fit = np.full(n, 0.01)
+            for shape in ((n - 1,), (n + 1,), (2, n)):
+                misfit = np.full(shape, 0.01)
+                for pair in ((misfit, fit), (fit, misfit)):
+                    try:
+                        call(*pair, d)
+                    except DimensionMismatchError:
+                        continue
+                    except Exception as exc:
+                        outcome = type(exc).__name__
+                    else:
+                        outcome = "accepted"
+                    not_refused.append((qualname, d, shape, outcome))
+    assert not_refused == []
+
+
+def test_coordinate_callables_refuse_dimensions_below_2():
+    # the length a coordinate row must have is read from d, so a d below 2
+    # must be refused before it: at d = 0 a row "d^2 - 1 = -1" long would
+    # be asked for, and I/d divides by zero.  The qubit criterion refuses
+    # every d but 2 on its own
+    qubit = "obsmask.masking.decide_maskable_qubit"
+    callables = {q: entry for q, entry in _coefficient_callables().items() if q != qubit}
+    assert {
+        "obsmask.bloch.bloch_to_state",
+        "obsmask.bloch.coeffs_to_observable",
+        "obsmask.bloch.positivity_conditions",
+        "obsmask.bloch.cubic_condition_value",
+        "obsmask.masking.necessary_condition_d",
+        "obsmask.comask.find_common_output_state",
+    } <= set(callables)
+    empty = np.zeros(0)
+    not_refused = []
+    for d in (-1, 0, 1):
+        objects = {"ObservableCoeffs": ObservableCoeffs(d, 0.5, empty),
+                   "BlochVector": BlochVector(d, empty)}
+        calls = [
+            (qualname, functools.partial(_call, func, objects[element], sequence))
+            for qualname, (func, element, sequence) in callables.items()
+        ]
+        calls += [(qualname, functools.partial(call, empty, empty, d))
+                  for qualname, call in _POINT_CALLABLES.items()]
+        for qualname, call in calls:
+            try:
+                call()
+            except Exception as exc:
+                if type(exc) is ValueError and str(exc) == f"dimension must be >= 2, got {d}":
+                    continue
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                outcome = "accepted"
+            not_refused.append((qualname, d, outcome))
     assert not_refused == []

@@ -31,7 +31,7 @@ class TestParsing:
         assert np.allclose(value, S3)
 
     def test_coeffs_document(self):
-        value = fileio.parse_matrix(SZ_COEFFS)
+        value = fileio.parse_as(SZ_COEFFS, "matrix", "coeffs")
         assert isinstance(value, bloch.ObservableCoeffs)
         assert value.dimension == 2
         assert value.a0 == 0.0
@@ -39,11 +39,11 @@ class TestParsing:
 
     def test_row_with_wrong_entry_count(self):
         with pytest.raises(ParseError):
-            fileio.parse_matrix("matrix 2 2\n1,0 0,0 0,0\n0,0 -1,0\n")
+            fileio.parse_as("matrix 2 2\n1,0 0,0 0,0\n0,0 -1,0\n", "matrix", "coeffs")
 
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError) as exc:
-            fileio.parse_matrix("matrix 2 2\n1,0 oops\n0,0 -1,0\n")
+            fileio.parse_as("matrix 2 2\n1,0 oops\n0,0 -1,0\n", "matrix", "coeffs")
         assert exc.value.line == 2
         assert exc.value.column == 5
 
@@ -51,9 +51,7 @@ class TestParsing:
         with pytest.raises(ParseError):
             fileio.parse_document("weird 2 2\n")
 
-    def test_vector_and_bloch_documents(self):
-        kind, vec = fileio.parse_document("vector 2\n0.5,0 0.5,-0.1\n")
-        assert kind == "vector" and vec.shape == (2,)
+    def test_bloch_document(self):
         kind, b = fileio.parse_document("bloch 2 0.0 0.0 0.5\n")
         assert kind == "bloch" and np.allclose(b.b, [0, 0, 0.5])
 
@@ -84,7 +82,7 @@ class TestParsing:
         for arr in cases:
             assert fileio.render_matrix(arr) == reference(arr)
 
-    @pytest.mark.parametrize("kind", ["matrix", "coeffs", "bloch", "vector"])
+    @pytest.mark.parametrize("kind", ["matrix", "coeffs", "bloch"])
     def test_render_parse_round_trip(self, kind):
         # a matrix renders and parses back; no command writes the other
         # documents, so they are written here by hand, with values whose
@@ -106,13 +104,6 @@ class TestParsing:
                 lambda v: (v.dimension, *v.b),
                 (3, *fine),
             ),
-            "vector": (
-                "vector 8\n0.30000000000000004,7.0 0.3333333333333333,3.141592653589793 "
-                "-0.0,0.0123456789 5e-324,-1e+300 -1e+300,5e-324 0.0123456789,-0.0 "
-                "3.141592653589793,0.3333333333333333 7.0,0.30000000000000004\n",
-                lambda v: v,
-                list(map(complex, fine, fine[::-1])),
-            ),
         }[kind]
         got_kind, back = fileio.parse_document(text)
         assert got_kind == kind
@@ -126,10 +117,9 @@ class TestParsing:
         [
             ("matrix 2 2\n1,0 0,0\n0,0\n", "matrix needs 4 entries, found 3", 3, 1),
             ("coeffs 2\n  0.5\n", "coeffs for d=2 needs 4 values, found 1", 2, 3),
-            ("vector 3\n0.5,0 0.5,-0.1\n", "vector needs 3 entries, found 2", 2, 7),
             ("bloch 2\n", "bloch for d=2 needs 3 values, found 0", 1, 1),
         ],
-        ids=["matrix", "coeffs", "vector", "bloch"],
+        ids=["matrix", "coeffs", "bloch"],
     )
     def test_truncated_document(self, text, message, line, column):
         with pytest.raises(ParseError) as exc:
@@ -143,9 +133,8 @@ class TestParsing:
             ("coeffs 2 0\n  nan 0 1\n", "non-finite coefficient 'nan'", 2, 3),
             ("bloch 2 0 inf 0.5\n", "non-finite component 'inf'", 1, 11),
             ("matrix 1 2\n1,0 0,1e400\n", "non-finite entry '0,1e400'", 2, 5),
-            ("vector 2\n-inf,0 1,0\n", "non-finite entry '-inf,0'", 2, 1),
         ],
-        ids=["coeffs-nan", "bloch-inf", "matrix-overflow", "vector-inf"],
+        ids=["coeffs-nan", "bloch-inf", "matrix-overflow"],
     )
     def test_non_finite_refused(self, text, message, line, column):
         with pytest.raises(ParseError) as exc:
@@ -338,6 +327,26 @@ class TestNonFiniteInput:
             capsys, "counterexample", "--b", str(b), "--bprime", str(bp), "--dim", "2"
         )
         assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv, wrong, message",
+    [
+        (["maskable", "--observable", "{f}"], "bloch 2 0 0 0.5\n",
+         "expected a matrix or coeffs document, got 'bloch'"),
+        (["nohide", "--theta", "0", "--phi", "0", "--u0", "{f}"], SZ_COEFFS,
+         "expected a matrix document, got 'coeffs'"),
+        (["counterexample", "--b", "{f}", "--bprime", "{f}", "--dim", "2"], SZ_MATRIX,
+         "expected a bloch document, got 'matrix'"),
+    ],
+    ids=["maskable", "nohide", "counterexample"],
+)
+def test_document_of_another_kind_is_an_input_error(argv, wrong, message, tmp_path, capsys):
+    path = tmp_path / "wrong.txt"
+    path.write_text(wrong)
+    code = main([arg.format(f=path) for arg in argv])
+    assert capsys.readouterr() == ("", f"error: line 1, column 1: {message}\n")
+    assert code == 2
 
 
 class TestComaskCommand:
