@@ -169,8 +169,8 @@ def measure_prepare_channel(rho0, rho1, d: int) -> KrausChannel:
     for eig in (eig0, eig1):
         if eig.eigenvectors.shape != (d, d):
             raise DimensionMismatchError(f"state shape {eig.eigenvectors.shape} != ({d}, {d})")
-    rows0 = _spectral_rows(eig0)
-    rows1 = rows0 if eig1 is eig0 else _spectral_rows(eig1)
+    rows0 = _spectral_rows(eig0.eigenvalues, eig0.eigenvectors)
+    rows1 = rows0 if eig1 is eig0 else _spectral_rows(eig1.eigenvalues, eig1.eigenvectors)
     # the terms of rho_0 on k = 0, then those of rho_1 on k >= 1
     support = np.zeros((len(rows0) + len(rows1), d))
     support[: len(rows0), 0] = support[len(rows0):, 1:] = 1

@@ -234,13 +234,14 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
     return dagger(v) @ (arr @ rows).reshape(arr.shape[:-2] + v.shape)
 
 
-def _spectral_rows(eig: HermitianEig) -> np.ndarray:
-    """Rows sqrt(p_j) e_j over the nonzero spectral terms of a state's
-    decomposition ``eig`` (weights ascending, as ``require_density`` gives
-    them), in descending weight: the amplitudes of the channels that prepare
-    the state."""
-    terms = np.flatnonzero(eig.eigenvalues >= 1e-12)[::-1]
-    return (np.sqrt(eig.eigenvalues[terms]) * eig.eigenvectors[:, terms]).T
+def _spectral_rows(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Rows sqrt(w_j) v_j over the weights w_j >= 1e-12 of a state's
+    spectral terms, v_j the columns of ``vectors``, in descending weight
+    (ties in reverse index order): the amplitudes of the channels that
+    prepare the state."""
+    terms = np.argsort(weights, kind="stable")[::-1]
+    terms = terms[weights[terms] >= 1e-12]
+    return (np.sqrt(weights[terms]) * vectors[:, terms]).T
 
 
 def isometric_extension(channel: KrausChannel) -> np.ndarray:

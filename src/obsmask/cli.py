@@ -6,7 +6,10 @@ report), 1 when ``selftest`` finds a failed invariant, 2 on input or parse
 errors, 3 on numerical failure.
 
 Each handler imports the modules it runs, so a call loads only what its
-subcommand needs.
+subcommand needs, and returns its report; ``main`` puts the ``command``
+entry first.  The handlers check no input themselves: ``fileio`` refuses a
+document of the wrong kind or dimension at its token, and the library
+refuses the rest.
 """
 
 from __future__ import annotations
@@ -22,34 +25,30 @@ from .errors import (
     NoAffineSolutionError,
     NumericalFailureError,
     ObsMaskError,
-    ParseError,
 )
 from .report import RunReport
 
 
-def _load(path: str, *kinds: str):
+def _load(path: str, *kinds: str, dim: int | None = None):
     """The value of the document in the file at ``path``, whose kind must be
-    one of ``kinds``."""
+    one of ``kinds`` and, with ``dim`` given, whose dimension must be
+    ``dim``."""
     from . import fileio
 
-    return fileio.parse_as(Path(path).read_text(encoding="utf-8"), *kinds)
+    return fileio.parse_as(Path(path).read_text(encoding="utf-8"), *kinds, dim=dim)
 
 
 def _observable_views(path: str, dim: int | None):
     """Matrix and coefficient views of an observable file."""
     from . import bloch
 
-    value = _load(path, "matrix", "coeffs")
+    value = _load(path, "matrix", "coeffs", dim=dim)
     if isinstance(value, bloch.ObservableCoeffs):
         coeffs = value
         matrix = bloch.coeffs_to_observable(coeffs)
     else:
         matrix = value
         coeffs = bloch.observable_coeffs(matrix)
-    if dim is not None and coeffs.dimension != dim:
-        raise ParseError(
-            f"observable has dimension {coeffs.dimension}, --dim says {dim}", 1, 1
-        )
     return matrix, coeffs
 
 
@@ -59,7 +58,6 @@ def _cmd_maskable(args) -> RunReport:
     matrix, coeffs = _observable_views(args.observable, args.dim)
     d = coeffs.dimension
     report = RunReport()
-    report.add("command", "maskable")
     report.add("dim", d)
     report.add("method", args.method)
     verdicts = []
@@ -98,7 +96,6 @@ def _cmd_mask(args) -> RunReport:
 
     matrix, coeffs = _observable_views(args.observable, args.dim)
     report = RunReport()
-    report.add("command", "mask")
     report.add("dim", coeffs.dimension)
     verdict, channel = masking.oracle_masker(matrix)
     report.add("maskable", verdict.maskable)
@@ -125,7 +122,6 @@ def _cmd_nohide(args) -> RunReport:
     )
     result = masking.verify_nohiding(n, u0, u1)
     report = RunReport()
-    report.add("command", "nohide")
     report.add("direction", n)
     report.add("swap_residual", result.swap_residual)
     report.add("recovery_residual", result.recovery_residual)
@@ -136,12 +132,11 @@ def _cmd_nohide(args) -> RunReport:
 def _cmd_comask(args) -> RunReport:
     from . import comask, fileio
 
-    points = fileio.parse_bloch_lines(Path(args.states).read_text(encoding="utf-8"), args.dim)
+    points = fileio.parse_bloch_lines(Path(args.states).read_text(encoding="utf-8"))
     desc = comask.comask_general(points, args.dim)
     d = args.dim
     k = d * d - 1 - desc.affine_dim
     report = RunReport()
-    report.add("command", "comask")
     report.add("dim", d)
     report.add("n_states", len(points))
     report.add("input_affine_dim", k)
@@ -160,7 +155,6 @@ def _cmd_common_state(args) -> RunReport:
         coeff_list.append(coeffs)
     d = coeff_list[0].dimension
     report = RunReport()
-    report.add("command", "common-state")
     report.add("dim", d)
     report.add("n_observables", len(coeff_list))
     try:
@@ -186,16 +180,10 @@ def _cmd_common_state(args) -> RunReport:
 def _cmd_counterexample(args) -> RunReport:
     from . import comask
 
-    b, bp = (_load(path, "bloch") for path in (args.b, args.bprime))
-    if b.dimension != args.dim or bp.dimension != args.dim:
-        raise ParseError(
-            f"bloch dimensions {b.dimension}/{bp.dimension} do not match "
-            f"--dim {args.dim}", 1, 1
-        )
+    b, bp = (_load(path, "bloch", dim=args.dim) for path in (args.b, args.bprime))
     out = comask.universal_counterexample(b.b, bp.b, args.dim)
     d = args.dim
     report = RunReport()
-    report.add("command", "counterexample")
     report.add("dim", d)
     report.add("a0", out.a0)
     report.add("a", out.a)
@@ -208,16 +196,13 @@ def _cmd_counterexample(args) -> RunReport:
 def _cmd_bitcommit_demo(args) -> RunReport:
     from . import bitcommit
 
-    report = bitcommit.no_bit_commitment_demo(args.dim, args.seed)
-    report.entries.insert(0, ("command", "bitcommit-demo"))
-    return report
+    return bitcommit.no_bit_commitment_demo(args.dim, args.seed)
 
 
 def _cmd_selftest(_args) -> RunReport:
     from . import invariants
 
     report = RunReport()
-    report.add("command", "selftest")
     rng = np.random.default_rng(2024)
     total_pass = total_fail = 0
     for inv in invariants.REGISTRY.values():
@@ -295,9 +280,10 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, OSError, ObsMaskError, ValueError) as exc:
+    except (OSError, ObsMaskError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.entries.insert(0, ("command", args.subcommand))
     sys.stdout.write(report.render())
     if args.subcommand == "selftest" and not report.get("all_passed"):
         return 1

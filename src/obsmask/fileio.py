@@ -98,66 +98,68 @@ def _body(tokens: list[_Token], start: int, need: int, what: str, unit: str):
     return body
 
 
-def parse_document(text: str):
-    """Parse one document; returns (kind, value) with kind one of
-    'matrix', 'coeffs', 'bloch'."""
+# the size token after each header, and what it counts
+_SIZES = {"matrix": "row count", "coeffs": "dimension", "bloch": "dimension"}
+
+
+def _read(text: str, kinds=tuple(_SIZES), dim: int | None = None):
+    """(kind, value) of the one document in ``text``.  A kind not in
+    ``kinds`` is refused at the header token and, with ``dim`` given, any
+    other size at the size token: D of ``coeffs`` and ``bloch``, R of
+    ``matrix``."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 1, 1)
     head = tokens[0]
-    if head.text == "matrix":
-        rows = _parse_int(_take(tokens, 1, "row count"), "row count")
-        cols = _parse_int(_take(tokens, 2, "column count"), "column count")
-        body = _body(tokens, 3, rows * cols, "matrix", "entries")
-        entries = [_parse_complex(t) for t in body]
-        return "matrix", np.array(entries, dtype=complex).reshape(rows, cols)
-    if head.text == "coeffs":
-        d = _parse_int(_take(tokens, 1, "dimension"), "dimension")
-        body = _body(tokens, 2, d * d, f"coeffs for d={d}", "values")
-        values = [_parse_real(t, "coefficient") for t in body]
-        return "coeffs", ObservableCoeffs(
-            dimension=d, a0=values[0], a=np.array(values[1:])
+    kind = head.text
+    if kind not in _SIZES:
+        raise ParseError(
+            f"unknown header {kind!r} (expected matrix/coeffs/bloch)", head.line, head.column
         )
-    if head.text == "bloch":
-        d = _parse_int(_take(tokens, 1, "dimension"), "dimension")
-        body = _body(tokens, 2, d * d - 1, f"bloch for d={d}", "values")
-        values = [_parse_real(t, "component") for t in body]
-        return "bloch", BlochVector(dimension=d, b=np.array(values))
-    raise ParseError(
-        f"unknown header {head.text!r} (expected matrix/coeffs/bloch)",
-        head.line,
-        head.column,
-    )
-
-
-def parse_as(text: str, *kinds: str):
-    """The value of the one document in ``text``, whose kind must be one of
-    ``kinds``; a document of another kind raises ``ParseError``."""
-    kind, value = parse_document(text)
     if kind not in kinds:
-        raise ParseError(f"expected a {' or '.join(kinds)} document, got {kind!r}", 1, 1)
-    return value
+        raise ParseError(
+            f"expected a {' or '.join(kinds)} document, got {kind!r}", head.line, head.column
+        )
+    what = _SIZES[kind]
+    size_tok = _take(tokens, 1, what)
+    n = _parse_int(size_tok, what)
+    if dim is not None and n != dim:
+        raise ParseError(f"expected {what} {dim}, got {n}", size_tok.line, size_tok.column)
+    if kind == "matrix":
+        cols = _parse_int(_take(tokens, 2, "column count"), "column count")
+        body = _body(tokens, 3, n * cols, "matrix", "entries")
+        entries = [_parse_complex(t) for t in body]
+        return kind, np.array(entries, dtype=complex).reshape(n, cols)
+    if kind == "coeffs":
+        body = _body(tokens, 2, n * n, f"coeffs for d={n}", "values")
+        values = [_parse_real(t, "coefficient") for t in body]
+        return kind, ObservableCoeffs(dimension=n, a0=values[0], a=np.array(values[1:]))
+    body = _body(tokens, 2, n * n - 1, f"bloch for d={n}", "values")
+    values = [_parse_real(t, "component") for t in body]
+    return kind, BlochVector(dimension=n, b=np.array(values))
 
 
-def parse_bloch_lines(text: str, d: int) -> list[np.ndarray]:
-    """Parse one Bloch vector (d^2 - 1 reals) per nonempty line."""
-    need = d * d - 1
+def parse_document(text: str):
+    """Parse one document; returns (kind, value) with kind one of
+    'matrix', 'coeffs', 'bloch'."""
+    return _read(text)
+
+
+def parse_as(text: str, *kinds: str, dim: int | None = None):
+    """The value of the one document in ``text``, whose kind must be one of
+    ``kinds`` and, with ``dim`` given, whose dimension (a matrix's row
+    count) must be ``dim``; a refusal is a ``ParseError`` at the header or
+    the size token."""
+    return _read(text, kinds, dim)[1]
+
+
+def parse_bloch_lines(text: str) -> list[np.ndarray]:
+    """The raw rows of reals, one per nonempty line; their lengths are
+    checked by their reader (``bloch``)."""
     by_line: dict[int, list[_Token]] = {}
     for token in _tokenize(text):
         by_line.setdefault(token.line, []).append(token)
-    vectors = []
-    for lineno in sorted(by_line):
-        tokens = by_line[lineno]
-        if len(tokens) != need:
-            raise ParseError(
-                f"expected {need} components for d={d}, found {len(tokens)}",
-                lineno,
-                tokens[0].column,
-            )
-        vectors.append(np.array([_parse_real(t, "component") for t in tokens]))
-    if not vectors:
-        raise ParseError("no Bloch vectors found", 1, 1)
-    return vectors
+    return [np.array([_parse_real(t, "component") for t in row]) for row in by_line.values()]
 
 
 def _entry(z: complex) -> str:

@@ -19,7 +19,7 @@ from .algebra import (
     tensor,
 )
 from .bloch import ObservableCoeffs, _coordinate_rows, generator_basis
-from .channels import KrausChannel, UnitaryDilation, apply_adjoint, masker_dilation
+from .channels import KrausChannel, UnitaryDilation, _spectral_rows, apply_adjoint, masker_dilation
 from .errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -196,10 +196,8 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
         bottom = [abs(x - lo) <= DECISION_ATOL / 2 for x in half]
         w_top, w_bottom = p / sum(top), (1.0 - p) / sum(bottom)
         weights = [t * w_top + b * w_bottom for t, b in zip(top, bottom)]
-    order = sorted(range(d), key=weights.__getitem__)[::-1]
-    terms = [j for j in order if weights[j] >= 1e-12]
-    rows = (np.sqrt([weights[j] for j in terms]) * eig.eigenvectors[:, terms]).T
-    return verdict, KrausChannel.rank_one(rows, np.ones((len(terms), d)))
+    rows = _spectral_rows(np.array(weights), eig.eigenvectors)
+    return verdict, KrausChannel.rank_one(rows, np.ones((len(rows), d)))
 
 
 def rotation_unitary(n) -> np.ndarray:

@@ -61,9 +61,29 @@ def test_every_error_class_is_raised():
     assert classes - constructed - {"ObsMaskError", "ValidationError"} == set()
 
 
+def _calls_of(tree, name: str) -> list[int]:
+    """Lines of each call of ``name`` in the tree, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_cli_constructs_no_parse_error():
+    # every parse position comes from fileio's tokens: the command line
+    # checks no document itself
+    package = Path(obsmask.__file__).parent
+    assert _calls_of(ast.parse((package / "cli.py").read_text()), "ParseError") == []
+    # the guard sees fileio's refusals, so it is not blind
+    assert _calls_of(ast.parse((package / "fileio.py").read_text()), "ParseError")
+
+
 # public names that only the benchmark harness reads; they go with its rows
-# of them, in a change to the benchmark alone
-_BENCH_HELD = {"unitary_completion", "symmetric_tensor"}
+# of them, in a change to the benchmark alone (the harness reads its Kraus
+# files back with parse_document, where the commands use parse_as)
+_BENCH_HELD = {"unitary_completion", "symmetric_tensor", "parse_document"}
 
 
 def _loaded(tree) -> set[str]:

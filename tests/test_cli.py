@@ -143,13 +143,21 @@ class TestParsing:
 
     def test_non_finite_bloch_line_refused(self):
         with pytest.raises(ParseError) as exc:
-            fileio.parse_bloch_lines("0 0 0.5\n0.1 NaN 0.2\n", 2)
+            fileio.parse_bloch_lines("0 0 0.5\n0.1 NaN 0.2\n")
         assert (exc.value.line, exc.value.column) == (2, 5)
 
     def test_bloch_lines(self):
-        vectors = fileio.parse_bloch_lines("0 0 0.5\n# comment\n0.1 0.2 0.3\n", 2)
-        assert len(vectors) == 2
-        assert np.allclose(vectors[1], [0.1, 0.2, 0.3])
+        # raw rows: their lengths are bloch's to check, at the command's --dim
+        vectors = fileio.parse_bloch_lines("0 0 0.5\n# comment\n0.1 0.2 0.3 4\n\n0.25\n")
+        assert [v.tolist() for v in vectors] == [[0.0, 0.0, 0.5], [0.1, 0.2, 0.3, 4.0], [0.25]]
+        assert fileio.parse_bloch_lines("# nothing\n") == []
+
+    def test_unknown_header_is_named_whatever_kinds_are_asked(self):
+        with pytest.raises(ParseError) as exc:
+            fileio.parse_as("\n  weird 2 2\n", "bloch", dim=2)
+        assert str(exc.value) == (
+            "line 2, column 3: unknown header 'weird' (expected matrix/coeffs/bloch)"
+        )
 
 
 class TestMaskableCommand:
@@ -342,11 +350,37 @@ class TestNonFiniteInput:
     ids=["maskable", "nohide", "counterexample"],
 )
 def test_document_of_another_kind_is_an_input_error(argv, wrong, message, tmp_path, capsys):
+    # refused at the header, which a comment line puts on line 2
     path = tmp_path / "wrong.txt"
-    path.write_text(wrong)
+    path.write_text("# c\n" + wrong)
     code = main([arg.format(f=path) for arg in argv])
-    assert capsys.readouterr() == ("", f"error: line 1, column 1: {message}\n")
+    assert capsys.readouterr() == ("", f"error: line 2, column 1: {message}\n")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        (["maskable", "--observable", "{f}", "--dim", "3"], SZ_COEFFS,
+         "line 2, column 8: expected dimension 3, got 2"),
+        (["mask", "--observable", "{f}", "--out", "{f}.kraus", "--dim", "3"], SZ_COEFFS,
+         "line 2, column 8: expected dimension 3, got 2"),
+        (["mask", "--observable", "{f}", "--out", "{f}.kraus", "--dim", "3"], SZ_MATRIX,
+         "line 2, column 8: expected row count 3, got 2"),
+        (["counterexample", "--b", "{f}", "--bprime", "{f}", "--dim", "2"],
+         "bloch 3 0 0 0 0 0 0 0 0.5\n", "line 2, column 7: expected dimension 2, got 3"),
+    ],
+    ids=["maskable", "mask-coeffs", "mask-matrix", "counterexample"],
+)
+def test_dimension_other_than_dim_is_refused_at_its_token(
+    argv, document, message, tmp_path, capsys
+):
+    path = tmp_path / "doc.txt"
+    path.write_text("# c\n" + document)
+    code = main([arg.format(f=path) for arg in argv])
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert code == 2
+    assert not (tmp_path / "doc.txt.kraus").exists()
 
 
 class TestComaskCommand:
@@ -362,6 +396,21 @@ class TestComaskCommand:
         states = tmp_path / "states.txt"
         states.write_text("0 0 0.9\n")
         code, _ = run_cli(capsys, "comask", "--states", str(states), "--dim", "2")
+        assert code == 2
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_dimension_below_two_is_refused_by_bloch(self, d, tmp_path, capsys):
+        states = tmp_path / "states.txt"
+        states.write_text("0 0 0.5\n")
+        code = main(["comask", "--states", str(states), "--dim", str(d)])
+        assert capsys.readouterr() == ("", f"error: dimension must be >= 2, got {d}\n")
+        assert code == 2
+
+    def test_row_of_another_length_is_named(self, tmp_path, capsys):
+        states = tmp_path / "states.txt"
+        states.write_text("0 0 0.5 0\n")
+        code = main(["comask", "--states", str(states), "--dim", "2"])
+        assert capsys.readouterr() == ("", "error: point 0 has shape (4,), expected (3,)\n")
         assert code == 2
 
 

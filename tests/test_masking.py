@@ -324,7 +324,8 @@ class TestConstantMaskerAgainstTargetState:
 
         p = (1.0 - lo) / (hi - lo)
         sigma0 = p * eigenspace_state(hi) + (1.0 - p) * eigenspace_state(lo)
-        rows = channels._spectral_rows(channels.require_density(sigma0))
+        eig = channels.require_density(sigma0)
+        rows = channels._spectral_rows(eig.eigenvalues, eig.eigenvectors)
         return channels.KrausChannel.rank_one(rows, np.ones((len(rows), len(lam)))), p
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
