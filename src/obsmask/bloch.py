@@ -20,6 +20,7 @@ POSITIVITY_ATOL = 1e-9
 _basis_cache: dict[int, "GeneratorBasis"] = {}
 _tensor_cache: dict[int, "SymmetricTensor"] = {}
 _layout_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_codec_cache: dict[int, np.ndarray] = {}
 # re-entrant: a basis build memoizes its layout, a tensor build its basis
 _cache_lock = threading.RLock()
 
@@ -88,7 +89,9 @@ class ObservableCoeffs:
     a: np.ndarray
 
     def a_norm(self) -> float:
-        return float(np.linalg.norm(self.a))
+        """|a|: ``np.linalg.norm(a)`` bit for bit, without its wrapper."""
+        a = np.asarray(self.a, dtype=float).ravel(order="K")
+        return math.sqrt(a.dot(a))
 
 
 def _memoized(cache: dict, d: int, build):
@@ -168,23 +171,32 @@ def symmetric_tensor(d: int) -> SymmetricTensor:
     return _memoized(_tensor_cache, d, _build_tensor)
 
 
-def _real_generators(d: int) -> np.ndarray:
-    """The generator stack as a (d^2 - 1, 2 d^2) float64 view: row i holds
-    the entries of g_i, flattened, as interleaved (re, im) pairs."""
+def _build_codec(d: int) -> np.ndarray:
+    """The read-only (d^2 - 1, 2 d^2) float64 codec: row i holds the entries
+    of g_i / 2, flattened, as interleaved (re, im) pairs.  Halving is exact,
+    so a product with it is the unhalved product over 2, bit for bit, unless
+    a term is subnormal or the unhalved sum overflows."""
     g = generator_basis(d).matrices
-    return g.reshape(len(g), d * d).view(float)
+    codec = g.reshape(len(g), d * d).view(float) * 0.5
+    codec.setflags(write=False)
+    return codec
 
 
-def _coordinates(arr: np.ndarray, gens: np.ndarray) -> np.ndarray:
+def _codec(d: int) -> np.ndarray:
+    """The memoized codec of dimension d; refuses d < 2."""
+    return _memoized(_codec_cache, d, _build_codec)
+
+
+def _coordinates(arr: np.ndarray, codec: np.ndarray) -> np.ndarray:
     """Tr(M g_i) / 2 for each generator g_i of a d x d matrix M, with
-    ``gens`` the real generator view of dimension d.
+    ``codec`` the memoized codec of dimension d.
 
-    Row i of the real generator view dotted with the (re, im) pairs of M
-    is Re sum_ab g_i[a, b] conj(M[a, b]), which equals Re Tr(g_i M) term by
-    term for Hermitian g_i: one real matrix product for all generators.
+    Row i of the codec dotted with the (re, im) pairs of M is
+    Re sum_ab g_i[a, b] conj(M[a, b]) / 2, which equals Re Tr(g_i M) / 2 term
+    by term for Hermitian g_i: one real matrix product for all generators.
     """
     flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1).view(float)
-    return gens @ flat / 2.0
+    return codec @ flat
 
 
 def _build_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,10 +299,10 @@ def state_to_bloch(rho) -> BlochVector:
     """Bloch coordinates b_i = Tr(rho g_i) / 2 of a unit-trace Hermitian matrix."""
     arr = require_hermitian(rho)
     d = arr.shape[0]
-    tr = np.trace(arr).real
+    tr = float(arr.trace().real)
     if abs(tr - 1.0) > 1e-10:
-        raise NotUnitTraceError(f"trace is {float(tr)!r}, not 1")
-    return BlochVector(dimension=d, b=_coordinates(arr, _real_generators(d)))
+        raise NotUnitTraceError(f"trace is {tr!r}, not 1")
+    return BlochVector(dimension=d, b=_coordinates(arr, _codec(d)))
 
 
 def bloch_to_state(b: BlochVector) -> np.ndarray:
@@ -306,9 +318,9 @@ def observable_coeffs(obs) -> ObservableCoeffs:
     """Coefficients a0 = Tr(O)/d, a_i = Tr(O g_i)/2 of a Hermitian matrix."""
     arr = require_hermitian(obs)
     d = arr.shape[0]
-    gens = _real_generators(d)  # first: it refuses d < 2
-    a0 = float(np.trace(arr).real) / d
-    return ObservableCoeffs(dimension=d, a0=a0, a=_coordinates(arr, gens))
+    codec = _codec(d)  # first: it refuses d < 2
+    a0 = float(arr.trace().real) / d
+    return ObservableCoeffs(dimension=d, a0=a0, a=_coordinates(arr, codec))
 
 
 def coeffs_to_observable(c: ObservableCoeffs) -> np.ndarray:

@@ -8,8 +8,8 @@ errors, 3 on numerical failure.
 Each handler imports the modules it runs, so a call loads only what its
 subcommand needs, and returns its report; ``main`` puts the ``command``
 entry first.  The handlers check no input themselves: ``fileio`` refuses a
-document of the wrong kind or dimension at its token, and the library
-refuses the rest.
+document of the wrong kind or dimension at its token, its error naming the
+file, and the library refuses the rest.
 """
 
 from __future__ import annotations
@@ -25,8 +25,20 @@ from .errors import (
     NoAffineSolutionError,
     NumericalFailureError,
     ObsMaskError,
+    ParseError,
 )
 from .report import RunReport
+
+
+def _parse(path: str, parse, *args, **kwargs):
+    """``parse(text, *args, **kwargs)`` on the text of the file at ``path``;
+    a ``ParseError`` it raises names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text, *args, **kwargs)
+    except ParseError as exc:
+        exc.source = path
+        raise
 
 
 def _load(path: str, *kinds: str, dim: int | None = None):
@@ -35,7 +47,7 @@ def _load(path: str, *kinds: str, dim: int | None = None):
     ``dim``."""
     from . import fileio
 
-    return fileio.parse_as(Path(path).read_text(encoding="utf-8"), *kinds, dim=dim)
+    return _parse(path, fileio.parse_as, *kinds, dim=dim)
 
 
 def _observable_views(path: str, dim: int | None):
@@ -132,7 +144,7 @@ def _cmd_nohide(args) -> RunReport:
 def _cmd_comask(args) -> RunReport:
     from . import comask, fileio
 
-    points = fileio.parse_bloch_lines(Path(args.states).read_text(encoding="utf-8"))
+    points = _parse(args.states, fileio.parse_bloch_lines)
     desc = comask.comask_general(points, args.dim)
     d = args.dim
     k = d * d - 1 - desc.affine_dim

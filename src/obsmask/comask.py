@@ -14,11 +14,11 @@ from . import algebra
 from .bloch import (
     POSITIVITY_ATOL,
     ObservableCoeffs,
+    _codec,
     _coordinate_family,
     _coordinates,
     _expansion,
     _finite_bloch,
-    _real_generators,
 )
 from .channels import _set
 from .errors import (
@@ -392,7 +392,7 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
                 f"observable dimension {c.dimension} != {d}"
             )
     rows = _coordinate_family([c.a for c in obs_list], d, "observable")
-    gens = _real_generators(d)
+    codec = _codec(d)
     rhs = np.array([0.5 - c.a0 / 2 for c in obs_list])
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise NotHermitianError("observable coefficients are not finite")
@@ -408,7 +408,7 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
         clipped = np.maximum(vals, 0.0)
         # the iterate has unit trace, so its positive eigenvalues sum to >= 1
         rho_psd = (vecs * (clipped / float(clipped.sum()))) @ vecs.conj().T
-        b_psd = _coordinates(rho_psd, gens)
+        b_psd = _coordinates(rho_psd, codec)
         residual = rows @ b_psd - rhs
         if np.abs(residual).max() < CONSTRAINT_ATOL:
             return rho_psd

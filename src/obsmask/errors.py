@@ -96,10 +96,18 @@ class InfeasibleError(ObsMaskError):
 class ParseError(ObsMaskError, ValueError):
     """Malformed input file.
 
-    Carries ``line`` and ``column`` (1-based) of the offending token.
+    Carries ``line`` and ``column`` (1-based) of the offending token, and
+    ``source``, the name of the file read, which the message leads with once
+    a reader that knows the file sets it.
     """
+
+    source: str | None = None
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.source is None else f"{self.source}: {text}"

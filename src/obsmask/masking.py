@@ -81,7 +81,7 @@ def _ball_bound_holds(c: ObservableCoeffs, a_norm: float) -> bool:
         raise NotHermitianError(
             f"observable coefficients are not finite: a0 = {c.a0!r}, |a| = {a_norm!r}"
         )
-    return bool(abs(1.0 - c.a0) * np.sqrt(d / (2.0 * (d - 1))) <= a_norm + DECISION_ATOL)
+    return bool(abs(1.0 - c.a0) * math.sqrt(d / (2.0 * (d - 1))) <= a_norm + DECISION_ATOL)
 
 
 def decide_maskable_qubit(c: ObservableCoeffs) -> MaskabilityVerdict:

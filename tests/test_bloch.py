@@ -208,6 +208,13 @@ class TestStateCodec:
         with pytest.raises(NotHermitianError):
             bloch.state_to_bloch(np.array([[0.5, 1], [0, 0.5]], dtype=complex))
 
+    def test_trace_is_checked_before_the_dimension(self):
+        for rho, trace in (([[2.0]], "2.0"), (np.zeros((0, 0)), "0.0")):
+            with pytest.raises(NotUnitTraceError, match=f"^trace is {trace}, not 1$"):
+                bloch.state_to_bloch(rho)
+        with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+            bloch.state_to_bloch([[1.0]])
+
 
 class TestObservableCodec:
     def test_sigma3(self):
@@ -226,9 +233,10 @@ class TestObservableCodec:
         assert np.allclose(c.a, [0, 0, 2], atol=1e-12)
 
     def test_empty_observable_is_refused(self):
-        # the generator basis is looked up before Tr(O) is divided by d
-        with pytest.raises(ValueError, match="^dimension must be >= 2, got 0$"):
-            bloch.observable_coeffs(np.zeros((0, 0)))
+        # the codec is looked up before Tr(O) is divided by d
+        for d in (0, 1):
+            with pytest.raises(ValueError, match=f"^dimension must be >= 2, got {d}$"):
+                bloch.observable_coeffs(np.full((d, d), 2.0))
 
     def test_round_trip(self):
         rng = np.random.default_rng(29)
@@ -248,15 +256,53 @@ def test_codecs_match_einsum_reference(d):
     entry), and within d eps max|input| above."""
     rng = np.random.default_rng(400 + d)
     g = bloch.generator_basis(d).matrices
-    gens = bloch._real_generators(d)
     bound = 0.0 if d == 2 else d * EPS
     for _ in range(20):
         m = samplers.hermitian(rng, d, scale=rng.uniform(0.01, 100))
         ref = np.einsum("kab,ba->k", g, m).real / 2.0
-        assert np.max(np.abs(bloch._coordinates(m, gens) - ref)) <= bound * np.max(np.abs(m))
+        assert np.max(np.abs(bloch.observable_coeffs(m).a - ref)) <= bound * np.max(np.abs(m))
+        rho = samplers.density(rng, d)
+        ref = np.einsum("kab,ba->k", g, rho).real / 2.0
+        assert np.max(np.abs(bloch.state_to_bloch(rho).b - ref)) <= bound * np.max(np.abs(rho))
         c = rng.normal(size=d * d - 1) * rng.uniform(0.01, 100)
         ref = np.einsum("k,kab->ab", c, g)
         assert np.max(np.abs(bloch._expansion(c, d, 0.0) - ref)) <= bound * np.max(np.abs(c))
+
+
+def unhalved_coordinates(m, d):
+    """Tr(M g_i) / 2 as the codecs computed it before the halved codec: the
+    product with the unhalved real generator view, then divided by 2."""
+    g = bloch.generator_basis(d).matrices
+    flat = np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float)
+    return g.reshape(len(g), d * d).view(float) @ flat / 2.0
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_codecs_equal_the_unhalved_formulas_bit_for_bit(d):
+    """observable_coeffs and state_to_bloch read the halved codec and the
+    ndarray trace; their bytes equal the unhalved product over 2 and
+    np.trace(M).real / d, for matrices from 1e-2 to 1e2 in scale."""
+    rng = np.random.default_rng(1700 + d)
+    for _ in range(10):
+        obs = samplers.hermitian(rng, d, scale=rng.uniform(0.01, 100))
+        c = bloch.observable_coeffs(obs)
+        assert c.a.tobytes() == unhalved_coordinates(obs, d).tobytes()
+        a0 = float(np.trace(obs).real) / d
+        assert np.float64(c.a0).tobytes() == np.float64(a0).tobytes()
+        rho = samplers.density(rng, d)
+        b = bloch.state_to_bloch(rho).b
+        assert b.tobytes() == unhalved_coordinates(rho, d).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_a_norm_equals_linalg_norm_bit_for_bit(d):
+    # a row, a stack (its Frobenius norm) and non-contiguous views of it
+    rng = np.random.default_rng(1800 + d)
+    stack = rng.normal(size=(4, d * d - 1)) * rng.uniform(0.01, 100, size=(4, 1))
+    for a in (stack[1], stack, stack[:, ::2], stack.T, stack[::-1, 1::3]):
+        got = bloch.ObservableCoeffs(d, 0.5, a).a_norm()
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(float(np.linalg.norm(a))).tobytes()
 
 
 def dense_expansion_reference(c, d, shift):
@@ -317,8 +363,9 @@ class TestExpansion:
 
     def test_d16_ops_never_read_the_dense_generator_view(self, monkeypatch):
         """With the layout memoized, the expansion needs neither the dense
-        generator view nor its builder: bloch_to_state, positivity_conditions
-        and comask_general (k = 0..3) at d = 16 run with it refused."""
+        generator view (the codec) nor its builder: bloch_to_state,
+        positivity_conditions and comask_general (k = 0..3) at d = 16 run
+        with the codec dropped from its cache and its builder refused."""
         d = 16
         rng = np.random.default_rng(1500)
         states = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(4)]
@@ -327,7 +374,8 @@ class TestExpansion:
         def refused(_d):
             raise AssertionError("the dense generator view was requested")
 
-        monkeypatch.setattr(bloch, "_real_generators", refused)
+        monkeypatch.delitem(bloch._codec_cache, d)
+        monkeypatch.setattr(bloch, "_build_codec", refused)
         for b in states:
             assert bloch.bloch_to_state(bloch.BlochVector(d, b)).shape == (d, d)
             assert bloch.positivity_conditions(bloch.BlochVector(d, b))[1]

@@ -354,7 +354,7 @@ def test_document_of_another_kind_is_an_input_error(argv, wrong, message, tmp_pa
     path = tmp_path / "wrong.txt"
     path.write_text("# c\n" + wrong)
     code = main([arg.format(f=path) for arg in argv])
-    assert capsys.readouterr() == ("", f"error: line 2, column 1: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: line 2, column 1: {message}\n")
     assert code == 2
 
 
@@ -378,9 +378,32 @@ def test_dimension_other_than_dim_is_refused_at_its_token(
     path = tmp_path / "doc.txt"
     path.write_text("# c\n" + document)
     code = main([arg.format(f=path) for arg in argv])
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
     assert code == 2
     assert not (tmp_path / "doc.txt.kraus").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["counterexample", "--b", "b.bl", "--bprime", "bp.bl", "--dim", "2"],
+         {"b.bl": "bloch 2 0 0 0.5\n", "bp.bl": "bloch 3 0 0 0 0 0 0 0 0.5\n"},
+         "bp.bl: line 1, column 7: expected dimension 2, got 3"),
+        (["common-state", "--observables", "ok.matrix", "bad.matrix"],
+         {"ok.matrix": SZ_MATRIX, "bad.matrix": "matrix 2 2\n1,0 0,0\n0,0 x\n"},
+         "bad.matrix: line 3, column 5: expected complex entry 're,im', got 'x'"),
+        (["comask", "--states", "s.txt", "--dim", "2"], {"s.txt": "0 0 0.5\n0 zero 0\n"},
+         "s.txt: line 2, column 3: expected number component, got 'zero'"),
+    ],
+    ids=["counterexample", "common-state", "comask"],
+)
+def test_document_error_names_its_file(argv, files, message, tmp_path, capsys):
+    # the file at fault, among the command's inputs, is named before the place
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main([str(tmp_path / arg) if arg in files else arg for arg in argv])
+    assert capsys.readouterr() == ("", f"error: {tmp_path}/{message}\n")
+    assert code == 2
 
 
 class TestComaskCommand:
