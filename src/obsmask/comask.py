@@ -39,6 +39,12 @@ RANK_RTOL = 1e-9
 # HULL_ATOL of the maximally mixed state.
 HULL_ATOL = 1e-9
 
+# An affine residual counts as zero below AFFINE_ATOL: a point's max-norm
+# distance from an AffineSet, the gap between the two points of a
+# counterexample, and the masking system's residual at its least-squares
+# solution, which is scaled by the size of the system's terms.
+AFFINE_ATOL = 1e-9
+
 # The common-state search accepts a state once every masking equation holds
 # within CONSTRAINT_ATOL.  It reports infeasibility after SEARCH_MAX_ITER
 # rounds, or when the gap between the two sets changes by less than
@@ -90,49 +96,29 @@ def _echelon_dense(units: np.ndarray, others: np.ndarray, rest: np.ndarray, n: i
 
 @dataclass(frozen=True, eq=False, init=False)
 class AffineSet:
-    """Base point plus a linearly independent direction family (rows).
+    """Base point plus a linearly independent direction family (rows) in
+    reduced row echelon form, held as its factors.
 
-    ``AffineSet(ambient_dim, base_point, directions)`` holds a general
-    family as a dense (m, ambient_dim) matrix, checked by the singular-value
-    test: the smallest singular value must exceed RANK_RTOL times the
-    largest.
-
-    ``AffineSet.echelon(base_point, units, rest)`` holds a family in reduced
-    row echelon form as its factors: row i has its 1 at column ``units[i]``
-    (and 0 in the other unit columns), and ``rest``, of shape (m,
-    ambient_dim - m), holds every other column in increasing order.  Its
-    unit block certifies independence from the factors alone
-    (``_unit_block_certifies``; the SVD runs only where that bound fails),
-    ``sample`` costs O(m (ambient_dim - m)), and ``directions`` is a
-    read-only dense view built on each access.  Both factors are None for a
-    general family.  Either form holds read-only copies of its arrays.
+    ``AffineSet(base_point, units, rest)``: row i has its 1 at column
+    ``units[i]`` (and 0 in the other unit columns), and ``rest``, of shape
+    (m, ambient_dim - m), holds every other column in increasing order;
+    ambient_dim is the base point's length.  Each array is copied once and
+    held read-only.  Unit columns outside [0, ambient_dim) raise
+    ``ValueError``, as do repeated ones or a ``rest`` of another shape.
+    The unit block then certifies independence from the factors alone
+    (``_unit_block_certifies``), and only where that bound fails does the
+    singular-value test run on the dense rows: the smallest singular value
+    must exceed RANK_RTOL times the largest.  ``sample`` costs
+    O(m (ambient_dim - m)), and ``directions`` is a read-only dense view
+    built on each access.
     """
 
     ambient_dim: int
     base_point: np.ndarray
-    units: np.ndarray | None
-    rest: np.ndarray | None
+    units: np.ndarray
+    rest: np.ndarray
 
-    def __init__(self, ambient_dim: int, base_point, directions):
-        base = np.array(base_point, dtype=float).reshape(-1)
-        if base.shape != (ambient_dim,):
-            raise DimensionMismatchError(
-                f"base point has length {base.shape[0]}, expected {ambient_dim}"
-            )
-        dirs = np.array(directions, dtype=float).reshape(-1, ambient_dim)
-        _require_independent(dirs)
-        base.setflags(write=False)
-        dirs.setflags(write=False)
-        _set(self, ambient_dim=ambient_dim, base_point=base, units=None, rest=None,
-             _directions=dirs)
-
-    @classmethod
-    def echelon(cls, base_point, units, rest) -> AffineSet:
-        """The set base_point + span of the echelon rows given by ``units``
-        and ``rest``, each copied once and held read-only.  Unit columns
-        outside [0, ambient_dim) raise ``ValueError``, as do repeated ones
-        or a ``rest`` not (m, ambient_dim - m).  Then the independence
-        certificate runs, with the SVD where it fails."""
+    def __init__(self, base_point, units, rest):
         base = np.array(base_point, dtype=float).reshape(-1)
         n = base.size
         unit_cols = np.array(units, dtype=np.intp).reshape(-1)
@@ -153,23 +139,17 @@ class AffineSet:
         unit_cols.setflags(write=False)
         others.setflags(write=False)
         block.setflags(write=False)
-        self = object.__new__(cls)
         _set(self, ambient_dim=n, base_point=base, units=unit_cols, rest=block,
              _others=others)
-        return self
 
     @property
     def directions(self) -> np.ndarray:
-        """The (affine_dim, ambient_dim) direction matrix; for an echelon
-        family, a read-only dense view built on each access."""
-        if self.units is None:
-            return self._directions
+        """The (affine_dim, ambient_dim) direction matrix, a read-only dense
+        view built on each access."""
         return _echelon_dense(self.units, self._others, self.rest, self.ambient_dim)
 
     @property
     def affine_dim(self) -> int:
-        if self.units is None:
-            return self._directions.shape[0]
         return self.units.size
 
     def sample(self, weights) -> np.ndarray:
@@ -179,15 +159,13 @@ class AffineSet:
             raise DimensionMismatchError(
                 f"{w.shape[0]} weights for {self.affine_dim} directions"
             )
-        if self.units is None:
-            return self.base_point + w @ self._directions
         x = self.base_point.copy()
         x[self.units] += w
         x[self._others] += w @ self.rest
         return x
 
     def contains(self, point) -> bool:
-        """Whether ``point`` lies in the set within max-norm 1e-9."""
+        """Whether ``point`` lies in the set within max-norm AFFINE_ATOL."""
         x = np.asarray(point, dtype=float).reshape(-1)
         if x.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
@@ -197,32 +175,7 @@ class AffineSet:
         if self.affine_dim:
             q = algebra._qr(self.directions.T)[0]
             v = v - q @ (q.T @ v)
-        return bool(np.max(np.abs(v), initial=0.0) <= 1e-9)
-
-    def slice_coordinate(self, index: int, value: float) -> "AffineSet":
-        """Intersect with the hyperplane {x[index] = value}.
-
-        The slice is based at its point nearest the base point, found by an
-        orthogonal projection through a QR of the directions, so the result
-        depends on the set and not on the basis chosen for it.  Its
-        directions are orthonormal, and the coordinate is pinned: every
-        sample of the slice has x[index] exactly equal to ``value``.
-        """
-        offset = value - self.base_point[index]
-        directions = self.directions
-        if np.max(np.abs(directions[:, index]), initial=0.0) > 1e-12:
-            q = algebra._qr(directions.T)[0]
-            row = q[index]
-            base = self.base_point + q @ (offset * row / np.dot(row, row))
-            # directions keeping the coordinate fixed: null space of row
-            dirs = algebra._svd_full(row.reshape(1, -1))[2][1:] @ q.T
-        elif abs(offset) <= 1e-9:
-            base, dirs = self.base_point.copy(), directions.copy()
-        else:
-            raise ValueError("slice misses the set")
-        base[index] = value
-        dirs[:, index] = 0.0
-        return AffineSet(ambient_dim=self.ambient_dim, base_point=base, directions=dirs)
+        return bool(np.max(np.abs(v), initial=0.0) <= AFFINE_ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,21 +205,33 @@ def comask_qubit(points) -> ComaskDescription:
     a0 = 0 slice of ``comask_general(points, 2)``, a "plane", "line" or
     "singleton" by its affine dimension 2, 1 or 0.
 
-    The slice is based at its minimum-norm element a*, and the points'
-    affine hull lies 1 / (2|a*|) from the maximally mixed state b = 0, where
-    a . b = 1/2 has no solution; a hull within HULL_ATOL of b = 0 raises
-    ``InconsistentConstraintsError``.
+    A traceless a masks the state b exactly when a . b = 1/2.  With V the
+    orthonormal direction rows of the points' affine hull, taken as
+    ``comask_general`` takes them (``_hull_directions``), the hull point
+    nearest the maximally mixed state b = 0 is c = b0 - (V b0)^T V, and the
+    members are the a with a ⊥ V and a . c = 1/2.  The set is based at its
+    minimum-norm member a* = c / (2|c|^2), and its directions, the
+    complement of span(V, c), are held in reduced row echelon form by the
+    Gauss-Jordan steps of ``comask_general``, with the a0 column 0.  A hull
+    within HULL_ATOL of b = 0 (|c| < HULL_ATOL) raises
+    ``InconsistentConstraintsError``.  The points are read and certified
+    states as ``comask_general`` reads and certifies them.
     """
-    general = comask_general(points, 2)
-    refused = InconsistentConstraintsError(
-        f"the states' affine hull passes within {HULL_ATOL:g} of the maximally mixed state"
-    )
-    try:
-        coeff_set = general.coefficient_set.slice_coordinate(0, 0.0)
-    except ValueError as exc:
-        raise refused from exc
-    if 2 * HULL_ATOL * np.linalg.norm(coeff_set.base_point) > 1:
-        raise refused
+    pts = _bloch_points(points, 2)
+    _certify_states(pts, 2)
+    v = _hull_directions(pts)
+    c = pts[0] - (v @ pts[0]) @ v
+    cc = float(c @ c)
+    if math.sqrt(cc) < HULL_ATOL:
+        raise InconsistentConstraintsError(
+            f"the states' affine hull passes within {HULL_ATOL:g} of the maximally mixed state"
+        )
+    r, piv = _pivoted_echelon(np.vstack((v, c)))
+    free = np.setdiff1d(np.arange(3), piv)
+    rest = np.zeros((free.size, 1 + piv.size))
+    rest[:, 1:] = -r[:, free].T[:, np.argsort(piv)]
+    base = np.concatenate(([0.0], c / (2.0 * cc)))
+    coeff_set = AffineSet(base, 1 + free, rest)
     kind = ("singleton", "line", "plane")[coeff_set.affine_dim]
     return ComaskDescription(kind=kind, dimension=2, coefficient_set=coeff_set)
 
@@ -292,34 +257,16 @@ def _bloch_points(points, d: int) -> np.ndarray:
     return _finite_bloch(_coordinate_family(flat, d, "point"))
 
 
-def comask_general(points, d: int) -> ComaskDescription:
-    """All observables (a0, a) masked onto a given set of output states.
-
-    Tr(rho O) = a0 + 2 a.b, so O masks the state b (Tr(rho O) = 1) exactly
-    when a0/2 + a.b = 1/2.  With V the direction space of the affine hull
-    of the points b0, b1, ... (dimension k, from one reduced SVD of the
-    differences b_i - b0), members satisfy a ⊥ V and a0 = 1 - 2 a.b0.  The
-    directions are held in reduced row echelon form as the factors of
-    ``AffineSet.echelon``, in O(k d^2) after the SVD: Gauss-Jordan on
-    V gives R with k pivot columns, R[:, piv] = I; each of the other
-    d^2 - 1 - k coordinates of a gets one direction with a 1 there,
-    a[piv] = -R[:, free]^T and a0 = -2 a.b0, and only the a0 and a[piv]
-    columns are stored.  For k = 0 that is [-2 b0 | I].  The result is
-    based at (1, 0), has affine dimension d^2 - k - 1 and is never empty; no
-    d^2-sized matrix is formed or decomposed.
-
-    Every point is certified a state by one stacked Cholesky factorization
-    of rho_i + POSITIVITY_ATOL I, which exists exactly when lambda_min(rho_i)
-    > -POSITIVITY_ATOL, up to rounding of order d eps ||rho_i||.  Only when
-    it fails does the eigensolver run: one stacked ``eigvalsh`` names the
-    first point with lambda_min < -POSITIVITY_ATOL (the verdict of
-    ``positivity_conditions``), and that point is refused with the
-    eigenvector of its least eigenvalue as the ``witness``.  A failed
-    factorization with no such point, possible only within rounding of the
-    bound, accepts.
-    """
-    pts = _bloch_points(points, d)
-    n = pts.shape[1]
+def _certify_states(pts: np.ndarray, d: int) -> None:
+    """Certify every Bloch point a state by one stacked Cholesky
+    factorization of rho_i + POSITIVITY_ATOL I, which exists exactly when
+    lambda_min(rho_i) > -POSITIVITY_ATOL, up to rounding of order
+    d eps ||rho_i||.  Only when it fails does the eigensolver run: one
+    stacked ``eigvalsh`` names the first point with lambda_min <
+    -POSITIVITY_ATOL (the verdict of ``positivity_conditions``), and that
+    point is refused with the eigenvector of its least eigenvalue as the
+    ``witness``.  A failed factorization with no such point, possible only
+    within rounding of the bound, accepts."""
     rhos = _expansion(pts, d, 1.0 / d)
     try:
         algebra._cholesky(rhos + POSITIVITY_ATOL * np.eye(d))
@@ -329,12 +276,42 @@ def comask_general(points, d: int) -> ComaskDescription:
             i = failing[0]
             witness = algebra._eigh(rhos[i])[1][:, 0]
             raise InvalidStateError(f"point {i} is not a valid state", witness=witness) from None
-    b0 = pts[0]
-    v = np.zeros((0, n))
+
+
+def _hull_directions(pts: np.ndarray) -> np.ndarray:
+    """Orthonormal rows V spanning the direction space of the points'
+    affine hull: from one reduced SVD of the differences b_i - b0, the
+    right singular vectors whose singular values exceed RANK_RTOL times
+    the largest (k rows, the hull's dimension)."""
+    v = np.zeros((0, pts.shape[1]))
     if len(pts) > 1:
-        _, svals, vh = algebra._svd(pts[1:] - b0)
+        _, svals, vh = algebra._svd(pts[1:] - pts[0])
         v = vh[: int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))]
-    r, piv = _pivoted_echelon(v)
+    return v
+
+
+def comask_general(points, d: int) -> ComaskDescription:
+    """All observables (a0, a) masked onto a given set of output states.
+
+    Tr(rho O) = a0 + 2 a.b, so O masks the state b (Tr(rho O) = 1) exactly
+    when a0/2 + a.b = 1/2.  With V the direction space of the affine hull
+    of the points b0, b1, ... (dimension k, ``_hull_directions``), members
+    satisfy a ⊥ V and a0 = 1 - 2 a.b0.  The directions are held in reduced
+    row echelon form as the factors of ``AffineSet``, in O(k d^2) after the
+    SVD: Gauss-Jordan on V gives R with k pivot columns, R[:, piv] = I;
+    each of the other d^2 - 1 - k coordinates of a gets one direction with
+    a 1 there, a[piv] = -R[:, free]^T and a0 = -2 a.b0, and only the a0 and
+    a[piv] columns are stored.  For k = 0 that is [-2 b0 | I].  The result
+    is based at (1, 0), has affine dimension d^2 - k - 1 and is never
+    empty; no d^2-sized matrix is formed or decomposed.  Every point is
+    first certified a state by one stacked Cholesky factorization
+    (``_certify_states``), whose failure alone runs the eigensolver.
+    """
+    pts = _bloch_points(points, d)
+    n = pts.shape[1]
+    _certify_states(pts, d)
+    b0 = pts[0]
+    r, piv = _pivoted_echelon(_hull_directions(pts))
     free = np.ones(n, dtype=bool)
     free[piv] = False
     free = np.flatnonzero(free)
@@ -344,7 +321,7 @@ def comask_general(points, d: int) -> ComaskDescription:
     rest[:, 0] = -2.0 * (b0[free] - coupling.T @ b0[piv])
     rest[:, 1:] = -coupling.T[:, np.argsort(piv)]
     base = np.concatenate(([1.0], np.zeros(n)))
-    coeff_set = AffineSet.echelon(base, 1 + free, rest)
+    coeff_set = AffineSet(base, 1 + free, rest)
     return ComaskDescription(kind="general", dimension=d, coefficient_set=coeff_set)
 
 
@@ -357,7 +334,7 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     """
     b_arr, bp_arr = _bloch_points((b, b_prime), d)
     gap = np.linalg.norm(b_arr - bp_arr)
-    if gap < 1e-9:
+    if gap < AFFINE_ATOL:
         raise IdenticalPointsError("the two output states coincide")
     a = (b_arr - bp_arr) / gap
     a0 = 1.0 - 2.0 * float(np.dot(a, bp_arr))
@@ -375,9 +352,11 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
     ``DimensionMismatchError`` naming the first observable whose row is not
     d^2 - 1 long, ``NotHermitianError`` for
     non-finite coefficients, ``NoAffineSolutionError`` when the linear
-    system itself is inconsistent and ``InfeasibleError`` (carrying the
-    final gap between the sets, or the constraint residual at an exact
-    fixed point) when the iteration stalls or the cap is reached.
+    system itself is inconsistent (its least-squares solution b leaves a
+    residual above AFFINE_ATOL max(1, max|rhs|, max|rows| sum|b|)) and
+    ``InfeasibleError`` (carrying the final gap between the sets, or the
+    constraint residual at an exact fixed point) when the iteration stalls
+    or the cap is reached.
 
     The input is validated once, here, and the pseudo-inverse of its rows
     is taken once (``_pinv``): each round builds rho = I/d + b.g from the
@@ -398,7 +377,11 @@ def find_common_output_state(observables: Sequence[ObservableCoeffs], d: int) ->
         raise NotHermitianError("observable coefficients are not finite")
     pinv = _pinv(rows)
     b = pinv @ rhs
-    if np.abs(rows @ b - rhs).max() > 1e-9:
+    miss = np.abs(rows @ b - rhs).max()
+    # AFFINE_ATOL max(1, ...), its terms read only past the absolute bound
+    if miss > AFFINE_ATOL and miss > AFFINE_ATOL * max(
+        float(np.abs(rhs).max()), float(np.abs(rows).max()) * float(np.abs(b).sum())
+    ):
         raise NoAffineSolutionError("masking equations are mutually inconsistent")
 
     gap = np.inf

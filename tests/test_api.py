@@ -82,8 +82,9 @@ def test_cli_constructs_no_parse_error():
 
 # public names that only the benchmark harness reads; they go with its rows
 # of them, in a change to the benchmark alone (the harness reads its Kraus
-# files back with parse_document, where the commands use parse_as)
-_BENCH_HELD = {"unitary_completion", "symmetric_tensor", "parse_document"}
+# files back with parse_document, where the commands use parse_as, and
+# checks an element of each comask family with ComaskDescription.element)
+_BENCH_HELD = {"unitary_completion", "symmetric_tensor", "parse_document", "element"}
 
 
 def _loaded(tree) -> set[str]:
@@ -96,21 +97,28 @@ def _loaded(tree) -> set[str]:
 
 
 def test_every_public_name_has_a_reader():
-    # each public module-level function and class of obsmask is read in the
-    # package outside __init__.py and its own definition, or by the
-    # acceptance suite, so names that nothing reads cannot pile up
+    # each public module-level function and class of obsmask, and each
+    # public method and property of its classes, is read in the package
+    # outside __init__.py and its own definition, or by the acceptance
+    # suite, so names that nothing reads cannot pile up
     acceptance = Path(__file__).with_name("test_acceptance.py")
     defined, read = set(), _loaded(ast.parse(acceptance.read_text()))
     for path in Path(obsmask.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text()).body:
-            own = None
+            own, methods = None, []
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if not own.startswith("_"):
-                    defined.add(own)
-            read |= _loaded(stmt) - {own}
+                defined.add(own)
+            if isinstance(stmt, ast.ClassDef):
+                methods = [item for item in stmt.body if isinstance(item, ast.FunctionDef)]
+                defined |= {method.name for method in methods}
+            # a method's name counts as read only outside its own body
+            read |= _loaded(stmt) - {own} - {method.name for method in methods}
+            for method in methods:
+                read |= _loaded(method) - {method.name}
+    defined = {name for name in defined if not name.startswith("_")}
     assert sorted(defined - read - _BENCH_HELD) == []
     # the exemption names only names still unread, so it shrinks as they go
     assert _BENCH_HELD <= defined - read

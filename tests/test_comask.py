@@ -40,10 +40,12 @@ def min_norm(points):
     return np.linalg.lstsq(np.stack(points), np.full(len(points), 0.5), rcond=None)[0]
 
 
-def null_frame(a):
-    """Orthonormal rows spanning the plane orthogonal to the 3-vector a,
-    from its SVD."""
-    return np.linalg.svd(np.reshape(a, (1, 3)))[2][1:]
+def null_frame(rows):
+    """Orthonormal rows spanning the space orthogonal to the given
+    3-vectors (one, or a stack of linearly independent ones), from their
+    SVD."""
+    rows = np.reshape(rows, (-1, 3))
+    return np.linalg.svd(rows)[2][len(rows):]
 
 
 def disk_points(a, rng, count, low):
@@ -60,14 +62,29 @@ def disk_points(a, rng, count, low):
     return points
 
 
-def assert_traceless_set(got, base, directions, rng):
-    """The AffineSet ``got`` is {(0, base + w . directions)}: the same base
-    point, and each set contains the other's samples."""
+def in_span(x, base, directions):
+    """Whether x lies in base + span(directions) within max-norm 1e-9, by a
+    numpy QR projection."""
+    offset = np.asarray(x, dtype=float) - base
+    if len(directions):
+        q = np.linalg.qr(np.transpose(directions))[0]
+        offset = offset - q @ (q.T @ offset)
+    return algebra.max_norm(offset) <= 1e-9
+
+
+def assert_traceless_set(got, base, directions, rng, rtol=0.0):
+    """The AffineSet ``got`` is {(0, base + w . directions)}, a reference set
+    built with numpy alone: the base point within 1e-12 (or ``rtol``
+    relative), each set containing the other's samples, and a0 exactly 0."""
     dirs = np.reshape(directions, (-1, 3))
-    want = comask.AffineSet(4, np.r_[0.0, base], np.column_stack([np.zeros(len(dirs)), dirs]))
-    assert algebra.max_norm(got.base_point - want.base_point) < 1e-12
+    want_base = np.r_[0.0, base]
+    want_dirs = np.column_stack([np.zeros(len(dirs)), dirs])
+    bound = max(1e-12, rtol * algebra.max_norm(want_base))
+    assert algebra.max_norm(got.base_point - want_base) < bound
     for w in rng.normal(size=(5, len(dirs))) * 3:
-        assert want.contains(got.sample(w)) and got.contains(want.sample(w))
+        x = got.sample(w)
+        assert x[0] == 0.0
+        assert in_span(x, want_base, want_dirs) and got.contains(want_base + w @ want_dirs)
 
 
 def same_bits(got, want):
@@ -81,72 +98,35 @@ def same_bits(got, want):
 
 class TestAffineSet:
     def test_membership_and_sampling(self):
-        s = comask.AffineSet(3, np.array([1.0, 0, 0]), np.array([[0, 1.0, 0]]))
+        # the line [1, 0, 0] + span([0, 1, 0])
+        s = comask.AffineSet([1.0, 0, 0], [1], [[0.0, 0.0]])
         assert s.contains([1.0, 5.0, 0.0])
         assert not s.contains([1.0, 0.0, 0.1])
         assert np.allclose(s.sample([2.0]), [1, 2, 0])
 
     def test_constructors_own_their_arrays(self):
-        # both forms copy what they are given, so a later write to the
+        # the constructor copies what it is given, so a later write to the
         # caller's arrays does not move the set
-        base, dirs = np.zeros(4), np.eye(4)[1:3]
-        sets = [
-            comask.AffineSet.echelon(base, [1, 2], np.zeros((2, 2))),
-            comask.AffineSet(4, base, dirs),
-        ]
+        base, units, rest = np.zeros(4), np.array([1, 2]), np.zeros((2, 2))
+        s = comask.AffineSet(base, units, rest)
         base[0] = 5.0
-        dirs[0] = [1.0, 0.0, 0.0, 0.0]
-        for s in sets:
-            assert s.contains([0.0, 1.0, 1.0, 0.0])
-            assert not s.base_point.flags.writeable
-            assert not s.directions.flags.writeable
+        units[0] = 3
+        rest[0] = [1.0, 0.0]
+        assert s.contains([0.0, 1.0, 1.0, 0.0])
+        for name in ("base_point", "units", "rest", "directions"):
+            assert not getattr(s, name).flags.writeable, name
 
     def test_rejects_dependent_directions(self):
-        with pytest.raises(ValueError):
-            comask.AffineSet(
-                3, np.zeros(3), np.array([[1.0, 0, 0], [2.0, 0, 0]])
-            )
-
-    def test_slice_coordinate(self):
-        s = comask.AffineSet(
-            2, np.array([1.0, 0.0]), np.array([[1.0, 1.0]])
-        )
-        sliced = s.slice_coordinate(0, 0.0)
-        assert sliced.affine_dim == 0
-        assert np.allclose(sliced.base_point, [0.0, -1.0])
-
-    def test_slice_pins_coordinate_exactly(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            s = comask.AffineSet(5, rng.normal(size=5), rng.normal(size=(3, 5)))
-            index, value = int(rng.integers(5)), float(rng.normal())
-            sliced = s.slice_coordinate(index, value)
-            assert all(sliced.sample(w)[index] == value for w in rng.normal(size=(5, 2)) * 10)
-        # a coordinate the directions do not move, off the value by less than 1e-9
-        s = comask.AffineSet(3, np.array([0.3 + 1e-10, 1.0, 2.0]), np.array([[0.0, 1.0, 1.0]]))
-        assert s.slice_coordinate(0, 0.3).sample([4.0])[0] == 0.3
+        # rows [1, 0, 1e10] and [0, 1, 1e10]: the unit block cannot certify
+        # them, and the SVD finds sigma_min / sigma_max ~ 7e-11
+        with pytest.raises(ValueError, match="not linearly independent"):
+            comask.AffineSet(np.zeros(3), [0, 1], [[1e10], [1e10]])
 
     def test_contains_rejects_wrong_length(self):
-        s = comask.AffineSet(3, [1.0, 1.0, 1.0], np.zeros((0, 3)))
+        s = comask.AffineSet([1.0, 1.0, 1.0], [], np.zeros((0, 3)))
         for point in ([1.0], [1.0, 1.0], [1.0] * 4):
             with pytest.raises(DimensionMismatchError):
                 s.contains(point)
-
-    def test_slice_base_is_nearest_point_in_any_basis(self):
-        # the same set under a random change of direction basis slices to
-        # the same base point: the point of the slice nearest the base
-        rng = np.random.default_rng(15)
-        for _ in range(50):
-            base, dirs = rng.normal(size=6), rng.normal(size=(3, 6))
-            index, value = int(rng.integers(6)), float(rng.normal())
-            first = comask.AffineSet(6, base, dirs).slice_coordinate(index, value)
-            mixed = comask.AffineSet(6, base, rng.normal(size=(3, 3)) @ dirs)
-            second = mixed.slice_coordinate(index, value)
-            assert algebra.max_norm(first.base_point - second.base_point) < 1e-9
-            # nearest: the offset from the base is orthogonal to the slice
-            offset = first.base_point - base
-            assert np.max(np.abs(first.directions @ offset)) < 1e-9
-            assert all(mixed.contains(first.sample(w)) for w in rng.normal(size=(3, 2)))
 
 
 def svd_independent(dirs):
@@ -160,9 +140,7 @@ def svd_independent(dirs):
 def test_echelon_certificate_is_sound():
     """Random echelon families with rest entries up to 1e12: wherever the
     unit block certifies independence, the SVD test of the dense view
-    accepts too, and the factored form is refused exactly where that SVD
-    refuses.  Dependent rows, which only the dense constructor can take,
-    are refused every time."""
+    accepts too, and the set is refused exactly where that SVD refuses."""
     rng = np.random.default_rng(16)
     certified = 0
     for _ in range(600):
@@ -175,16 +153,11 @@ def test_echelon_certificate_is_sound():
             certified += 1
             assert svd_independent(view)
         if svd_independent(view):
-            got = comask.AffineSet.echelon(np.zeros(n), units, rest)
+            got = comask.AffineSet(np.zeros(n), units, rest)
             assert got.directions.tobytes() == view.tobytes()
         else:
             with pytest.raises(ValueError):
-                comask.AffineSet.echelon(np.zeros(n), units, rest)
-        if m > 1:
-            dependent = view.copy()
-            dependent[-1] = rng.normal(size=m - 1) @ view[:-1]
-            with pytest.raises(ValueError):
-                comask.AffineSet(n, np.zeros(n), dependent)
+                comask.AffineSet(np.zeros(n), units, rest)
     assert certified > 100
 
 
@@ -192,9 +165,9 @@ def test_echelon_rejects_malformed_factors():
     # repeated or out-of-range unit columns, and a rest block of the wrong width
     for units in ([1, 1], [-1, 0], [0, 4]):
         with pytest.raises(ValueError):
-            comask.AffineSet.echelon(np.zeros(4), units, np.zeros((2, 2)))
+            comask.AffineSet(np.zeros(4), units, np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        comask.AffineSet.echelon(np.zeros(4), [0, 2], np.zeros((2, 3)))
+        comask.AffineSet(np.zeros(4), [0, 2], np.zeros((2, 3)))
 
 
 class TestPointCase:
@@ -313,10 +286,14 @@ class TestGeneralCase:
         desc = comask.comask_general([[0.0, 0.0, 0.5]], 2)
         assert desc.affine_dim == 3
         assert desc.kind == "general"
-        # the a0 = 0 slice is the closed-form plane {a : a . b = 1/2}
-        sliced = desc.coefficient_set.slice_coordinate(0, 0.0)
+        # its a0 = 0 members are the closed-form plane {a : a . b = 1/2},
+        # the set comask_qubit returns
         rng = np.random.default_rng(7)
-        assert_traceless_set(sliced, [0.0, 0.0, 1.0], np.eye(3)[:2], rng)
+        for m1, m2 in rng.normal(size=(5, 2)) * 3:
+            assert desc.coefficient_set.contains([0.0, m1, m2, 1.0])
+            assert not desc.coefficient_set.contains([0.0, m1, m2, 1.5])
+        qubit = comask.comask_qubit([[0.0, 0.0, 0.5]]).coefficient_set
+        assert_traceless_set(qubit, [0.0, 0.0, 1.0], np.eye(3)[:2], rng)
 
     def test_two_points_k1(self):
         rng = np.random.default_rng(8)
@@ -406,13 +383,13 @@ def test_general_never_decomposes_the_direction_matrix(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 8, 16])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_general_factors_match_the_public_echelon(d, k):
-    """The set comask_general builds is the one ``AffineSet.echelon``
-    builds again from its factors, bit for bit, and every factor of it is
-    read-only."""
+    """The set comask_general builds is the one the ``AffineSet``
+    constructor builds again from its factors, bit for bit, and every
+    factor of it is read-only."""
     rng = np.random.default_rng(1700 + 4 * d + k)
     pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
     got = comask.comask_general(pts, d).coefficient_set
-    want = comask.AffineSet.echelon(got.base_point, got.units, got.rest)
+    want = comask.AffineSet(got.base_point, got.units, got.rest)
     for name in ("units", "rest", "_others", "base_point"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -436,6 +413,20 @@ def test_general_call_counts(d, k, spy):
     assert certs == {"_unit_block_certifies": 1}
     assert linalg == {"_cholesky": 1, "_svd": int(k >= 1), "_svd_full": 0, "_svdvals": 0,
                       "_eigvalsh": 0, "_eigh": 0}
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_qubit_call_counts(count, spy):
+    """comask_qubit solves its slice without comask_general: one stacked
+    Cholesky, one reduced SVD of the differences when count >= 2, and no
+    QR, full SVD or eigensolver, for count valid states."""
+    pts = qubit_states(np.random.default_rng(1900 + count), count)
+    general = spy(comask, ["comask_general"])
+    linalg = spy(algebra, ["_cholesky", "_svd", "_svd_full", "_svdvals", "_qr", "_eigvalsh", "_eigh"])
+    comask.comask_qubit(pts)
+    assert general == {"comask_general": 0}
+    assert linalg == {"_cholesky": 1, "_svd": int(count >= 2), "_svd_full": 0, "_svdvals": 0,
+                      "_qr": 0, "_eigvalsh": 0, "_eigh": 0}
 
 
 def test_general_reads_points_of_any_flat_shape():
@@ -563,16 +554,17 @@ def hull_distance(points):
 
 
 @pytest.mark.parametrize("count,kind", [(1, "plane"), (2, "line"), (3, "singleton")])
-def test_qubit_is_the_traceless_slice_bit_for_bit(count, kind):
-    """Hull dimension count - 1: the kind, the slice of comask_general bit
-    for bit, and elements with a0 exactly 0 masking every point."""
+def test_qubit_is_the_traceless_set(count, kind):
+    """Hull dimension count - 1: the kind, the set {a : a . r = 1/2 at every
+    point r} of numpy's least squares and null space (its base point
+    within 1e-12 relative, each set containing the other's samples), and
+    elements with a0 exactly 0 masking every point."""
     rng = np.random.default_rng(20 + count)
     for _ in range(200):
         pts = qubit_states(rng, count)
         desc = comask.comask_qubit(pts)
         assert desc.kind == kind
-        sliced = comask.comask_general(pts, 2).coefficient_set.slice_coordinate(0, 0.0)
-        assert same_bits(desc.coefficient_set, sliced)
+        assert_traceless_set(desc.coefficient_set, min_norm(pts), null_frame(pts), rng, 1e-12)
         for w in rng.normal(size=(3, desc.affine_dim)) * 3:
             el = desc.coefficient_set.sample(w)
             assert el[0] == 0.0
@@ -580,11 +572,12 @@ def test_qubit_is_the_traceless_slice_bit_for_bit(count, kind):
 
 
 # sha256 over the base point and direction bytes of comask_qubit on 200
-# seeded point sets per count, taken from the dense direction construction
+# seeded point sets per count, taken from the hull point nearest b = 0 and
+# the echelon directions
 QUBIT_CORPUS = {
-    1: "2ae3159283dfbc22fd4e2858f267dcd639609337ec0758fc965af659605fb43f",
-    2: "538896ed337bba6a92db3c66c4161d18ef59ec8ee83bcad1d509ba03136b1602",
-    3: "735e8a1f54c793a0273d3cfafeef2492dcb093109926697646601cddf2998832",
+    1: "39a93399a524c374a1764e5c4d178fde9a18b2ec5c61c559dc87879cbed9e990",
+    2: "e986dcb29aa6e9272405da0d1d4fcec039c5a9bd8ed839035e43eec513262893",
+    3: "f0250113a806847d5796d8e172b608398dc4aaa87a85225babc7e8ff46145a2a",
 }
 
 
@@ -627,6 +620,25 @@ def test_qubit_accepts_hulls_off_the_mixed_state():
     desc = comask.comask_qubit([[0.1, 2e-9, 0.0], [-0.1, 2e-9, 0.0]])
     assert desc.kind == "line"
     assert abs(np.linalg.norm(desc.coefficient_set.base_point) / 2.5e8 - 1) < 1e-7
+
+
+def test_qubit_base_point_is_exact_near_the_mixed_state():
+    """a* = c / (2|c|^2) from the hull point c nearest b = 0: single points
+    at distance 2e-9 to 0.25 give |a*| = 1 / (2 dist) within 4 eps
+    relative, and so does a line 2e-9 from b = 0, with |a*| = 2.5e8."""
+    eps = Fraction(np.finfo(float).eps)
+    # for x = 2 dist |a*|, |x^2 - 1| <= 8 eps - 16 eps^2 implies |x - 1| <= 4 eps
+    bound = 8 * eps - 16 * eps ** 2
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        b = samplers.unit_vector(rng, 3) * 10 ** rng.uniform(np.log10(2e-9), np.log10(0.25))
+        a = comask.comask_qubit([b]).coefficient_set.base_point[1:]
+        dist_sq = sum(Fraction(x) ** 2 for x in b)
+        assert abs(4 * sum(Fraction(x) ** 2 for x in a) * dist_sq - 1) <= bound, b
+    desc = comask.comask_qubit([[0.1, 2e-9, 0.0], [-0.1, 2e-9, 0.0]])
+    assert desc.kind == "line"
+    a = desc.coefficient_set.base_point[1:]
+    assert abs(sum(Fraction(x) ** 2 for x in a) / Fraction(2.5e8) ** 2 - 1) <= bound
 
 
 @pytest.mark.parametrize("points,error", [
@@ -823,6 +835,20 @@ def test_search_pinv_matches_numpy_bit_for_bit():
         cut += bool(svals[-1] <= comask.RANK_RTOL * svals[0])
     # the cutoff path runs: some sets have a singular value under it
     assert 0 < cut < 4000
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_search_consistency_check_scales_with_its_terms(scale):
+    """Pairs of qubit observables a ~ N(0, scale^2) with a0 = 1 - 2 a.b* for
+    a common state b* are consistent systems whose least-squares residual
+    grows as eps scale: none is refused as inconsistent, and each is
+    solved, every masking equation holding within 1e-14 scale."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        b = bloch.state_to_bloch(samplers.density(rng, 2)).b
+        family = [coeffs(2, 1.0 - 2.0 * a @ b, a) for a in rng.normal(size=(2, 3)) * scale]
+        got = bloch.state_to_bloch(comask.find_common_output_state(family, 2)).b
+        assert max(abs(c.a0 / 2 + c.a @ got - 0.5) for c in family) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize(
