@@ -98,6 +98,12 @@ def _qr(a: np.ndarray):
     return q, np.triu(raw[..., : min(a.shape[-2:]), :])
 
 
+def _set(obj, **attrs) -> None:
+    """Assign the attributes of a frozen dataclass under construction."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
 def _require_dimension(d: int) -> None:
     """Refuse a Hilbert-space dimension below 2: no generators, no masking."""
     if d < 2:

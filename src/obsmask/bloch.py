@@ -16,6 +16,8 @@ from .errors import DimensionMismatchError, InvalidStateError, NotUnitTraceError
 # A minimum eigenvalue this far below zero still counts as positive (absorbs
 # roundoff at the pure-state boundary).
 POSITIVITY_ATOL = 1e-9
+# A state's trace may differ from 1 by at most TRACE_ATOL.
+TRACE_ATOL = 1e-10
 
 _basis_cache: dict[int, "GeneratorBasis"] = {}
 _tensor_cache: dict[int, "SymmetricTensor"] = {}
@@ -59,16 +61,6 @@ class SymmetricTensor:
     dimension: int
     index: np.ndarray  # shape (nnz, 3), intp, read-only
     data: np.ndarray  # shape (nnz,), real, read-only
-
-    @property
-    def values(self) -> np.ndarray:
-        """The dense tensor, shape (d^2 - 1,) * 3, read-only; built on each
-        access (O(d^6) memory), so prefer ``index``/``data``."""
-        n = self.dimension**2 - 1
-        dense = np.zeros((n, n, n))
-        dense[tuple(self.index.T)] = self.data
-        dense.setflags(write=False)
-        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +292,7 @@ def state_to_bloch(rho) -> BlochVector:
     arr = require_hermitian(rho)
     d = arr.shape[0]
     tr = float(arr.trace().real)
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TRACE_ATOL:
         raise NotUnitTraceError(f"trace is {tr!r}, not 1")
     return BlochVector(dimension=d, b=_coordinates(arr, _codec(d)))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HermitianEig, _identity_deviation, dagger, eig_hermitian, max_norm
+from .algebra import HermitianEig, _identity_deviation, _set, dagger, eig_hermitian, max_norm
 from .errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -147,12 +147,6 @@ class KrausChannel:
         if self.amplitudes is None:
             return self._kraus
         return _dense_kraus(self.amplitudes, self.support)
-
-
-def _set(channel: KrausChannel, **attrs) -> None:
-    """Assign the attributes of a frozen channel under construction."""
-    for name, value in attrs.items():
-        object.__setattr__(channel, name, value)
 
 
 def _dense_kraus(amplitudes: np.ndarray, support: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
+from .algebra import _set
 from .bloch import (
     POSITIVITY_ATOL,
     ObservableCoeffs,
@@ -20,7 +21,6 @@ from .bloch import (
     _expansion,
     _finite_bloch,
 )
-from .channels import _set
 from .errors import (
     DimensionMismatchError,
     IdenticalPointsError,
@@ -56,15 +56,6 @@ STALL_ATOL = 1e-9
 INFEASIBLE_GAP = 1e-6
 
 
-def _require_independent(dirs: np.ndarray) -> None:
-    """The singular-value rank test: the smallest singular value of the rows
-    must exceed RANK_RTOL times the largest."""
-    if dirs.shape[0]:
-        svals = algebra._svdvals(dirs)
-        if svals[-1] <= RANK_RTOL * svals[0]:
-            raise ValueError("directions are not linearly independent")
-
-
 def _pinv(rows: np.ndarray) -> np.ndarray:
     """``np.linalg.pinv(rows, rcond=RANK_RTOL)`` for a real 2-D ``rows``,
     from one reduced SVD with numpy's cutoff and product order, so bit for
@@ -83,34 +74,25 @@ def _unit_block_certifies(rest: np.ndarray) -> bool:
     return bool(rest.shape[0] + np.linalg.norm(rest) ** 2 < (0.5 / RANK_RTOL) ** 2)
 
 
-def _echelon_dense(units: np.ndarray, others: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
-    """The read-only m x n matrix with row i holding 1 at column units[i], 0
-    in the other unit columns, and ``rest`` in the columns ``others``."""
-    m = units.size
-    dirs = np.zeros((m, n))
-    dirs[:, others] = rest
-    dirs[np.arange(m), units] = 1.0
-    dirs.setflags(write=False)
-    return dirs
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class AffineSet:
     """Base point plus a linearly independent direction family (rows) in
-    reduced row echelon form, held as its factors.
+    reduced row echelon form, held as its factors; no dense direction
+    matrix is formed.
 
     ``AffineSet(base_point, units, rest)``: row i has its 1 at column
     ``units[i]`` (and 0 in the other unit columns), and ``rest``, of shape
     (m, ambient_dim - m), holds every other column in increasing order;
     ambient_dim is the base point's length.  Each array is copied once and
     held read-only.  Unit columns outside [0, ambient_dim) raise
-    ``ValueError``, as do repeated ones or a ``rest`` of another shape.
-    The unit block then certifies independence from the factors alone
-    (``_unit_block_certifies``), and only where that bound fails does the
-    singular-value test run on the dense rows: the smallest singular value
-    must exceed RANK_RTOL times the largest.  ``sample`` costs
-    O(m (ambient_dim - m)), and ``directions`` is a read-only dense view
-    built on each access.
+    ``ValueError``, as do repeated ones, a ``rest`` of another shape and a
+    non-finite base point or ``rest``.  The unit block then certifies
+    independence from the factors alone (``_unit_block_certifies``), and
+    only where that bound fails does the singular-value test run: the
+    smallest singular value of the rows must exceed RANK_RTOL times the
+    largest, read from those of ``rest`` (the rows' Gram matrix is
+    I + rest rest^T).  ``sample`` costs O(m (ambient_dim - m)), and
+    ``contains`` one solve of order ambient_dim - m.
     """
 
     ambient_dim: int
@@ -133,8 +115,18 @@ class AffineSet:
                 f"units {unit_cols.shape} and rest {block.shape} are not m distinct "
                 f"columns and (m, {n} - m)"
             )
+        if not np.isfinite(base).all():
+            raise ValueError("base point is not finite")
+        # a non-finite rest fails the certificate through its norm
         if not _unit_block_certifies(block):
-            _require_independent(_echelon_dense(unit_cols, others, block, n))
+            if not np.isfinite(block).all():
+                raise ValueError("rest is not finite")
+            # the rows' singular values are sqrt(1 + sigma(rest)^2), and 1
+            # for each row past min(m, ambient_dim - m)
+            svals = algebra._svdvals(block)
+            low = 1.0 if svals.size < unit_cols.size else math.hypot(1.0, svals[-1])
+            if low <= RANK_RTOL * math.hypot(1.0, svals[0]):
+                raise ValueError("directions are not linearly independent")
         base.setflags(write=False)
         unit_cols.setflags(write=False)
         others.setflags(write=False)
@@ -143,17 +135,11 @@ class AffineSet:
              _others=others)
 
     @property
-    def directions(self) -> np.ndarray:
-        """The (affine_dim, ambient_dim) direction matrix, a read-only dense
-        view built on each access."""
-        return _echelon_dense(self.units, self._others, self.rest, self.ambient_dim)
-
-    @property
     def affine_dim(self) -> int:
         return self.units.size
 
     def sample(self, weights) -> np.ndarray:
-        """The element base + sum_j weights[j] * directions[j]."""
+        """The element base + sum_j weights[j] * (row j of the directions)."""
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != self.affine_dim:
             raise DimensionMismatchError(
@@ -165,17 +151,24 @@ class AffineSet:
         return x
 
     def contains(self, point) -> bool:
-        """Whether ``point`` lies in the set within max-norm AFFINE_ATOL."""
+        """Whether ``point``'s offset v from the base, projected onto the
+        normal space spanned by the rows N = [-rest^T | I] (unit columns,
+        then the others), is within max-norm AFFINE_ATOL: the projection is
+        N^T s with (I + rest^T rest) s = N v = v[others] - v[units] @ rest,
+        one solve of order ambient_dim - affine_dim.  A non-finite v is out."""
         x = np.asarray(point, dtype=float).reshape(-1)
         if x.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"point has length {x.shape[0]}, expected {self.ambient_dim}"
             )
         v = x - self.base_point
-        if self.affine_dim:
-            q = algebra._qr(self.directions.T)[0]
-            v = v - q @ (q.T @ v)
-        return bool(np.max(np.abs(v), initial=0.0) <= AFFINE_ATOL)
+        if not np.isfinite(v).all():
+            return False
+        rest = self.rest
+        s = np.linalg.solve(np.eye(rest.shape[1]) + rest.T @ rest,
+                            v[self._others] - v[self.units] @ rest)
+        return bool(np.abs(s).max(initial=0.0) <= AFFINE_ATOL
+                    and np.abs(rest @ s).max(initial=0.0) <= AFFINE_ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,10 +204,10 @@ def comask_qubit(points) -> ComaskDescription:
     nearest the maximally mixed state b = 0 is c = b0 - (V b0)^T V, and the
     members are the a with a ⊥ V and a . c = 1/2.  The set is based at its
     minimum-norm member a* = c / (2|c|^2), and its directions, the
-    complement of span(V, c), are held in reduced row echelon form by the
-    Gauss-Jordan steps of ``comask_general``, with the a0 column 0.  A hull
-    within HULL_ATOL of b = 0 (|c| < HULL_ATOL) raises
-    ``InconsistentConstraintsError``.  The points are read and certified
+    complement of span(V, c), are assembled in reduced row echelon form as
+    ``comask_general`` assembles its own (``_echelon_complement``), with no
+    a0 column (0 throughout).  A hull within HULL_ATOL of b = 0
+    (|c| < HULL_ATOL) raises ``InconsistentConstraintsError``.  The points are read and certified
     states as ``comask_general`` reads and certifies them.
     """
     pts = _bloch_points(points, 2)
@@ -226,12 +219,8 @@ def comask_qubit(points) -> ComaskDescription:
         raise InconsistentConstraintsError(
             f"the states' affine hull passes within {HULL_ATOL:g} of the maximally mixed state"
         )
-    r, piv = _pivoted_echelon(np.vstack((v, c)))
-    free = np.setdiff1d(np.arange(3), piv)
-    rest = np.zeros((free.size, 1 + piv.size))
-    rest[:, 1:] = -r[:, free].T[:, np.argsort(piv)]
     base = np.concatenate(([0.0], c / (2.0 * cc)))
-    coeff_set = AffineSet(base, 1 + free, rest)
+    coeff_set = _echelon_complement(np.vstack((v, c)), base)
     kind = ("singleton", "line", "plane")[coeff_set.affine_dim]
     return ComaskDescription(kind=kind, dimension=2, coefficient_set=coeff_set)
 
@@ -249,6 +238,26 @@ def _pivoted_echelon(v: np.ndarray):
         col[i] = 0.0
         r -= col[:, None] * row
     return r, piv
+
+
+def _echelon_complement(rows: np.ndarray, base: np.ndarray, b0=None) -> AffineSet:
+    """The AffineSet in (a0, a) space based at ``base`` whose directions
+    span the a orthogonal to the full-rank ``rows``, in reduced row echelon
+    form: Gauss-Jordan gives R with R[:, piv] = I, and each free coordinate
+    of a gets one direction with a 1 there and a[piv] = -R[:, free]^T.
+    Along each, a0 = -2 a.b0 with ``b0`` given, and 0 without.  Only the a0
+    and a[piv] columns are stored."""
+    r, piv = _pivoted_echelon(rows)
+    free = np.ones(r.shape[1], dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    coupling = r[:, free]
+    # the columns other than the units 1 + free: a0, then a[piv] by column
+    rest = np.zeros((free.size, 1 + piv.size))
+    if b0 is not None:
+        rest[:, 0] = -2.0 * (b0[free] - coupling.T @ b0[piv])
+    rest[:, 1:] = -coupling.T[:, np.argsort(piv)]
+    return AffineSet(base, 1 + free, rest)
 
 
 def _bloch_points(points, d: int) -> np.ndarray:
@@ -286,7 +295,7 @@ def _hull_directions(pts: np.ndarray) -> np.ndarray:
     v = np.zeros((0, pts.shape[1]))
     if len(pts) > 1:
         _, svals, vh = algebra._svd(pts[1:] - pts[0])
-        v = vh[: int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-30)))]
+        v = vh[: int(np.sum(svals > RANK_RTOL * svals[0]))]
     return v
 
 
@@ -296,11 +305,11 @@ def comask_general(points, d: int) -> ComaskDescription:
     Tr(rho O) = a0 + 2 a.b, so O masks the state b (Tr(rho O) = 1) exactly
     when a0/2 + a.b = 1/2.  With V the direction space of the affine hull
     of the points b0, b1, ... (dimension k, ``_hull_directions``), members
-    satisfy a ⊥ V and a0 = 1 - 2 a.b0.  The directions are held in reduced
-    row echelon form as the factors of ``AffineSet``, in O(k d^2) after the
-    SVD: Gauss-Jordan on V gives R with k pivot columns, R[:, piv] = I;
-    each of the other d^2 - 1 - k coordinates of a gets one direction with
-    a 1 there, a[piv] = -R[:, free]^T and a0 = -2 a.b0, and only the a0 and
+    satisfy a ⊥ V and a0 = 1 - 2 a.b0.  The directions are the echelon
+    complement of V (``_echelon_complement``, shared with ``comask_qubit``),
+    held as the factors of ``AffineSet`` in O(k d^2) after the SVD: each of
+    the d^2 - 1 - k free coordinates of a gets one direction with a 1
+    there, a[piv] = -R[:, free]^T and a0 = -2 a.b0, and only the a0 and
     a[piv] columns are stored.  For k = 0 that is [-2 b0 | I].  The result
     is based at (1, 0), has affine dimension d^2 - k - 1 and is never
     empty; no d^2-sized matrix is formed or decomposed.  Every point is
@@ -310,18 +319,8 @@ def comask_general(points, d: int) -> ComaskDescription:
     pts = _bloch_points(points, d)
     n = pts.shape[1]
     _certify_states(pts, d)
-    b0 = pts[0]
-    r, piv = _pivoted_echelon(_hull_directions(pts))
-    free = np.ones(n, dtype=bool)
-    free[piv] = False
-    free = np.flatnonzero(free)
-    coupling = r[:, free]  # a[piv] = -coupling.T for the free unit vectors
-    # the columns other than the units 1 + free: a0, then a[piv] by column
-    rest = np.empty((free.size, 1 + piv.size))
-    rest[:, 0] = -2.0 * (b0[free] - coupling.T @ b0[piv])
-    rest[:, 1:] = -coupling.T[:, np.argsort(piv)]
     base = np.concatenate(([1.0], np.zeros(n)))
-    coeff_set = AffineSet(base, 1 + free, rest)
+    coeff_set = _echelon_complement(_hull_directions(pts), base, pts[0])
     return ComaskDescription(kind="general", dimension=d, coefficient_set=coeff_set)
 
 

@@ -10,12 +10,15 @@ comment.  Rendered matrices and Kraus files parse back to the same values.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bloch import BlochVector, ObservableCoeffs
-from .channels import KrausChannel
 from .errors import ParseError
+
+if TYPE_CHECKING:
+    from .channels import KrausChannel
 
 
 class _Token:

@@ -813,11 +813,17 @@ def test_bare_import_loads_no_submodule(tmp_path):
     (["maskable", "--observable", "sz.obs"],
      {"algebra", "bloch", "channels", "errors", "fileio", "masking", "report"}),
     (["comask", "--states", "states.txt", "--dim", "2"],
-     {"algebra", "bloch", "channels", "comask", "errors", "fileio", "report"}),
+     {"algebra", "bloch", "comask", "errors", "fileio", "report"}),
+    (["common-state", "--observables", "sz.obs"],
+     {"algebra", "bloch", "comask", "errors", "fileio", "report"}),
+    (["counterexample", "--b", "b.bl", "--bprime", "bp.bl", "--dim", "2"],
+     {"algebra", "bloch", "comask", "errors", "fileio", "report"}),
     (["bitcommit-demo", "--dim", "2", "--seed", "0"],
      {"algebra", "bitcommit", "channels", "errors", "report", "samplers"}),
 ])
 def test_subcommand_loads_only_its_modules(argv, modules, tmp_path):
     (tmp_path / "sz.obs").write_text(SZ_MATRIX)
     (tmp_path / "states.txt").write_text("0 0 0.5\n")
+    (tmp_path / "b.bl").write_text("bloch 2 0.0 0.0 0.5\n")
+    (tmp_path / "bp.bl").write_text("bloch 2 0.0 0.0 0.25\n")
     assert _loaded_submodules(tmp_path, "-m", "obsmask.cli", *argv) == modules

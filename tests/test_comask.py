@@ -87,12 +87,24 @@ def assert_traceless_set(got, base, directions, rng, rtol=0.0):
         assert in_span(x, want_base, want_dirs) and got.contains(want_base + w @ want_dirs)
 
 
+def dense_directions(units, rest):
+    """The m x n direction matrix of echelon factors: row i holds 1 at
+    column units[i], 0 in the other unit columns, and ``rest`` in the
+    remaining columns in increasing order."""
+    m, n = len(units), len(units) + np.shape(rest)[1]
+    dirs = np.zeros((m, n))
+    dirs[:, np.setdiff1d(np.arange(n), units)] = rest
+    dirs[np.arange(m), units] = 1.0
+    return dirs
+
+
 def same_bits(got, want):
     """Whether two AffineSets have the same base point and directions, bit
     for bit."""
     return (
         got.base_point.tobytes() == want.base_point.tobytes()
-        and got.directions.tobytes() == want.directions.tobytes()
+        and dense_directions(got.units, got.rest).tobytes()
+        == dense_directions(want.units, want.rest).tobytes()
     )
 
 
@@ -113,7 +125,7 @@ class TestAffineSet:
         units[0] = 3
         rest[0] = [1.0, 0.0]
         assert s.contains([0.0, 1.0, 1.0, 0.0])
-        for name in ("base_point", "units", "rest", "directions"):
+        for name in ("base_point", "units", "rest"):
             assert not getattr(s, name).flags.writeable, name
 
     def test_rejects_dependent_directions(self):
@@ -121,6 +133,21 @@ class TestAffineSet:
         # them, and the SVD finds sigma_min / sigma_max ~ 7e-11
         with pytest.raises(ValueError, match="not linearly independent"):
             comask.AffineSet(np.zeros(3), [0, 1], [[1e10], [1e10]])
+
+    @pytest.mark.parametrize("base,units,rest", [
+        ([np.nan, 0.0, 0.0], [1], [[0.0, 0.0]]),
+        ([0.0, 0.0, 0.0], [1], [[np.nan, 0.0]]),
+        ([0.0, 0.0, 0.0], [0], [[np.inf, 0.0]]),
+        ([np.inf, 0.0, 0.0], [], np.zeros((0, 3))),
+    ], ids=["nan-base", "nan-rest", "inf-rest", "inf-base-m0"])
+    def test_rejects_non_finite_factors(self, base, units, rest):
+        with pytest.raises(ValueError, match="not finite"):
+            comask.AffineSet(base, units, rest)
+
+    def test_non_finite_point_is_outside(self):
+        s = comask.AffineSet([1.0, 0.0, 0.0], [1], [[0.3, 0.5]])
+        for point in ([1.0, np.inf, 0.0], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+            assert not s.contains(point)
 
     def test_contains_rejects_wrong_length(self):
         s = comask.AffineSet([1.0, 1.0, 1.0], [], np.zeros((0, 3)))
@@ -139,7 +166,7 @@ def svd_independent(dirs):
 
 def test_echelon_certificate_is_sound():
     """Random echelon families with rest entries up to 1e12: wherever the
-    unit block certifies independence, the SVD test of the dense view
+    unit block certifies independence, the SVD test of the dense rows
     accepts too, and the set is refused exactly where that SVD refuses."""
     rng = np.random.default_rng(16)
     certified = 0
@@ -148,13 +175,13 @@ def test_echelon_certificate_is_sound():
         n = m + int(rng.integers(0, 6))
         units = rng.permutation(n)[:m]
         rest = rng.normal(size=(m, n - m)) * 10.0 ** rng.uniform(-3, 12)
-        view = comask._echelon_dense(units, np.setdiff1d(np.arange(n), units), rest, n)
+        view = dense_directions(units, rest)
         if comask._unit_block_certifies(rest):
             certified += 1
             assert svd_independent(view)
         if svd_independent(view):
             got = comask.AffineSet(np.zeros(n), units, rest)
-            assert got.directions.tobytes() == view.tobytes()
+            assert dense_directions(got.units, got.rest).tobytes() == view.tobytes()
         else:
             with pytest.raises(ValueError):
                 comask.AffineSet(np.zeros(n), units, rest)
@@ -342,18 +369,18 @@ def test_general_echelon_directions(d, k):
     for points in (pts, pts + [pts[int(rng.integers(k + 1))].copy()]):
         desc = comask.comask_general(points, d)
         assert desc.affine_dim == d * d - k - 1
-        assert svd_independent(desc.coefficient_set.directions)
+        got = desc.coefficient_set
+        assert svd_independent(dense_directions(got.units, got.rest))
         for _ in range(3):
             el = desc.element(rng.normal(size=desc.affine_dim))
             assert max(trace_deviation(el, b, d) for b in points) <= 1e-10
 
 
 def test_general_never_decomposes_the_direction_matrix(monkeypatch):
-    """At d = 16 the only SVD is of the k x 255 block of differences, and
-    the (255 - k) x 256 direction matrix is never formed: it is certified
-    from its echelon factors."""
-    rows, views = [], []
-    dense = comask._echelon_dense
+    """At d = 16 the only SVD is of the k x 255 block of differences: the
+    (255 - k) x 256 direction matrix is certified from its echelon
+    factors."""
+    rows = []
 
     def spy(real):
         def recording(a):
@@ -362,13 +389,8 @@ def test_general_never_decomposes_the_direction_matrix(monkeypatch):
 
         return recording
 
-    def dense_spy(*args):
-        views.append(args[0].size)
-        return dense(*args)
-
     for name in ("_svd", "_svd_full", "_svdvals"):
         monkeypatch.setattr(algebra, name, spy(getattr(algebra, name)))
-    monkeypatch.setattr(comask, "_echelon_dense", dense_spy)
     rng = np.random.default_rng(17)
     for k in range(4):
         rows.clear()
@@ -377,7 +399,6 @@ def test_general_never_decomposes_the_direction_matrix(monkeypatch):
         assert desc.affine_dim == 255 - k
         desc.element(rng.normal(size=255 - k))
         assert len(rows) == int(k >= 1) and all(r <= k for r in rows), rows
-        assert views == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 16])
@@ -394,7 +415,7 @@ def test_general_factors_match_the_public_echelon(d, k):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert got.directions.tobytes() == want.directions.tobytes()
+    assert same_bits(got, want)
     assert got.ambient_dim == want.ambient_dim == d * d
     for name in ("units", "rest", "_others"):
         assert not getattr(got, name).flags.writeable, name
@@ -445,6 +466,49 @@ def test_general_reads_points_of_any_flat_shape():
         comask.comask_general([pts[0][:, None], pts[1], np.zeros((3, 3))], d)
 
 
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_contains_matches_the_projection_reference(d, k):
+    """Samples of a comask_general set moved off it along a random normal
+    vector of max-norm ``offset``, taken from numpy's QR: ``contains`` gives
+    the verdict of the reference projection ``in_span``, which is
+    offset <= AFFINE_ATOL."""
+    rng = np.random.default_rng(2000 + 4 * d + k)
+    pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
+    got = comask.comask_general(pts, d).coefficient_set
+    dirs = dense_directions(got.units, got.rest)
+    q = np.linalg.qr(dirs.T)[0] if len(dirs) else np.zeros((d * d, 0))
+    for offset in (0.0, 1e-12, 5e-10, 9e-10, 1.1e-9, 2e-9, 1e-6):
+        for _ in range(5):
+            z = rng.normal(size=d * d)
+            normal = z - q @ (q.T @ z)
+            x = got.sample(rng.normal(size=got.affine_dim) * 3)
+            x += offset * normal / algebra.max_norm(normal)
+            assert got.contains(x) == in_span(x, got.base_point, dirs) == (offset <= 1e-9)
+
+
+def test_contains_at_d16_makes_no_seam_call(spy):
+    """contains at d = 16 runs no decomposition of the algebra seam and
+    peaks under 64 KB of traced allocation, an eighth of one 255 x 256
+    float direction matrix."""
+    rng = np.random.default_rng(21)
+    for k in range(4):
+        pts = [bloch.state_to_bloch(samplers.density(rng, 16)).b for _ in range(k + 1)]
+        got = comask.comask_general(pts, 16).coefficient_set
+        x = got.sample(rng.normal(size=got.affine_dim))
+        seam = spy(algebra, ["_eigh", "_eigvalsh", "_svd", "_svd_full", "_svdvals",
+                             "_cholesky", "_qr"])
+        assert got.contains(x)
+        tracemalloc.start()
+        try:
+            got.contains(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(seam.values()) == {0}, seam
+        assert peak < 64 * 1024, (k, peak)
+
+
 def reference_directions(points, d):
     """The dense direction matrix comask_general once built, [a0 column | I
     on the free columns | -coupling^T on the pivot columns], from the same
@@ -468,9 +532,9 @@ def reference_directions(points, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 12, 16])
 def test_general_view_matches_dense_construction(d):
-    """For k = 0..3, with and without a repeated point: the dense view has
-    the reference matrix's bytes and is read-only, and sample and element
-    agree with base + w @ view within 1e-14 max(1, |x|)."""
+    """For k = 0..3, with and without a repeated point: the dense rows of
+    the factors have the reference matrix's bytes, and sample and element
+    agree with base + w @ rows within 1e-14 max(1, |x|)."""
     rng = np.random.default_rng(120 + d)
     for k in range(4):
         pts = [bloch.state_to_bloch(samplers.density(rng, d)).b for _ in range(k + 1)]
@@ -478,8 +542,7 @@ def test_general_view_matches_dense_construction(d):
             desc = comask.comask_general(points, d)
             got = desc.coefficient_set
             want = reference_directions(points, d)
-            assert got.directions.tobytes() == want.tobytes()
-            assert not got.directions.flags.writeable
+            assert dense_directions(got.units, got.rest).tobytes() == want.tobytes()
             for w in rng.normal(size=(5, desc.affine_dim)) * 3:
                 x = got.base_point + w @ want
                 tol = 1e-14 * max(1.0, algebra.max_norm(x))
@@ -588,7 +651,7 @@ def test_qubit_corpus_is_pinned_bit_for_bit(count):
     for _ in range(200):
         got = comask.comask_qubit(qubit_states(rng, count)).coefficient_set
         digest.update(got.base_point.tobytes())
-        digest.update(got.directions.tobytes())
+        digest.update(dense_directions(got.units, got.rest).tobytes())
     assert digest.hexdigest() == QUBIT_CORPUS[count]
 
 
