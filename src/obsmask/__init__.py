@@ -30,8 +30,7 @@ _EXPORTS = {
         "symmetric_tensor",
     ),
     "channels": (
-        "KrausChannel", "UnitaryDilation", "apply_adjoint", "apply_forward",
-        "isometric_extension", "masker_dilation",
+        "KrausChannel", "apply_adjoint", "apply_forward", "isometric_extension",
     ),
     "masking": (
         "MaskabilityVerdict", "build_constant_masker", "build_masker_swap",

@@ -4,6 +4,7 @@ unitary completion."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,28 @@ def max_norm(m) -> float:
     """Largest entry magnitude (the max-norm used by all residual checks)."""
     arr = np.asarray(m)
     return 0.0 if arr.size == 0 else float(np.abs(arr).max())
+
+
+# x . x can flag only overflow, which ``_norm`` rescales, and underflow,
+# which numpy ignores by default
+_QUIET_STATE = _make_extobj(all="ignore")
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array: math.sqrt(x @ x), so
+    ``np.linalg.norm(x)`` bit for bit, wherever that sum is finite.  A sum
+    that overflows on finite entries is taken again from x / max|x_i|,
+    and no RuntimeWarning is raised; non-finite entries give inf or nan."""
+    token = _extobj_contextvar.set(_QUIET_STATE)
+    try:
+        sq = x.dot(x)
+        if math.isfinite(sq) or not np.isfinite(x).all():
+            return math.sqrt(sq)
+        scale = float(np.abs(x).max())
+        y = x / scale
+        return scale * math.sqrt(y.dot(y))
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _identity_deviation(product: np.ndarray) -> float:

@@ -81,9 +81,9 @@ class ObservableCoeffs:
     a: np.ndarray
 
     def a_norm(self) -> float:
-        """|a|: ``np.linalg.norm(a)`` bit for bit, without its wrapper."""
-        a = np.asarray(self.a, dtype=float).ravel(order="K")
-        return math.sqrt(a.dot(a))
+        """|a|: ``np.linalg.norm(a)`` bit for bit, without its wrapper,
+        wherever a . a is finite, and finite up to the float limit beyond."""
+        return algebra._norm(np.asarray(self.a, dtype=float).ravel(order="K"))
 
 
 def _memoized(cache: dict, d: int, build):

@@ -1,5 +1,5 @@
 """Kraus-channel algebra: forward and adjoint action, isometric extension,
-and the swap-type masker dilation."""
+and the unitary and density-matrix validators."""
 
 from __future__ import annotations
 
@@ -162,24 +162,6 @@ def _dense_kraus(amplitudes: np.ndarray, support: np.ndarray) -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryDilation:
-    """A unitary on system (x) environment realizing a channel with the
-    environment starting in |0>."""
-
-    system_dim: int
-    env_dim: int
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        require_unitary(self.unitary)
-        dim = self.system_dim * self.env_dim
-        if self.unitary.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"unitary shape {self.unitary.shape} != ({dim}, {dim})"
-            )
-
-
 def apply_forward(channel: KrausChannel, rho) -> np.ndarray:
     """Schroedinger action sum_i E_i rho E_i^dag."""
     arr = np.asarray(rho, dtype=complex)
@@ -244,19 +226,3 @@ def isometric_extension(channel: KrausChannel) -> np.ndarray:
     rank-one family builds on each access)."""
     # row a * n + i of V is row a of E_i
     return channel.kraus.transpose(1, 0, 2).reshape(-1, channel.input_dim)
-
-
-def masker_dilation(u0, u1) -> UnitaryDilation:
-    """The two-qubit unitary U = sum_ij |j><i| (x) u_j |i><j|.
-
-    Acts as U(|m>_A (x) |n>_E) = |n>_A (x) u_n |m>_E; with u0 = u1 = I this
-    is the swap gate.
-    """
-    us = [require_unitary(u0), require_unitary(u1)]
-    for u in us:
-        if u.shape != (2, 2):
-            raise DimensionMismatchError(f"expected 2x2 unitaries, got {u.shape}")
-    # U[(j, m), (i, k)] = u_j[m, i] when k = j, else 0
-    u = np.zeros((2, 2, 2, 2), dtype=complex)
-    u[0, :, :, 0], u[1, :, :, 1] = us
-    return UnitaryDilation(system_dim=2, env_dim=2, unitary=u.reshape(4, 4))

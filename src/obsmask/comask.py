@@ -71,7 +71,8 @@ def _unit_block_certifies(rest: np.ndarray) -> bool:
     I + rest rest^T, so sigma_min >= 1, while sigma_max <= its Frobenius
     norm sqrt(m + ||rest||_F^2) < 1 / (2 RANK_RTOL).  The factor 2 leaves
     room for the rounding of a computed SVD."""
-    return bool(rest.shape[0] + np.linalg.norm(rest) ** 2 < (0.5 / RANK_RTOL) ** 2)
+    norm = algebra._norm(rest.ravel())
+    return rest.shape[0] + norm * norm < (0.5 / RANK_RTOL) ** 2
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -332,7 +333,7 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
     b' and fails at b by exactly |b - b'|.
     """
     b_arr, bp_arr = _bloch_points((b, b_prime), d)
-    gap = np.linalg.norm(b_arr - bp_arr)
+    gap = algebra._norm(b_arr - bp_arr)
     if gap < AFFINE_ATOL:
         raise IdenticalPointsError("the two output states coincide")
     a = (b_arr - bp_arr) / gap

@@ -3,7 +3,6 @@ the observable no-hiding check."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .algebra import (
     tensor,
 )
 from .bloch import ObservableCoeffs, _coordinate_rows, generator_basis
-from .channels import KrausChannel, UnitaryDilation, _spectral_rows, apply_adjoint, masker_dilation
+from .channels import KrausChannel, _spectral_rows, apply_adjoint, require_unitary
 from .errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -218,35 +217,33 @@ def _rotation(arr: np.ndarray) -> np.ndarray:
     return np.array([[c * ep, s * em], [-s * ep, c * em]])
 
 
-def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, UnitaryDilation]:
+def build_masker_swap(n, u0=None, u1=None) -> tuple[KrausChannel, np.ndarray]:
     """Masker for the spin observable n.sigma and its unitary dilation.
 
-    Kraus operators are E'_i = w^dag |0><i| and the dilation is
-    U' = (w^dag (x) I) U with U the swap-type unitary (u0 = u1 = I by
-    default; other environment unitaries realize the same channel).
+    Kraus operators are E'_i = w^dag |0><i| and the dilation is the 4 x 4
+    array U' = (w^dag (x) I) U, with U = sum_ij |j><i| (x) u_j |i><j| the
+    swap-type unitary (u0 = u1 = I by default; other environment unitaries
+    realize the same channel).  At n = z, w = I and U' is U itself.
     """
     w = rotation_unitary(n)
     channel = KrausChannel.rank_one(dagger(w)[None, :, 0], [[1, 1]])
-    return channel, _swap_dilation(w, u0, u1)
+    return channel, _dilation(w, u0, u1)
 
 
-def _swap_dilation(w: np.ndarray, u0, u1) -> UnitaryDilation:
-    """U' = (w^dag (x) I) U of ``build_masker_swap``; u0, u1 are validated
-    once, in ``masker_dilation``, and U' once, as a ``UnitaryDilation``.
-    The default pair's U, the swap, is built once and shared."""
-    base = _swap() if u0 is None and u1 is None else masker_dilation(
-        np.eye(2) if u0 is None else u0, np.eye(2) if u1 is None else u1
-    )
-    unitary = tensor(dagger(w), np.eye(2)) @ base.unitary
-    return UnitaryDilation(system_dim=2, env_dim=2, unitary=unitary)
-
-
-@functools.cache
-def _swap() -> UnitaryDilation:
-    """``masker_dilation(I, I)``, built on first use, its unitary read-only."""
-    swap = masker_dilation(np.eye(2), np.eye(2))
-    swap.unitary.setflags(write=False)
-    return swap
+def _dilation(w: np.ndarray, u0, u1) -> np.ndarray:
+    """U' = (w^dag (x) I) U of ``build_masker_swap``, where U acts as
+    U(|m>_A (x) |n>_E) = |n>_A (x) u_n |m>_E.  A given u0 and u1 are each
+    validated, both before either's shape; None is I.  U' is a product of
+    unitaries and is not checked again."""
+    us = [np.eye(2) if u is None else require_unitary(u) for u in (u0, u1)]
+    for u in us:
+        if u.shape != (2, 2):
+            raise DimensionMismatchError(f"expected 2x2 unitaries, got {u.shape}")
+    # U[(j, m), (i, k)] = u_j[m, i] when k = j, else 0
+    u = np.zeros((2, 2, 2, 2), dtype=complex)
+    u[0, :, :, 0], u[1, :, :, 1] = us
+    # w^dag acts on the system index j alone: one 2 x 8 product
+    return (dagger(w) @ u.reshape(2, 8)).reshape(4, 4)
 
 
 def verify_masking(channel: KrausChannel, obs) -> float:
@@ -257,12 +254,13 @@ def verify_masking(channel: KrausChannel, obs) -> float:
 def verify_nohiding(n, u0=None, u1=None) -> NoHidingReport:
     """Check that masking n.sigma swaps it intact onto the environment.
 
-    Verifies U'^dag (n.sigma (x) I) U' = I (x) sigma3 and that the local
+    Verifies U'^dag (n.sigma (x) I) U' = I (x) sigma3, with U' the dilation
+    of ``build_masker_swap`` from the same builder, and that the local
     unitary w recovers the observable from the environment side.
     """
     arr = _require_unit_vector(n)
     w = _rotation(arr)
-    up = _swap_dilation(w, u0, u1).unitary
+    up = _dilation(w, u0, u1)
     pauli = generator_basis(2).matrices
     obs = np.einsum("i,iab->ab", arr, pauli)
     sigma3 = pauli[2]

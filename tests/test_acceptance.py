@@ -119,13 +119,12 @@ def test_criterion_5_nohiding():
     env = np.outer(KET0, KET0.conj())
     for _ in range(200):
         n = samplers.unit_vector(rng, 3)
-        chan, dil = masking.build_masker_swap(n)
+        chan, u = masking.build_masker_swap(n)
         residual = masking.verify_masking(chan, n[0] * S1 + n[1] * S2 + n[2] * S3)
         if residual >= masking.DECISION_ATOL:
             failures.append(f"swap masker adjoint residual {residual:.3e}")
             break
         rho = samplers.density(rng, 2)
-        u = dil.unitary
         joint = u @ algebra.tensor(rho, env) @ algebra.dagger(u)
         gap = algebra.max_norm(
             algebra.partial_trace(joint, (2, 2), "B") - apply_forward(chan, rho)

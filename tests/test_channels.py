@@ -367,37 +367,41 @@ class TestIsometricExtension:
             assert algebra.max_norm(algebra.dagger(v) @ v - np.eye(3)) < 1e-10
 
 
+def z_axis_dilation(u0, u1):
+    """The swap-type unitary U: the masker dilation (w^dag (x) I) U at
+    n = z, where w = I."""
+    return masking.build_masker_swap([0.0, 0.0, 1.0], u0, u1)[1]
+
+
 class TestMaskerDilation:
     def test_identity_case_is_swap(self):
-        dil = channels.masker_dilation(np.eye(2), np.eye(2))
-        assert algebra.max_norm(dil.unitary - SWAP) < 1e-12
+        u = z_axis_dilation(np.eye(2), np.eye(2))
+        assert algebra.max_norm(u - SWAP) < 1e-12
 
     def test_action_on_basis(self):
         rng = np.random.default_rng(10)
         u0, u1 = samplers.haar_unitary(rng, 2), samplers.haar_unitary(rng, 2)
-        dil = channels.masker_dilation(u0, u1)
+        u = z_axis_dilation(u0, u1)
         ket1 = np.array([0, 1], complex)
         ket0 = np.array([1, 0], complex)
-        out = dil.unitary @ np.kron(ket1, ket0)
+        out = u @ np.kron(ket1, ket0)
         assert np.linalg.norm(out - np.kron(ket0, u0 @ ket1)) < 1e-12
 
     def test_unitarity_random(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             u0, u1 = samplers.haar_unitary(rng, 2), samplers.haar_unitary(rng, 2)
-            dil = channels.masker_dilation(u0, u1)
-            u = dil.unitary
+            u = z_axis_dilation(u0, u1)
             assert algebra.max_norm(algebra.dagger(u) @ u - np.eye(4)) < 1e-10
 
     def test_swap_conjugates_sigma3(self):
-        dil = channels.masker_dilation(np.eye(2), np.eye(2))
-        u = dil.unitary
+        u = z_axis_dilation(np.eye(2), np.eye(2))
         lhs = algebra.dagger(u) @ algebra.tensor(S3, np.eye(2)) @ u
         assert algebra.max_norm(lhs - algebra.tensor(np.eye(2), S3)) < 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
-            channels.masker_dilation(np.eye(2) * 2.0, np.eye(2))
+            z_axis_dilation(np.eye(2) * 2.0, np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

@@ -600,7 +600,8 @@ MASKABLE_INPUTS = {
     "d4-unmaskable": "coeffs 4 2.5 0.1 -0.2 0.03 0.05 0.04 -0.15 0.02 0.1 -0.03 0.05 0.05 -0.1 0.05 0.02 -0.05",
 }
 # report bodies after the version line, pinned byte for byte; their inputs
-# pass through the comask directions, the Bloch codecs and the qubit criterion
+# pass through the comask directions, the Bloch codecs, the qubit criterion
+# and the no-hiding dilation
 PINNED_REPORTS = {
     "comask-d2-k0": """\
 command: comask
@@ -765,6 +766,27 @@ maskable: false
 eig_range: 2.17459031962 2.82581512958
 necessary_condition: false
 """,
+    "nohide-z": """\
+command: nohide
+direction: 0 0 1
+swap_residual: 0
+recovery_residual: 0
+verified: true
+""",
+    "nohide-tilted": """\
+command: nohide
+direction: 0.292214644285 0.574131544348 0.764842187284
+swap_residual: 0
+recovery_residual: 0
+verified: true
+""",
+    "nohide-sigma1": """\
+command: nohide
+direction: 0.292214644285 0.574131544348 0.764842187284
+swap_residual: 0
+recovery_residual: 0
+verified: true
+""",
 }
 
 
@@ -782,6 +804,14 @@ def pinned_report_argv(name, tmp_path):
             paths.append(tmp_path / f"obs{i}.obs")
             paths[-1].write_text(doc + "\n")
         return ["common-state", "--observables", *map(str, paths)]
+    if name.startswith("nohide-"):
+        theta, phi = ("0", "0") if name == "nohide-z" else ("0.7", "1.1")
+        argv = ["nohide", "--theta", theta, "--phi", phi]
+        if name == "nohide-sigma1":
+            u_file = tmp_path / "u.mat"
+            u_file.write_text("matrix 2 2\n0,0 1,0\n1,0 0,0\n")
+            argv += ["--u0", str(u_file), "--u1", str(u_file)]
+        return argv
     obs = tmp_path / "obs.obs"
     obs.write_text(MASKABLE_INPUTS[name[len("maskable-"):]] + "\n")
     return ["maskable", "--observable", str(obs)]
@@ -820,6 +850,10 @@ def test_bare_import_loads_no_submodule(tmp_path):
      {"algebra", "bloch", "comask", "errors", "fileio", "report"}),
     (["bitcommit-demo", "--dim", "2", "--seed", "0"],
      {"algebra", "bitcommit", "channels", "errors", "report", "samplers"}),
+    (["nohide", "--theta", "0.7", "--phi", "1.1"],
+     {"algebra", "bloch", "channels", "errors", "masking", "report"}),
+    (["nohide", "--theta", "0.7", "--phi", "1.1", "--u0", "sz.obs"],
+     {"algebra", "bloch", "channels", "errors", "fileio", "masking", "report"}),
 ])
 def test_subcommand_loads_only_its_modules(argv, modules, tmp_path):
     (tmp_path / "sz.obs").write_text(SZ_MATRIX)

@@ -772,6 +772,23 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
             comask.universal_counterexample([], [], 1)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e250, 1e300])
+    def test_separates_points_near_the_float_limit(self, d, scale):
+        # |b - b'| is finite though its square overflows; the residual of
+        # the masking equation a0/2 + a . r = 1/2 is 0 at b' and |b - b'| at b
+        rng = np.random.default_rng(32)
+        n = d * d - 1
+        b = scale * samplers.unit_vector(rng, n)
+        bp = -0.5 * scale * samplers.unit_vector(rng, n)
+        out = comask.universal_counterexample(b, bp, d)
+        gap = math.dist(b, bp)
+        assert abs(out.a0 / 2 + out.a @ bp - 0.5) <= 1e-12 * scale
+        assert abs(out.a0 / 2 + out.a @ b - 0.5 - gap) <= 1e-12 * scale
+        # the echelon certificate's norm is finite too
+        rest = scale * samplers.unit_vector(rng, n)[None, :]
+        assert comask.AffineSet(np.zeros(n + 1), [0], rest).affine_dim == 1
+
     def test_refuses_non_finite_points(self):
         # the gap |b - b'| of a nan point is nan, which passes `gap < atol`
         with pytest.raises(InvalidStateError):

@@ -166,6 +166,18 @@ class TestNecessaryCondition:
     def test_zero_observable_fails(self):
         assert not masking.necessary_condition_d(coeffs(2, 0.0, [0, 0, 0]))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e250, 1e300])
+    def test_agrees_with_oracle_near_the_float_limit(self, d, scale):
+        # a . a overflows from |a| ~ 1.3e154 on, while |a| stays finite
+        rng = np.random.default_rng(31)
+        for a0 in (0.0, 3.0 * scale):
+            c = coeffs(d, a0, scale * samplers.unit_vector(rng, d * d - 1))
+            oracle = masking.decide_maskable_oracle(bloch.coeffs_to_observable(c))
+            assert masking.necessary_condition_d(c) == oracle.maskable == (a0 == 0.0)
+            if d == 2:
+                assert masking.decide_maskable_qubit(c).maskable == oracle.maskable
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_returns_python_bool(self, d):
         # a numpy bool would print as True/False in the maskable report
@@ -375,7 +387,7 @@ class TestRotationUnitary:
 class TestMaskerSwap:
     def test_z_axis_recovers_swap(self):
         chan, dil = masking.build_masker_swap([0.0, 0.0, 1.0])
-        assert algebra.max_norm(dil.unitary - SWAP) < 1e-12
+        assert algebra.max_norm(dil - SWAP) < 1e-12
         expected = [
             np.array([[1, 0], [0, 0]], complex),
             np.array([[0, 1], [0, 0]], complex),
@@ -429,10 +441,10 @@ class TestNoHiding:
             masking.verify_nohiding([0.0, 0.0, 2.0])
 
     def test_validates_each_matrix_once(self, monkeypatch):
-        # user u0/u1 are validated once each (in masker_dilation), the
-        # direction at most twice, and no masker channel is built
+        # user u0/u1 are validated once each, U' not at all, the direction
+        # at most twice, and no masker channel is built
         seen, unit_checks, channels_built = [], [], []
-        require_unitary = channels.require_unitary
+        require_unitary = masking.require_unitary
         require_unit_vector = masking._require_unit_vector
         set_fields = channels._set
 
@@ -449,7 +461,7 @@ class TestNoHiding:
             channels_built.append(channel)
             set_fields(channel, **fields)
 
-        monkeypatch.setattr(channels, "require_unitary", spy_unitary)
+        monkeypatch.setattr(masking, "require_unitary", spy_unitary)
         monkeypatch.setattr(masking, "_require_unit_vector", spy_unit_vector)
         monkeypatch.setattr(channels, "_set", spy_set_fields)
         rng = np.random.default_rng(12)
@@ -458,14 +470,13 @@ class TestNoHiding:
         assert report.verified
         assert sum(u is u0 for u in seen) == 1
         assert sum(u is u1 for u in seen) == 1
-        # u0, u1, the swap-type base dilation and the rotated U'
-        assert len(seen) == 4
+        assert len(seen) == 2
         assert len(unit_checks) <= 2
         assert channels_built == []
 
     def test_default_dilation_matches_explicit_identities(self):
-        # u0 = u1 = None shares one swap; passing I, I builds and validates
-        # it afresh in masker_dilation, so both must give the same bytes
+        # u0 = u1 = None stands for I unvalidated; passing I, I validates
+        # both, and the two must give the same bytes
         rng = np.random.default_rng(19)
         for _ in range(200):
             n = samplers.unit_vector(rng, 3)
@@ -475,33 +486,49 @@ class TestNoHiding:
             assert shared.recovery_residual == fresh.recovery_residual
             _, dil = masking.build_masker_swap(n)
             _, ref = masking.build_masker_swap(n, np.eye(2), np.eye(2))
-            assert dil.unitary.tobytes() == ref.unitary.tobytes()
+            assert dil.tobytes() == ref.tobytes()
 
-    def test_shared_swap_is_read_only(self):
-        swap = masking._swap()
-        assert swap is masking._swap()
-        assert np.array_equal(swap.unitary, SWAP)
-        with pytest.raises(ValueError):
-            swap.unitary[0, 0] = 2.0
-        # each default dilation is its own product, not the shared array
-        _, dil = masking.build_masker_swap([0.0, 0.0, 1.0])
-        assert dil.unitary is not swap.unitary
+    @pytest.mark.parametrize("haar", [False, True], ids=["default", "haar"])
+    def test_dilation_is_rotated_swap_type_unitary(self, haar):
+        # U' = (w^dag (x) I) U bit for bit, with U built here column by
+        # column from its action U(|m> (x) |n>) = |n> (x) u_n |m>
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = samplers.unit_vector(rng, 3)
+            us = [samplers.haar_unitary(rng, 2) if haar else None for _ in range(2)]
+            u_ref = np.zeros((4, 4), dtype=complex)
+            for m in range(2):
+                for k in range(2):
+                    u_k = np.eye(2) if us[k] is None else us[k]
+                    u_ref[2 * k: 2 * k + 2, 2 * m + k] = u_k[:, m]
+            w = masking.rotation_unitary(n)
+            want = np.kron(algebra.dagger(w), np.eye(2)) @ u_ref
+            _, dil = masking.build_masker_swap(n, *us)
+            assert dil.tobytes() == want.tobytes()
 
-    def test_default_dilation_validates_only_the_rotated_unitary(self, monkeypatch):
-        masking._swap()  # built and validated on first use
+    def test_default_dilation_makes_no_unitary_check(self, monkeypatch):
         seen = []
-        require_unitary = channels.require_unitary
+        require_unitary = masking.require_unitary
 
         def spy_unitary(u):
             seen.append(u)
             return require_unitary(u)
 
-        monkeypatch.setattr(channels, "require_unitary", spy_unitary)
+        monkeypatch.setattr(masking, "require_unitary", spy_unitary)
         assert masking.verify_nohiding([0.6, 0.0, 0.8]).verified
-        assert len(seen) == 1
+        masking.build_masker_swap([0.6, 0.0, 0.8])
+        assert seen == []
+
+    def test_unitaries_checked_before_their_shape(self):
+        # a 3 x 3 unitary u0 passes its unitarity check; the non-unitary u1
+        # is refused before u0's shape is read
+        bad = np.array([[1.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(NotUnitaryError):
+            masking.verify_nohiding([0.0, 0.0, 1.0], u0=np.eye(3), u1=bad)
+        with pytest.raises(DimensionMismatchError):
+            masking.verify_nohiding([0.0, 0.0, 1.0], u0=np.eye(3))
 
     def test_non_unitary_environment_refused_every_call(self):
-        masking._swap()
         bad = np.array([[1.0, 0.0], [0.0, 0.5]])
         for _ in range(3):
             with pytest.raises(NotUnitaryError):
