@@ -41,28 +41,23 @@ ORTHONORMALITY_ATOL = 1e-9
 # call.  The states live in a context variable, so each thread and asyncio
 # task keeps its own.
 
-def _linalg_state(message: str):
-    """numpy.linalg's error state: the gufuncs flag a failed factorization
-    as an invalid value, which raises LinAlgError(message); rounding flags
-    are ignored."""
+def _gufunc(name: str, message: str, real: str, complex_: str):
+    """The seam helper calling ``_umath_linalg.<name>``, looked up per call,
+    on its operands with signature ``real`` or ``complex_`` by the first's
+    dtype, in numpy.linalg's error state, built here once: the gufuncs flag
+    a failed factorization as an invalid value, which raises
+    LinAlgError(message), and rounding flags are ignored."""
     def raise_linalg_error(err, flag):
         raise np.linalg.LinAlgError(message)
 
-    return _make_extobj(call=raise_linalg_error, invalid="call", over="ignore",
-                        divide="ignore", under="ignore")
+    state = _make_extobj(call=raise_linalg_error, invalid="call", over="ignore",
+                         divide="ignore", under="ignore")
 
-
-def _gufunc(name: str, message: str, real: str, complex_: str):
-    """The seam helper calling ``_umath_linalg.<name>``, looked up per call,
-    with signature ``real`` on float64 input and ``complex_`` on complex128,
-    in numpy.linalg's error state for ``message``, built here once."""
-    state = _linalg_state(message)
-
-    def helper(a: np.ndarray):
+    def helper(a: np.ndarray, *rest: np.ndarray):
         token = _extobj_contextvar.set(state)
         try:
             return getattr(_umath_linalg, name)(
-                a, signature=complex_ if a.dtype.kind == "c" else real)
+                a, *rest, signature=complex_ if a.dtype.kind == "c" else real)
         finally:
             _extobj_contextvar.reset(token)
 
@@ -81,22 +76,20 @@ _svd_full = _gufunc("svd_f", "SVD did not converge", "d->ddd", "D->DdD")
 _svdvals = _gufunc("svd", "SVD did not converge", "d->d", "D->d")
 # np.linalg.cholesky(a): the lower factor
 _cholesky = _gufunc("cholesky_lo", "Matrix is not positive definite", "d->d", "D->D")
-_QR_STATE = _linalg_state("Incorrect argument found while performing QR factorization")
+# np.linalg.qr(a) in two steps: tau from the Householder factorization,
+# which runs in place, and q from both
+_QR_MESSAGE = "Incorrect argument found while performing QR factorization"
+_qr_r_raw = _gufunc("qr_r_raw", _QR_MESSAGE, "d->d", "D->D")
+_qr_reduced = _gufunc("qr_reduced", _QR_MESSAGE, "dd->d", "DD->D")
 
 
 def _qr(a: np.ndarray):
     """``np.linalg.qr(a)`` (reduced): q and r.  As numpy does, the
     Householder factorization runs in place on a copy, q is formed from it
     and r is its upper triangle."""
-    complex_ = a.dtype.kind == "c"
-    raw = a.astype(complex if complex_ else float, copy=True)
-    token = _extobj_contextvar.set(_QR_STATE)
-    try:
-        tau = _umath_linalg.qr_r_raw(raw, signature="D->D" if complex_ else "d->d")
-        q = _umath_linalg.qr_reduced(raw, tau, signature="DD->D" if complex_ else "dd->d")
-    finally:
-        _extobj_contextvar.reset(token)
-    return q, np.triu(raw[..., : min(a.shape[-2:]), :])
+    raw = a.astype(complex if a.dtype.kind == "c" else float, copy=True)
+    tau = _qr_r_raw(raw)
+    return _qr_reduced(raw, tau), np.triu(raw[..., : min(a.shape[-2:]), :])
 
 
 def _set(obj, **attrs) -> None:
@@ -203,13 +196,19 @@ class HermitianEig:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def eig_hermitian(m) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix; eigenvalues ascending."""
+def _checked_eigh(m):
+    """``_eigh`` of the Hermitian matrix m, once ``require_hermitian`` has
+    accepted it; an eigensolver failure is a ``NumericalFailureError``."""
     arr = require_hermitian(m)
     try:
-        vals, vecs = _eigh(arr)
+        return _eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+
+
+def eig_hermitian(m) -> HermitianEig:
+    """Eigendecompose a Hermitian matrix; eigenvalues ascending."""
+    vals, vecs = _checked_eigh(m)
     # rotate each column so its first entry above 1e-12 in magnitude is real
     # >= 0: one scan over Python complexes finds the entries, and the phases
     # are one numpy division, which divides through the reciprocal of the

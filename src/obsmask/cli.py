@@ -3,7 +3,7 @@ verification as a subcommand.
 
 Exit codes: 0 when the computation ran (mathematical verdicts live in the
 report), 1 when ``selftest`` finds a failed invariant, 2 on input or parse
-errors, 3 on numerical failure.
+errors, 3 on numerical failure, such as a report value beyond float range.
 
 Each handler imports the modules it runs, so a call loads only what its
 subcommand needs, and returns its report; ``main`` puts the ``command``
@@ -144,7 +144,7 @@ def _cmd_nohide(args) -> RunReport:
 def _cmd_comask(args) -> RunReport:
     from . import comask, fileio
 
-    points = _parse(args.states, fileio.parse_bloch_lines)
+    points = _parse(args.states, fileio.parse_bloch_lines, args.dim)
     desc = comask.comask_general(points, args.dim)
     d = args.dim
     k = d * d - 1 - desc.affine_dim
@@ -289,6 +289,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        # the last line of defence: no report prints inf or nan
+        for key, value in report.entries:
+            if np.asarray(value).dtype.kind in "fc" and not np.isfinite(value).all():
+                raise NumericalFailureError(f"report entry {key} is not finite")
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

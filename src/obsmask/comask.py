@@ -208,11 +208,10 @@ def comask_qubit(points) -> ComaskDescription:
     complement of span(V, c), are assembled in reduced row echelon form as
     ``comask_general`` assembles its own (``_echelon_complement``), with no
     a0 column (0 throughout).  A hull within HULL_ATOL of b = 0
-    (|c| < HULL_ATOL) raises ``InconsistentConstraintsError``.  The points are read and certified
-    states as ``comask_general`` reads and certifies them.
+    (|c| < HULL_ATOL) raises ``InconsistentConstraintsError``.  The points
+    are read and certified states by ``_bloch_states``.
     """
-    pts = _bloch_points(points, 2)
-    _certify_states(pts, 2)
+    pts = _bloch_states(points, 2)
     v = _hull_directions(pts)
     c = pts[0] - (v @ pts[0]) @ v
     cc = float(c @ c)
@@ -261,31 +260,31 @@ def _echelon_complement(rows: np.ndarray, base: np.ndarray, b0=None) -> AffineSe
     return AffineSet(base, 1 + free, rest)
 
 
-def _bloch_points(points, d: int) -> np.ndarray:
-    """The (m, d^2 - 1) stack of finite Bloch points, each of any flat shape."""
-    flat = (np.asarray(p, dtype=float).reshape(-1) for p in points)
-    return _finite_bloch(_coordinate_family(flat, d, "point"))
-
-
-def _certify_states(pts: np.ndarray, d: int) -> None:
-    """Certify every Bloch point a state by one stacked Cholesky
+def _bloch_states(points, d: int) -> np.ndarray:
+    """The (m, d^2 - 1) stack of the Bloch points, each of any flat shape,
+    once all are finite and certified states by one stacked Cholesky
     factorization of rho_i + POSITIVITY_ATOL I, which exists exactly when
     lambda_min(rho_i) > -POSITIVITY_ATOL, up to rounding of order
-    d eps ||rho_i||.  Only when it fails does the eigensolver run: one
-    stacked ``eigvalsh`` names the first point with lambda_min <
-    -POSITIVITY_ATOL (the verdict of ``positivity_conditions``), and that
-    point is refused with the eigenvector of its least eigenvalue as the
-    ``witness``.  A failed factorization with no such point, possible only
-    within rounding of the bound, accepts."""
+    d eps ||rho_i||; a factor holding inf or nan (an entry that overflows on
+    division by its pivot) has failed.  Only a failure runs the eigensolver:
+    one stacked ``eigvalsh`` names the first point with lambda_min <
+    -POSITIVITY_ATOL (the verdict of ``positivity_conditions``), refused
+    with the eigenvector of its least eigenvalue as the ``witness``; with
+    no such point, possible only within rounding of the bound, it accepts."""
+    flat = (np.asarray(p, dtype=float).reshape(-1) for p in points)
+    pts = _finite_bloch(_coordinate_family(flat, d, "point"))
     rhos = _expansion(pts, d, 1.0 / d)
     try:
-        algebra._cholesky(rhos + POSITIVITY_ATOL * np.eye(d))
+        if np.isfinite(algebra._cholesky(rhos + POSITIVITY_ATOL * np.eye(d))).all():
+            return pts
     except np.linalg.LinAlgError:
-        failing = np.flatnonzero(algebra._eigvalsh(rhos)[:, 0] < -POSITIVITY_ATOL)
-        if failing.size:
-            i = failing[0]
-            witness = algebra._eigh(rhos[i])[1][:, 0]
-            raise InvalidStateError(f"point {i} is not a valid state", witness=witness) from None
+        pass
+    failing = np.flatnonzero(algebra._eigvalsh(rhos)[:, 0] < -POSITIVITY_ATOL)
+    if failing.size:
+        i = failing[0]
+        witness = algebra._eigh(rhos[i])[1][:, 0]
+        raise InvalidStateError(f"point {i} is not a valid state", witness=witness)
+    return pts
 
 
 def _hull_directions(pts: np.ndarray) -> np.ndarray:
@@ -314,12 +313,11 @@ def comask_general(points, d: int) -> ComaskDescription:
     a[piv] columns are stored.  For k = 0 that is [-2 b0 | I].  The result
     is based at (1, 0), has affine dimension d^2 - k - 1 and is never
     empty; no d^2-sized matrix is formed or decomposed.  Every point is
-    first certified a state by one stacked Cholesky factorization
-    (``_certify_states``), whose failure alone runs the eigensolver.
+    first read and certified a state by one stacked Cholesky factorization
+    (``_bloch_states``), whose failure alone runs the eigensolver.
     """
-    pts = _bloch_points(points, d)
+    pts = _bloch_states(points, d)
     n = pts.shape[1]
-    _certify_states(pts, d)
     base = np.concatenate(([1.0], np.zeros(n)))
     coeff_set = _echelon_complement(_hull_directions(pts), base, pts[0])
     return ComaskDescription(kind="general", dimension=d, coefficient_set=coeff_set)
@@ -330,9 +328,10 @@ def universal_counterexample(b, b_prime, d: int) -> ObservableCoeffs:
 
     Takes a along the difference of the two Bloch vectors and fixes
     a0 = 1 - 2 a . b', so the masking equation a0/2 + a . b = 1/2 holds at
-    b' and fails at b by exactly |b - b'|.
+    b' and fails at b by exactly |b - b'|; both points are first read and
+    certified states by ``_bloch_states``, so b - b' is finite.
     """
-    b_arr, bp_arr = _bloch_points((b, b_prime), d)
+    b_arr, bp_arr = _bloch_states((b, b_prime), d)
     gap = algebra._norm(b_arr - bp_arr)
     if gap < AFFINE_ATOL:
         raise IdenticalPointsError("the two output states coincide")

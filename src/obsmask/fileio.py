@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .algebra import _require_dimension
 from .bloch import BlochVector, ObservableCoeffs
 from .errors import ParseError
 
@@ -156,13 +157,16 @@ def parse_as(text: str, *kinds: str, dim: int | None = None):
     return _read(text, kinds, dim)[1]
 
 
-def parse_bloch_lines(text: str) -> list[np.ndarray]:
-    """The raw rows of reals, one per nonempty line; their lengths are
-    checked by their reader (``bloch``)."""
+def parse_bloch_lines(text: str, dim: int) -> list[np.ndarray]:
+    """One row of reals per nonempty line.  A ``dim`` below 2 is refused
+    first, then a row not dim^2 - 1 long at its last token, as in ``_read``."""
+    _require_dimension(dim)
     by_line: dict[int, list[_Token]] = {}
     for token in _tokenize(text):
         by_line.setdefault(token.line, []).append(token)
-    return [np.array([_parse_real(t, "component") for t in row]) for row in by_line.values()]
+    need = dim * dim - 1
+    rows = (_body(row, 0, need, f"bloch for d={dim}", "values") for row in by_line.values())
+    return [np.array([_parse_real(t, "component") for t in row]) for row in rows]
 
 
 def _entry(z: complex) -> str:

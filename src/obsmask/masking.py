@@ -9,14 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import (
-    _identity_deviation,
-    dagger,
-    eig_hermitian,
-    max_norm,
-    require_hermitian,
-    tensor,
-)
+from .algebra import _identity_deviation, dagger, eig_hermitian, max_norm, tensor
 from .bloch import ObservableCoeffs, _coordinate_rows, generator_basis
 from .channels import KrausChannel, _spectral_rows, apply_adjoint, require_unitary
 from .errors import (
@@ -39,8 +32,8 @@ class MaskabilityVerdict:
     """Outcome of a maskability decision.
 
     ``plane_distance`` is |1 - a0| / (2|a|), the distance of the masking
-    plane from the Bloch-ball origin (absolute-value reading; undefined when
-    a = 0).  ``eig_range`` is populated by the eigenvalue oracle.
+    plane from the Bloch-ball origin (absolute-value reading; None when
+    |a| <= DECISION_ATOL).  ``eig_range`` is populated by the eigenvalue oracle.
     """
 
     maskable: bool
@@ -87,21 +80,16 @@ def decide_maskable_qubit(c: ObservableCoeffs) -> MaskabilityVerdict:
     """Bloch-plane criterion for qubit observables: maskable iff |1 - a0| <= |a|.
 
     That is the ball bound of ``necessary_condition_d`` at d = 2, where it is
-    also sufficient.  The degenerate direction a = 0 is maskable exactly
-    when a0 = 1 (the expectation Tr(rho O) = a0 for every state).
+    also sufficient, and the oracle's test, the eigenvalues being a0 -+ |a|;
+    it decides a = 0 too.  ``plane_distance`` is None for |a| <= DECISION_ATOL.
     """
     if c.dimension != 2:
         raise DimensionMismatchError(f"qubit criterion needs d=2, got d={c.dimension}")
     a_norm = c.a_norm()
-    maskable = _ball_bound_holds(c, a_norm)  # first: it refuses nan, a = 0 too
-    if a_norm <= DECISION_ATOL:
-        return MaskabilityVerdict(
-            maskable=abs(c.a0 - 1.0) <= DECISION_ATOL, method="bloch-criterion"
-        )
     return MaskabilityVerdict(
-        maskable=maskable,
+        maskable=_ball_bound_holds(c, a_norm),
         method="bloch-criterion",
-        plane_distance=abs(1.0 - c.a0) / (2.0 * a_norm),
+        plane_distance=abs(1.0 - c.a0) / (2.0 * a_norm) if a_norm > DECISION_ATOL else None,
     )
 
 
@@ -111,23 +99,21 @@ def decide_maskable_oracle(obs) -> MaskabilityVerdict:
     A constant channel onto sigma masks O exactly when Tr(sigma O) = 1, and
     Tr(sigma O) over all states sweeps [lambda_min, lambda_max]; so O is
     maskable iff that interval contains 1.  The verdict and range come from
-    the ``eigh`` eigenvalues ``oracle_masker`` decides on, the same call on
-    the same array, so the two verdicts agree.
+    ``algebra._checked_eigh``, the call ``eig_hermitian`` makes for
+    ``oracle_masker``, so the two verdicts agree.
     """
-    arr = require_hermitian(obs)
-    try:
-        vals = algebra._eigh(arr)[0].tolist()
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    return _oracle_verdict(vals)
+    return _oracle_verdict(algebra._checked_eigh(obs)[0].tolist())
 
 
 def _oracle_verdict(vals: list[float]) -> MaskabilityVerdict:
     """The oracle's verdict from the ascending eigenvalues of the
-    observable; an empty (0 x 0) observable is refused."""
+    observable; an empty (0 x 0) observable is refused, and so is a
+    spectrum beyond the float range, which ``eigh`` returns as inf or nan."""
     if not vals:
         raise DimensionMismatchError("observable is 0 x 0")
     lo, hi = vals[0], vals[-1]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalFailureError(f"eigenvalue range [{lo!r}, {hi!r}] is not finite")
     return MaskabilityVerdict(
         maskable=(lo <= 1.0 + DECISION_ATOL) and (1.0 <= hi + DECISION_ATOL),
         method="oracle",

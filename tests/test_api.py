@@ -190,6 +190,59 @@ def test_decompositions_run_through_the_algebra_seam():
     assert "eigvalsh" in {name for _, name in reference}
 
 
+def _enclosing_functions(tree) -> dict[ast.AST, str]:
+    """Each node of the tree mapped to the name of the outermost function
+    around it, or "" at module level."""
+    owner = {}
+    for top in ast.iter_child_nodes(tree):
+        name = top.name if isinstance(top, ast.FunctionDef) else ""
+        for node in ast.walk(top):
+            owner[node] = name
+    return owner
+
+
+def test_umath_linalg_is_read_only_by_the_seam_builder():
+    # algebra builds every helper of the seam, QR's two steps included,
+    # with _gufunc, so no other function reaches numpy's gufuncs
+    tree = ast.parse((Path(obsmask.__file__).parent / "algebra.py").read_text())
+    owner = _enclosing_functions(tree)
+    readers = [
+        (node.lineno, owner[node]) for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_umath_linalg")
+        or (isinstance(node, ast.Attribute) and node.attr == "_umath_linalg")
+    ]
+    assert readers and {name for _, name in readers} == {"_gufunc"}, readers
+
+
+# the comask builders that take Bloch points, with their point parameters
+_POINT_READERS = {
+    "comask_general": {"points"},
+    "comask_qubit": {"points"},
+    "universal_counterexample": {"b", "b_prime"},
+}
+
+
+def test_comask_points_are_read_through_the_state_certificate():
+    # each builder hands its points to _bloch_states, which reads and
+    # certifies them, and touches them nowhere else
+    tree = ast.parse(Path(comask.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    offenders = {}
+    for name, params in _POINT_READERS.items():
+        func = functions[name]
+        assert {arg.arg for arg in func.args.args} >= params
+        certified = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bloch_states":
+                certified |= {id(n) for n in ast.walk(node.args[0])}
+        reads = [node for node in ast.walk(func)
+                 if isinstance(node, ast.Name) and node.id in params]
+        stray = [node.lineno for node in reads if id(node) not in certified]
+        if not reads or stray:
+            offenders[name] = stray or "never read"
+    assert offenders == {}
+
+
 _EXTOBJ = {"_make_extobj", "_extobj_contextvar"}
 
 

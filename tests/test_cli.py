@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsmask import __version__, algebra, bloch, fileio, masking, samplers
+from obsmask import __version__, algebra, bloch, cli, fileio, masking, samplers
 from obsmask.cli import main
 from obsmask.errors import ParseError
 from obsmask.invariants import REGISTRY
+from obsmask.report import RunReport
 
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -143,14 +144,23 @@ class TestParsing:
 
     def test_non_finite_bloch_line_refused(self):
         with pytest.raises(ParseError) as exc:
-            fileio.parse_bloch_lines("0 0 0.5\n0.1 NaN 0.2\n")
+            fileio.parse_bloch_lines("0 0 0.5\n0.1 NaN 0.2\n", 2)
         assert (exc.value.line, exc.value.column) == (2, 5)
 
     def test_bloch_lines(self):
-        # raw rows: their lengths are bloch's to check, at the command's --dim
-        vectors = fileio.parse_bloch_lines("0 0 0.5\n# comment\n0.1 0.2 0.3 4\n\n0.25\n")
-        assert [v.tolist() for v in vectors] == [[0.0, 0.0, 0.5], [0.1, 0.2, 0.3, 4.0], [0.25]]
-        assert fileio.parse_bloch_lines("# nothing\n") == []
+        # one row per nonempty line, each dim^2 - 1 long; a misfit row is
+        # refused at its last token, as a bloch document's count is
+        text = "0 0 0.5\n# comment\n0.1 0.2 0.3\n\n0.25 0 0\n"
+        vectors = fileio.parse_bloch_lines(text, 2)
+        assert [v.tolist() for v in vectors] == [[0.0, 0.0, 0.5], [0.1, 0.2, 0.3], [0.25, 0.0, 0.0]]
+        assert fileio.parse_bloch_lines("# nothing\n", 2) == []
+        for misfit, column in (("0.1 0.2 0.3 4", 13), ("0.25", 1)):
+            with pytest.raises(ParseError) as exc:
+                fileio.parse_bloch_lines(f"0 0 0.5\n{misfit}\n", 2)
+            count = len(misfit.split())
+            assert str(exc.value) == (
+                f"line 2, column {column}: bloch for d=2 needs 3 values, found {count}"
+            )
 
     def test_unknown_header_is_named_whatever_kinds_are_asked(self):
         with pytest.raises(ParseError) as exc:
@@ -338,6 +348,67 @@ class TestNonFiniteInput:
 
 
 @pytest.mark.parametrize(
+    "argv, files, code, message",
+    [
+        # the spectrum of this finite matrix lies beyond the float range
+        (["mask", "--observable", "o", "--out", "o.kraus"],
+         {"o": "coeffs 3 1e155 -1e8 -1.7e308 1 -1.7e308 -1e-300 0 1.7e308 1e154\n"}, 3,
+         "numerical failure: eigenvalue range [-inf, inf] is not finite"),
+        (["maskable", "--observable", "o", "--method", "oracle"],
+         {"o": "matrix 2 2\n0,0 1.7e308,1.7e308\n1.7e308,-1.7e308 0,0\n"}, 3,
+         "numerical failure: eigenvalue range [nan, nan] is not finite"),
+        (["maskable", "--observable", "o", "--method", "bloch"],
+         {"o": "coeffs 2 1.7e308 1e-8 0 0\n"}, 3,
+         "numerical failure: report entry plane_distance is not finite"),
+        # a Cholesky factor holding inf and nan is no certificate
+        (["comask", "--states", "s", "--dim", "2"], {"s": "1.5e308 0 0\n"}, 2,
+         "error: point 0 is not a valid state"),
+        (["counterexample", "--b", "b", "--bprime", "bp", "--dim", "2"],
+         {"b": "bloch 2 5 0 0\n", "bp": "bloch 2 0 0 0\n"}, 2,
+         "error: point 0 is not a valid state"),
+    ],
+    ids=["mask-spectrum", "oracle-spectrum", "plane-distance", "comask-overflow",
+         "counterexample-non-state"],
+)
+def test_finite_document_gets_a_named_refusal(argv, files, code, message, tmp_path,
+                                              capsys, monkeypatch):
+    # finite documents whose answer leaves the float range, or whose points
+    # are no states: a named refusal, nothing on stdout and no file written
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not (tmp_path / "o.kraus").exists()
+
+
+@pytest.mark.parametrize(
+    "value", [np.inf, np.float64(np.nan), (0.0, -np.inf), np.array([1.0, np.nan])],
+    ids=["float", "numpy-float", "tuple", "array"],
+)
+def test_report_with_a_non_finite_entry_is_refused(value, monkeypatch, capsys):
+    # the last line of defence, behind every library refusal: each float,
+    # tuple and array entry is checked, and strings, ints and bools pass
+    fine = [("n", 3), ("note", "inf"), ("x", (1.0, 2.0)), ("all_passed", True)]
+    monkeypatch.setattr(cli, "_cmd_selftest", lambda args: RunReport(list(fine)))
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.endswith("x: 1 2\nall_passed: true\n")
+    monkeypatch.setattr(cli, "_cmd_selftest", lambda args: RunReport(fine + [("bad", value)]))
+    assert main(["selftest"]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: report entry bad is not finite\n")
+
+
+def test_maskable_decides_a_in_the_band_as_the_oracle(tmp_path, capsys):
+    # |a| = DECISION_ATOL: the qubit criterion is the oracle's one test
+    obs = tmp_path / "o"
+    obs.write_text("coeffs 2 1.0000000015 1e-9 0 0\n")
+    code, out = run_cli(capsys, "maskable", "--observable", str(obs), "--method", "both")
+    assert code == 0
+    assert "maskable: true\nmethods_agree: true\neig_range: 1.0000000005 1.0000000025\n" in out
+    assert "plane_distance" not in out
+
+
+@pytest.mark.parametrize(
     "argv, wrong, message",
     [
         (["maskable", "--observable", "{f}"], "bloch 2 0 0 0.5\n",
@@ -430,10 +501,13 @@ class TestComaskCommand:
         assert code == 2
 
     def test_row_of_another_length_is_named(self, tmp_path, capsys):
+        # refused at its file line, after a comment line and a fitting row
         states = tmp_path / "states.txt"
-        states.write_text("0 0 0.5 0\n")
+        states.write_text("# c\n0 0 0.5\n0 0 0.5 1")
         code = main(["comask", "--states", str(states), "--dim", "2"])
-        assert capsys.readouterr() == ("", "error: point 0 has shape (4,), expected (3,)\n")
+        assert capsys.readouterr() == (
+            "", f"error: {states}: line 3, column 9: bloch for d=2 needs 3 values, found 4\n"
+        )
         assert code == 2
 
 

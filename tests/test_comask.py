@@ -775,24 +775,55 @@ class TestCounterexample:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("scale", [1e150, 1e200, 1e250, 1e300])
     def test_separates_points_near_the_float_limit(self, d, scale):
-        # |b - b'| is finite though its square overflows; the residual of
-        # the masking equation a0/2 + a . r = 1/2 is 0 at b' and |b - b'| at b
+        # points this far out are no states, and the counterexample refuses
+        # them (test_refuses_non_states_near_the_float_limit); the echelon
+        # certificate's norm stays finite at their scale
+        rng = np.random.default_rng(32)
+        n = d * d - 1
+        rest = scale * samplers.unit_vector(rng, n)[None, :]
+        assert comask.AffineSet(np.zeros(n + 1), [0], rest).affine_dim == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e250, 1e300])
+    def test_refuses_non_states_near_the_float_limit(self, d, scale):
+        # each point is certified a state before b - b' is formed, so the
+        # difference of two finite points cannot overflow; a non-state is
+        # named by its place, first or second, beside the mixed state
         rng = np.random.default_rng(32)
         n = d * d - 1
         b = scale * samplers.unit_vector(rng, n)
         bp = -0.5 * scale * samplers.unit_vector(rng, n)
-        out = comask.universal_counterexample(b, bp, d)
-        gap = math.dist(b, bp)
-        assert abs(out.a0 / 2 + out.a @ bp - 0.5) <= 1e-12 * scale
-        assert abs(out.a0 / 2 + out.a @ b - 0.5 - gap) <= 1e-12 * scale
-        # the echelon certificate's norm is finite too
-        rest = scale * samplers.unit_vector(rng, n)[None, :]
-        assert comask.AffineSet(np.zeros(n + 1), [0], rest).affine_dim == 1
+        for pair, index in (((b, bp), 0), ((np.zeros(n), bp), 1), ((b, np.zeros(n)), 0)):
+            with pytest.raises(InvalidStateError, match=f"^point {index} is not a valid state$"):
+                comask.universal_counterexample(*pair, d)
 
     def test_refuses_non_finite_points(self):
         # the gap |b - b'| of a nan point is nan, which passes `gap < atol`
         with pytest.raises(InvalidStateError):
             comask.universal_counterexample([np.nan, 0, 0], np.zeros(3), 2)
+
+
+@pytest.mark.parametrize("read", [
+    comask.comask_qubit,
+    lambda pts: comask.comask_general(pts, 2),
+    lambda pts: comask.universal_counterexample(*pts, 2),
+], ids=["qubit", "general", "counterexample"])
+@pytest.mark.parametrize("points", [
+    [[5.0, 0, 0], [0, 0, 0]],
+    [[1.5e308, 0, 0], [0, 0, 0]],
+    [[1.7e308, 0, 0], [-1.7e308, 0, 0]],
+], ids=["outside-the-ball", "one-beyond", "both-beyond"])
+def test_every_point_reader_refuses_non_states(read, points):
+    # |b| = 5 is no state at d = 2, and the counterexample refuses it as the
+    # comask builders do.  From 1.5e308 on, rho's off-diagonal entry
+    # overflows on division by its pivot, so the Cholesky factor holds inf
+    # and nan without raising: a factor that is not finite is a failed one,
+    # and the eigensolver names the point, with a negative witness
+    with pytest.raises(InvalidStateError, match="^point 0 is not a valid state$") as exc:
+        read(points)
+    w = exc.value.witness
+    rho = np.array([[0.5, points[0][0]], [points[0][0], 0.5]])
+    assert np.vdot(w, rho @ w).real < 0
 
 
 def _reference_search(observables, d):

@@ -43,6 +43,22 @@ class TestQubitCriterion:
         with pytest.raises(DimensionMismatchError):
             masking.decide_maskable_qubit(coeffs(3, 0.0, np.zeros(8)))
 
+    def test_agrees_with_oracle_in_the_zero_direction_band(self):
+        # |a| <= DECISION_ATOL and a0 within 2.5 DECISION_ATOL of 1: the
+        # eigenvalues are a0 -+ |a|, so the oracle's test that 1 lies in
+        # [lambda_min, lambda_max] is the criterion |1 - a0| <= |a| on
+        # every draw, however small |a|
+        rng = np.random.default_rng(36)
+        tol = masking.DECISION_ATOL
+        disagree = []
+        for _ in range(10_000):
+            c = coeffs(2, 1.0 + tol * rng.uniform(-2.5, 2.5),
+                       samplers.unit_vector(rng, 3) * tol * rng.uniform())
+            oracle = masking.decide_maskable_oracle(bloch.coeffs_to_observable(c))
+            if masking.decide_maskable_qubit(c).maskable != oracle.maskable:
+                disagree.append((c.a0, c.a_norm()))
+        assert disagree == []
+
 
 class TestOracle:
     def test_diag_3_minus1(self):
