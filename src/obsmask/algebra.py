@@ -122,12 +122,24 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def max_norm(m) -> float:
     """Largest entry magnitude (the max-norm used by all residual checks)."""
     arr = np.asarray(m)
-    return 0.0 if arr.size == 0 else float(np.abs(arr).max())
+    # the reduction arr.max() makes, without its Python wrapper
+    return 0.0 if arr.size == 0 else float(np.maximum.reduce(np.abs(arr), axis=None))
 
 
-# x . x can flag only overflow, which ``_norm`` rescales, and underflow,
-# which numpy ignores by default
+# Every floating-point flag ignored, for work whose overflow and invalid
+# values end in a non-finite result that its caller refuses or rescales
+# (``_norm``'s x . x can flag only overflow, which it rescales)
 _QUIET_STATE = _make_extobj(all="ignore")
+
+
+def _quietly(func, *args):
+    """func(*args) in an error state that ignores every floating-point flag,
+    so no RuntimeWarning is raised."""
+    token = _extobj_contextvar.set(_QUIET_STATE)
+    try:
+        return func(*args)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -209,11 +221,18 @@ def _checked_eigh(m):
 def eig_hermitian(m) -> HermitianEig:
     """Eigendecompose a Hermitian matrix; eigenvalues ascending."""
     vals, vecs = _checked_eigh(m)
-    # rotate each column so its first entry above 1e-12 in magnitude is real
-    # >= 0: one scan over Python complexes finds the entries, and the phases
-    # are one numpy division, which divides through the reciprocal of the
-    # real magnitude, like a division of numpy scalars (Python's
-    # complex / float would differ by an ulp, and so would np.abs)
+    return HermitianEig(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
+
+
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """The columns of ``vecs``, each rotated so its first entry above 1e-12
+    in magnitude is real >= 0 (a column with none is kept).  A column's
+    result does not depend on the others, so a caller may fix only the
+    eigenvectors it keeps; a fixed column fixed again may move by an ulp."""
+    # one scan over Python complexes finds the entries, and the phases are
+    # one numpy division, which divides through the reciprocal of the real
+    # magnitude, like a division of numpy scalars (Python's complex / float
+    # would differ by an ulp, and so would np.abs)
     entries, mags = [], []
     for col in vecs.T.tolist():
         for entry in col:
@@ -225,7 +244,7 @@ def eig_hermitian(m) -> HermitianEig:
         entries.append(entry)
         mags.append(mag)
     phases = np.array(entries).conj() / np.array(mags)
-    return HermitianEig(eigenvalues=vals, eigenvectors=vecs * phases)
+    return vecs * phases
 
 
 def tensor(a, b) -> np.ndarray:

@@ -7,7 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HermitianEig, _identity_deviation, _set, dagger, eig_hermitian, max_norm
+from .algebra import (
+    HermitianEig,
+    _fix_phases,
+    _identity_deviation,
+    _quietly,
+    _set,
+    dagger,
+    eig_hermitian,
+    max_norm,
+)
 from .errors import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -110,8 +119,9 @@ class KrausChannel:
     @classmethod
     def rank_one(cls, amplitudes, support) -> KrausChannel:
         """The family |u_j><k| over every support[j, k] = 1, term-major, with
-        u_j = amplitudes[j]; both factors are copied once."""
-        amps = np.array(amplitudes, dtype=complex)
+        u_j = amplitudes[j]; both factors are copied once, the amplitudes
+        in row order whatever the caller's layout."""
+        amps = np.array(amplitudes, dtype=complex, order="C")
         supp = np.asarray(support, dtype=bool).astype(float)
         if amps.ndim != 2 or supp.ndim != 2 or len(amps) != len(supp):
             raise InvalidChannelError(
@@ -120,13 +130,14 @@ class KrausChannel:
             )
         if len(amps) == 0:
             raise InvalidChannelError("empty Kraus family")
-        if not np.isfinite(amps).all():
-            raise InvalidChannelError("Kraus family contains non-finite entries")
-        # sum E^dag E is diagonal, with entry k the squared norms of the terms
-        # whose support holds k
-        parts = amps.view(float)
-        dev = max_norm((parts * parts).sum(axis=1) @ supp - 1.0)
-        if dev > CHANNEL_ATOL:
+        # one pass checks both finiteness and trace preservation: a
+        # non-finite amplitude makes column norms inf or nan, which fail
+        # it, so only a failed check reads which refusal it is
+        norms = _quietly(_column_norms, amps, supp)
+        if not all(abs(x - 1.0) <= CHANNEL_ATOL for x in norms):
+            if not np.isfinite(amps).all():
+                raise InvalidChannelError("Kraus family contains non-finite entries")
+            dev = max_norm(np.array(norms) - 1.0)
             raise InvalidChannelError(
                 f"sum E^dag E deviates from identity by {dev:.3e}"
             )
@@ -147,6 +158,14 @@ class KrausChannel:
         if self.amplitudes is None:
             return self._kraus
         return _dense_kraus(self.amplitudes, self.support)
+
+
+def _column_norms(amplitudes: np.ndarray, support: np.ndarray) -> list[float]:
+    """The diagonal of a rank-one family's sum E^dag E, its only nonzero
+    entries: entry k sums the squared norms of the terms whose support
+    holds k."""
+    parts = amplitudes.view(float)
+    return ((parts * parts).sum(axis=1) @ support).tolist()
 
 
 def _dense_kraus(amplitudes: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -187,22 +206,14 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
     ``obs`` may be a stack of shape (..., out, out); each matrix of the
     stack goes through the same products as a single one.
     """
-    arr = np.asarray(obs, dtype=complex)
-    if arr.shape[-2:] != (channel.output_dim, channel.output_dim):
-        raise DimensionMismatchError(
-            f"observable shape {arr.shape} != "
-            f"(..., {channel.output_dim}, {channel.output_dim})"
-        )
     if channel.amplitudes is not None:
-        # diagonal: entry k sums <u_j|O|u_j> over the terms whose support
-        # holds k; each matrix of a stack is its own (1, out^2) row, so it
-        # goes through the products of a single call
-        m, n = channel.output_dim, channel.input_dim
-        rows = arr.reshape(arr.shape[:-2] + (1, m * m))
-        diagonal = (rows @ channel._outer.T) @ channel.support
-        out = np.zeros(arr.shape[:-2] + (n * n,), dtype=complex)
-        out[..., :: n + 1] = diagonal[..., 0, :]
-        return out.reshape(arr.shape[:-2] + (n, n))
+        # diagonal, and zero elsewhere
+        diagonal = _adjoint_diagonal(channel, obs)
+        n = channel.input_dim
+        out = np.zeros(diagonal.shape[:-1] + (n * n,), dtype=complex)
+        out[..., :: n + 1] = diagonal
+        return out.reshape(diagonal.shape[:-1] + (n, n))
+    arr = _observable(channel, obs)
     v = isometric_extension(channel)
     # O applied to the regrouped rows gives O E_i stacked like V, so
     # V^dag of it sums E_i^dag O E_i
@@ -210,14 +221,43 @@ def apply_adjoint(channel: KrausChannel, obs) -> np.ndarray:
     return dagger(v) @ (arr @ rows).reshape(arr.shape[:-2] + v.shape)
 
 
-def _spectral_rows(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _observable(channel: KrausChannel, obs) -> np.ndarray:
+    """``obs`` as a complex array of shape (..., out, out), or refused."""
+    arr = np.asarray(obs, dtype=complex)
+    if arr.shape[-2:] != (channel.output_dim, channel.output_dim):
+        raise DimensionMismatchError(
+            f"observable shape {arr.shape} != "
+            f"(..., {channel.output_dim}, {channel.output_dim})"
+        )
+    return arr
+
+
+def _adjoint_diagonal(channel: KrausChannel, obs) -> np.ndarray:
+    """The diagonal, of shape (..., in), of a rank-one family's E*(O), its
+    only nonzero entries: entry k sums <u_j|O|u_j> over the terms whose
+    support holds k.  Each matrix of a stack is its own (1, out^2) row, so
+    it goes through the products of a single call."""
+    arr = _observable(channel, obs)
+    m = channel.output_dim
+    rows = arr.reshape(arr.shape[:-2] + (1, m * m))
+    return ((rows @ channel._outer.T) @ channel.support)[..., 0, :]
+
+
+def _spectral_rows(weights, vectors: np.ndarray, fix_phases: bool = False) -> np.ndarray:
     """Rows sqrt(w_j) v_j over the weights w_j >= 1e-12 of a state's
-    spectral terms, v_j the columns of ``vectors``, in descending weight
-    (ties in reverse index order): the amplitudes of the channels that
-    prepare the state."""
-    terms = np.argsort(weights, kind="stable")[::-1]
-    terms = terms[weights[terms] >= 1e-12]
-    return (np.sqrt(weights[terms]) * vectors[:, terms]).T
+    spectral terms (an array or a list of floats), v_j the columns of
+    ``vectors``, in descending weight (ties in reverse index order): the
+    amplitudes of the channels that prepare the state.  With
+    ``fix_phases``, the columns are raw ``eigh`` eigenvectors, and only
+    those kept are phase-fixed, as ``eig_hermitian`` fixes them."""
+    ws = weights.tolist() if isinstance(weights, np.ndarray) else weights
+    # a stable ascending sort of the kept terms, reversed: the order of a
+    # stable argsort of all of them, reversed, with the rest dropped
+    terms = sorted((j for j, w in enumerate(ws) if w >= 1e-12), key=ws.__getitem__)[::-1]
+    columns = vectors.take(terms, axis=1)
+    if fix_phases:
+        columns = _fix_phases(columns)
+    return (np.sqrt([ws[j] for j in terms]) * columns).T
 
 
 def isometric_extension(channel: KrausChannel) -> np.ndarray:

@@ -9,9 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import _identity_deviation, dagger, eig_hermitian, max_norm, tensor
+from .algebra import _identity_deviation, dagger, max_norm, tensor
 from .bloch import ObservableCoeffs, _coordinate_rows, generator_basis
-from .channels import KrausChannel, _spectral_rows, apply_adjoint, require_unitary
+from .channels import (
+    KrausChannel,
+    _adjoint_diagonal,
+    _spectral_rows,
+    apply_adjoint,
+    require_unitary,
+)
 from .errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -33,7 +39,8 @@ class MaskabilityVerdict:
 
     ``plane_distance`` is |1 - a0| / (2|a|), the distance of the masking
     plane from the Bloch-ball origin (absolute-value reading; None when
-    |a| <= DECISION_ATOL).  ``eig_range`` is populated by the eigenvalue oracle.
+    |a| <= DECISION_ATOL or the quotient overflows).  ``eig_range`` is
+    populated by the eigenvalue oracle.
     """
 
     maskable: bool
@@ -55,9 +62,9 @@ def _require_unit_vector(n) -> np.ndarray:
     arr = np.asarray(n, dtype=float).reshape(-1)
     if arr.shape != (3,):
         raise NotUnitVectorError(f"expected a real 3-vector, got shape {arr.shape}")
-    norm = np.linalg.norm(arr)
+    norm = algebra._norm(arr)
     if not math.isfinite(norm) or abs(norm - 1.0) > DECISION_ATOL:
-        raise NotUnitVectorError(f"|n| = {float(norm)!r} is not 1")
+        raise NotUnitVectorError(f"|n| = {norm!r} is not 1")
     return arr
 
 
@@ -66,10 +73,13 @@ def _ball_bound_holds(c: ObservableCoeffs, a_norm: float) -> bool:
     behind both the necessary condition and, at d = 2, the plane criterion.
     Refuses, through ``bloch``'s row check, a dimension below 2 and an ``a``
     that is not one row d^2 - 1 long, and then non-finite coefficients, on
-    which every comparison is False."""
+    which every comparison is False.  A finite ``a`` whose norm overflows is
+    longer than the bound for every finite a0, which holds."""
     d = c.dimension
-    _coordinate_rows(c.a, d, stack=False)
+    a = _coordinate_rows(c.a, d, stack=False)
     if not (math.isfinite(c.a0) and math.isfinite(a_norm)):
+        if math.isfinite(c.a0) and np.isfinite(a).all():
+            return True
         raise NotHermitianError(
             f"observable coefficients are not finite: a0 = {c.a0!r}, |a| = {a_norm!r}"
         )
@@ -81,15 +91,18 @@ def decide_maskable_qubit(c: ObservableCoeffs) -> MaskabilityVerdict:
 
     That is the ball bound of ``necessary_condition_d`` at d = 2, where it is
     also sufficient, and the oracle's test, the eigenvalues being a0 -+ |a|;
-    it decides a = 0 too.  ``plane_distance`` is None for |a| <= DECISION_ATOL.
+    it decides a = 0 too.  ``plane_distance`` is None for |a| <= DECISION_ATOL
+    and where |1 - a0| / (2|a|) overflows.
     """
     if c.dimension != 2:
         raise DimensionMismatchError(f"qubit criterion needs d=2, got d={c.dimension}")
     a_norm = c.a_norm()
+    maskable = _ball_bound_holds(c, a_norm)
+    distance = abs(1.0 - c.a0) / (2.0 * a_norm) if a_norm > DECISION_ATOL else math.inf
     return MaskabilityVerdict(
-        maskable=_ball_bound_holds(c, a_norm),
+        maskable=maskable,
         method="bloch-criterion",
-        plane_distance=abs(1.0 - c.a0) / (2.0 * a_norm) if a_norm > DECISION_ATOL else None,
+        plane_distance=distance if distance < math.inf else None,
     )
 
 
@@ -99,8 +112,8 @@ def decide_maskable_oracle(obs) -> MaskabilityVerdict:
     A constant channel onto sigma masks O exactly when Tr(sigma O) = 1, and
     Tr(sigma O) over all states sweeps [lambda_min, lambda_max]; so O is
     maskable iff that interval contains 1.  The verdict and range come from
-    ``algebra._checked_eigh``, the call ``eig_hermitian`` makes for
-    ``oracle_masker``, so the two verdicts agree.
+    ``algebra._checked_eigh``, the call ``oracle_masker`` makes, so the two
+    verdicts agree.
     """
     return _oracle_verdict(algebra._checked_eigh(obs)[0].tolist())
 
@@ -161,10 +174,12 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
     (1 - p) / m_min on each within DECISION_ATOL of lambda_min (the two add
     where the sets overlap), or 1/d on all when the spectrum is flat.  The
     rows sqrt(w_j) v_j of the weights from 1e-12 up, in descending weight
-    (ties in reverse O order), are the masker's amplitudes on every input.
+    (ties in reverse O order), are the masker's amplitudes on every input;
+    v_j is O's eigenvector as ``eig_hermitian`` phase-fixes it, and only the
+    kept ones are fixed.
     """
-    eig = eig_hermitian(obs)
-    vals = eig.eigenvalues.tolist()
+    vals, vecs = algebra._checked_eigh(obs)
+    vals = vals.tolist()
     verdict = _oracle_verdict(vals)
     if not verdict.maskable:
         return verdict, None
@@ -181,7 +196,7 @@ def oracle_masker(obs) -> tuple[MaskabilityVerdict, KrausChannel | None]:
         bottom = [abs(x - lo) <= DECISION_ATOL / 2 for x in half]
         w_top, w_bottom = p / sum(top), (1.0 - p) / sum(bottom)
         weights = [t * w_top + b * w_bottom for t, b in zip(top, bottom)]
-    rows = _spectral_rows(np.array(weights), eig.eigenvectors)
+    rows = _spectral_rows(weights, vecs, fix_phases=True)
     return verdict, KrausChannel.rank_one(rows, np.ones((len(rows), d)))
 
 
@@ -196,7 +211,7 @@ def rotation_unitary(n) -> np.ndarray:
 
 def _rotation(arr: np.ndarray) -> np.ndarray:
     """``rotation_unitary`` of an already validated unit 3-vector."""
-    theta = np.arccos(np.clip(arr[2], -1.0, 1.0))
+    theta = np.arccos(min(max(arr[2], -1.0), 1.0))
     phi = np.arctan2(arr[1], arr[0])
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ep, em = np.exp(1j * phi / 2.0), np.exp(-1j * phi / 2.0)
@@ -233,8 +248,12 @@ def _dilation(w: np.ndarray, u0, u1) -> np.ndarray:
 
 
 def verify_masking(channel: KrausChannel, obs) -> float:
-    """Max-norm residual || E*(O) - I ||; masking holds below DECISION_ATOL."""
-    return _identity_deviation(apply_adjoint(channel, obs))
+    """Max-norm residual || E*(O) - I ||; masking holds below DECISION_ATOL.
+    A rank-one family's E*(O) is diagonal, so its residual is read off the
+    diagonal alone."""
+    if channel.amplitudes is None:
+        return _identity_deviation(apply_adjoint(channel, obs))
+    return max_norm(_adjoint_diagonal(channel, obs) - 1.0)
 
 
 def verify_nohiding(n, u0=None, u1=None) -> NoHidingReport:

@@ -243,6 +243,62 @@ def test_comask_points_are_read_through_the_state_certificate():
     assert offenders == {}
 
 
+def _object_builds(tree) -> list[tuple[str, int, str, str]]:
+    """(owner, line, call, target) of each call in the tree that makes or
+    fills an object without running its class's __init__: ``X.__new__(t)``,
+    ``_set(t, ...)`` and ``X.__setattr__(t, ...)``.  The owner is
+    "Class.method" or "function" around the call ("" at module level); the
+    target is the source of its first argument, with "self" inside a class
+    read as that class's name."""
+    found = []
+    for top in tree.body:
+        methods = [(top.name, f) for f in top.body if isinstance(f, ast.FunctionDef)] \
+            if isinstance(top, ast.ClassDef) else [(None, top)]
+        for cls, func in methods:
+            owner = getattr(func, "name", "")
+            owner = f"{cls}.{owner}" if cls else owner
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name in ("__new__", "_set", "__setattr__"):
+                    target = ast.unparse(node.args[0])
+                    if cls and target in ("self", "cls"):
+                        target = cls
+                    found.append((owner, node.lineno, name, target))
+    return found
+
+
+def test_channels_are_made_only_by_their_checked_constructors():
+    # every KrausChannel is made by __init__ or rank_one, which both check
+    # trace preservation, so no fast path can skip the check; other frozen
+    # classes fill only themselves, and algebra._set is the one setter
+    package = Path(obsmask.__file__).parent
+    channel_builds, offenders = set(), []
+    for path in sorted(package.glob("*.py")):
+        for owner, line, call, target in _object_builds(ast.parse(path.read_text())):
+            if target == "KrausChannel":
+                channel_builds.add((owner, call))
+            elif not ((path.name, owner) == ("algebra.py", "_set")
+                      or owner.startswith(f"{target}.")):
+                offenders.append((path.name, line, owner, call, target))
+    assert offenders == []
+    assert channel_builds == {
+        ("KrausChannel.__init__", "_set"),
+        ("KrausChannel.rank_one", "__new__"),
+        ("KrausChannel.rank_one", "_set"),
+    }
+    # the rule sees a channel made outside its constructors, so it is not blind
+    seen = _object_builds(ast.parse(
+        "def fast(amps):\n"
+        "    c = object.__new__(KrausChannel)\n"
+        "    _set(c, amplitudes=amps)\n"
+        "    object.__setattr__(c, 'support', None)\n"
+    ))
+    assert [(call, target) for _, _, call, target in seen] == [
+        ("__new__", "KrausChannel"), ("_set", "c"), ("__setattr__", "c")]
+
+
 _EXTOBJ = {"_make_extobj", "_extobj_contextvar"}
 
 

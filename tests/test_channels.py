@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,37 @@ class TestRankOneFactors:
         with pytest.raises(InvalidChannelError, match="non-finite"):
             channels.KrausChannel.rank_one(amplitudes, [[1, 1]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize(
+        "support", [[[1, 1], [0, 0]], [[0, 0], [1, 1]], [[1, 0], [0, 1]]],
+        ids=["all-inputs", "no-inputs", "one-input"],
+    )
+    def test_non_finite_amplitude_fails_the_one_check(self, bad, support):
+        # trace preservation and finiteness are one check: a non-finite
+        # amplitude fails it even where its term's support is empty, and
+        # no RuntimeWarning is raised on the way
+        amplitudes = np.array([[1.0, bad], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidChannelError,
+                               match="^Kraus family contains non-finite entries$"):
+                channels.KrausChannel.rank_one(amplitudes, support)
+
+    @pytest.mark.parametrize(
+        "amplitudes, dev",
+        [([[1.0, 0.0], [1.0, 0.0]], r"1\.000e\+00"), ([[0.6, 0.0]], r"6\.400e-01"),
+         ([[1e200, 0.0]], "inf")],
+        ids=["double", "short", "overflowing"],
+    )
+    def test_off_norm_family_refused(self, amplitudes, dev):
+        # a finite family off the norm is named by its deviation, with no
+        # RuntimeWarning where a squared norm overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidChannelError,
+                               match=f"^sum E\\^dag E deviates from identity by {dev}$"):
+                channels.KrausChannel.rank_one(amplitudes, np.ones((len(amplitudes), 2)))
+
     @pytest.mark.parametrize(
         "amplitudes, support, message",
         [
@@ -191,6 +224,18 @@ class TestRankOneFactors:
     def test_malformed_factors_refused(self, amplitudes, support, message):
         with pytest.raises(InvalidChannelError, match=message):
             channels.KrausChannel.rank_one(amplitudes, support)
+
+    def test_amplitudes_are_read_in_any_layout(self):
+        # a column-major family, or the transpose of a row-major one, is
+        # read by its values, not refused by a numpy layout error
+        rows = np.array([[0.6, 0.8], [0.8j, -0.6j]])
+        ref = channels.KrausChannel.rank_one(rows, np.eye(2))
+        for layout in (np.asfortranarray(rows), np.ascontiguousarray(rows.T).T):
+            chan = channels.KrausChannel.rank_one(layout, np.eye(2))
+            assert chan.amplitudes.flags.c_contiguous
+            assert chan.kraus.tobytes() == ref.kraus.tobytes()
+            assert np.array_equal(channels.apply_adjoint(chan, S1),
+                                  channels.apply_adjoint(ref, S1))
 
     def test_factors_are_read_only_copies(self):
         amplitudes, support = np.array([[1.0, 0.0]]), np.ones((1, 2))

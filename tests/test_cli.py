@@ -236,13 +236,13 @@ class TestMaskCommand:
 
 
     def test_one_eigendecomposition(self, tmp_path, capsys, spy):
-        counts = spy(masking, ["eig_hermitian"])
+        counts = spy(algebra, ["_eigh"])
         obs = tmp_path / "sz.obs"
         obs.write_text(SZ_COEFFS)
         out_path = tmp_path / "sz.kraus"
         code, _ = run_cli(capsys, "mask", "--observable", str(obs), "--out", str(out_path))
         assert code == 0
-        assert counts == {"eig_hermitian": 1}
+        assert counts == {"_eigh": 1}
 
     def test_one_eigh(self, tmp_path, capsys, spy):
         counts = spy(algebra, ["_eigh"])
@@ -357,9 +357,6 @@ class TestNonFiniteInput:
         (["maskable", "--observable", "o", "--method", "oracle"],
          {"o": "matrix 2 2\n0,0 1.7e308,1.7e308\n1.7e308,-1.7e308 0,0\n"}, 3,
          "numerical failure: eigenvalue range [nan, nan] is not finite"),
-        (["maskable", "--observable", "o", "--method", "bloch"],
-         {"o": "coeffs 2 1.7e308 1e-8 0 0\n"}, 3,
-         "numerical failure: report entry plane_distance is not finite"),
         # a Cholesky factor holding inf and nan is no certificate
         (["comask", "--states", "s", "--dim", "2"], {"s": "1.5e308 0 0\n"}, 2,
          "error: point 0 is not a valid state"),
@@ -367,8 +364,7 @@ class TestNonFiniteInput:
          {"b": "bloch 2 5 0 0\n", "bp": "bloch 2 0 0 0\n"}, 2,
          "error: point 0 is not a valid state"),
     ],
-    ids=["mask-spectrum", "oracle-spectrum", "plane-distance", "comask-overflow",
-         "counterexample-non-state"],
+    ids=["mask-spectrum", "oracle-spectrum", "comask-overflow", "counterexample-non-state"],
 )
 def test_finite_document_gets_a_named_refusal(argv, files, code, message, tmp_path,
                                               capsys, monkeypatch):
@@ -380,6 +376,37 @@ def test_finite_document_gets_a_named_refusal(argv, files, code, message, tmp_pa
     assert main(argv) == code
     assert capsys.readouterr() == ("", message + "\n")
     assert not (tmp_path / "o.kraus").exists()
+
+
+@pytest.mark.parametrize(
+    "document, line, absent",
+    [
+        # |a| ~ 2.4e308 overflows, but a is finite: longer than any bound
+        ("coeffs 2 0 1.7e308 -1.7e308 0\n", "maskable: true", None),
+        ("coeffs 3 0 1.7e308 -1.7e308 0 0 0 0 0 0\n", "necessary_condition: true", None),
+        # |1 - a0| / (2|a|) overflows: the report has no plane_distance line
+        ("coeffs 2 1.7e308 1e-8 0 0\n", "maskable: false", "plane_distance"),
+    ],
+    ids=["norm-overflow", "norm-overflow-d3", "plane-distance"],
+)
+def test_bloch_method_answers_finite_documents_beyond_the_float_range(
+        document, line, absent, tmp_path, capsys):
+    obs = tmp_path / "o.obs"
+    obs.write_text(document)
+    code, out = run_cli(capsys, "maskable", "--observable", str(obs), "--method", "bloch")
+    assert code == 0
+    assert line in out.splitlines()
+    assert absent is None or absent not in out
+
+
+@pytest.mark.parametrize("method", ["oracle", "both"])
+def test_oracle_still_refuses_a_spectrum_beyond_the_float_range(method, tmp_path, capsys):
+    # the bloch method answers this document; the oracle's eigh cannot
+    obs = tmp_path / "o.obs"
+    obs.write_text("coeffs 2 0 1.7e308 -1.7e308 0\n")
+    assert main(["maskable", "--observable", str(obs), "--method", method]) == 3
+    assert capsys.readouterr() == (
+        "", "numerical failure: eigenvalue range [nan, nan] is not finite\n")
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,18 @@ class TestQubitCriterion:
         assert v.maskable
         assert v.plane_distance is None
 
+    def test_finite_a_whose_norm_overflows_is_maskable(self):
+        # the eigenvalues are -+2.4e308: 1 lies between them
+        v = masking.decide_maskable_qubit(coeffs(2, 0.0, [1.7e308, -1.7e308, 0.0]))
+        assert v.maskable
+        assert v.plane_distance == 0.0
+
+    def test_overflowing_plane_distance_is_none(self):
+        # |1 - a0| / (2|a|) = 1.7e308 / 2e-8 overflows: no distance, not inf
+        v = masking.decide_maskable_qubit(coeffs(2, 1.7e308, [1e-8, 0.0, 0.0]))
+        assert not v.maskable
+        assert v.plane_distance is None
+
     def test_wrong_dimension(self):
         with pytest.raises(DimensionMismatchError):
             masking.decide_maskable_qubit(coeffs(3, 0.0, np.zeros(8)))
@@ -179,6 +191,19 @@ class TestNecessaryCondition:
         with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
             masking.necessary_condition_d(coeffs(1, 1.0, []))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_finite_a_whose_norm_overflows_passes(self, d):
+        # |a| ~ 2.4e308 is beyond the float range, and beyond every finite
+        # |1 - a0| sqrt(d / (2(d-1))); a non-finite a is still refused
+        a = np.r_[1.7e308, -1.7e308, np.zeros(d * d - 3)]
+        for a0 in (0.0, -1.7e308, 1.7e308):
+            assert masking.necessary_condition_d(coeffs(d, a0, a)) is True
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NotHermitianError, match="not finite"):
+                masking.necessary_condition_d(coeffs(d, 0.0, np.r_[bad, a[1:]]))
+        with pytest.raises(NotHermitianError, match="not finite"):
+            masking.necessary_condition_d(coeffs(d, np.inf, a))
+
     def test_zero_observable_fails(self):
         assert not masking.necessary_condition_d(coeffs(2, 0.0, [0, 0, 0]))
 
@@ -247,11 +272,11 @@ class TestConstantMasker:
             masking.build_constant_masker(0.4 * S1)
 
     def test_one_eigendecomposition_per_call(self, spy):
-        counts = spy(masking, ["eig_hermitian"])
+        counts = spy(algebra, ["_eigh"])
         masking.build_constant_masker(S3)
         with pytest.raises(NotMaskableError, match=r"outside the eigenvalue range \(-0\.4\d*, 0\.4\d*\)"):
             masking.build_constant_masker(0.4 * S1)
-        assert counts == {"eig_hermitian": 2}
+        assert counts == {"_eigh": 2}
 
     @pytest.mark.parametrize("obs", [S3, np.diag([3.0, -1.0, 0.5])], ids=["sigma3", "d3"])
     def test_one_eigh_per_matrix_and_no_eigvalsh(self, obs, spy):
@@ -375,6 +400,72 @@ class TestConstantMaskerAgainstTargetState:
             assert algebra.max_norm(adjoint) < 1e-12
 
 
+# maskable spectra for the masker's differential test: 1 lies inside each
+_MASKER_SPECTRA = {
+    "generic": lambda rng, d: np.r_[rng.uniform(-1.5, 1.0), rng.uniform(-1.5, 2.5, d - 2),
+                                    rng.uniform(1.0, 2.5)],
+    "two-level": lambda rng, d: np.r_[np.full(d // 2, rng.uniform(-1.5, 1.0)),
+                                      np.full(d - d // 2, rng.uniform(1.0, 2.5))],
+    "flat": lambda rng, d: np.ones(d),
+    "lambda-max-1": lambda rng, d: np.r_[rng.uniform(-1.5, 1.0, d - 1), 1.0],
+    "lambda-min-1": lambda rng, d: np.r_[1.0, rng.uniform(1.0, 2.5, d - 1)],
+}
+
+
+def _masker_reference(obs):
+    """Amplitudes, support, Kraus stack and residual of the constant masker
+    of ``obs`` as built from ``eig_hermitian``: the target's weights on
+    arrays, its rows from a stable argsort, and the residual from the
+    zero-filled d x d adjoint, formed by the rank-one adjoint's products."""
+    eig = algebra.eig_hermitian(obs)
+    half = eig.eigenvalues * 0.5
+    d = len(half)
+    band = masking.DECISION_ATOL / 2
+    if half[-1] - half[0] <= band:
+        weights = np.full(d, 1.0 / d)
+    else:
+        p = min(max((0.5 - half[0]) / (half[-1] - half[0]), 0.0), 1.0)
+        top, bottom = np.abs(half - half[-1]) <= band, np.abs(half - half[0]) <= band
+        weights = top * (p / np.count_nonzero(top)) + bottom * (
+            (1.0 - p) / np.count_nonzero(bottom))
+    terms = np.argsort(weights, kind="stable")[::-1]
+    terms = terms[weights[terms] >= 1e-12]
+    amplitudes = np.ascontiguousarray((np.sqrt(weights[terms]) * eig.eigenvectors[:, terms]).T)
+    support = np.ones((len(terms), d))
+    kraus = np.zeros((len(terms), d, d, d), dtype=complex)
+    for k in range(d):
+        kraus[:, k, :, k] = amplitudes
+    outer = (amplitudes.conj()[:, :, None] * amplitudes[:, None, :]).reshape(len(terms), -1)
+    adjoint = np.zeros(d * d, dtype=complex)
+    adjoint[:: d + 1] = ((obs.reshape(1, d * d) @ outer.T) @ support)[0]
+    residual = algebra.max_norm(adjoint.reshape(d, d) - np.eye(d))
+    return amplitudes, support, kraus.reshape(-1, d, d), residual
+
+
+class TestConstantMaskerBitsAgainstReference:
+    """The masker and its residual, bit for bit, against the reference
+    chain: 2,000 observables over five dimensions and five spectra."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_amplitudes_kraus_and_residual_are_the_reference_bits(self, d):
+        rng = np.random.default_rng(370 + d)
+        for spectrum, draw in _MASKER_SPECTRA.items():
+            for i in range(80):
+                u = samplers.haar_unitary(rng, d)
+                obs = (u * draw(rng, d)) @ u.conj().T
+                if spectrum == "flat" and i == 0:
+                    obs = np.eye(d, dtype=complex)
+                chan = masking.build_constant_masker(obs)
+                amplitudes, support, kraus, residual = _masker_reference(obs)
+                where = (spectrum, i)
+                assert chan.amplitudes.tobytes() == amplitudes.tobytes(), where
+                assert chan.support.tobytes() == support.tobytes(), where
+                assert chan.kraus.tobytes() == kraus.tobytes(), where
+                got = masking.verify_masking(chan, obs)
+                assert np.float64(got).tobytes() == np.float64(residual).tobytes(), where
+                assert got < masking.DECISION_ATOL
+
+
 class TestRotationUnitary:
     def test_z_axis_identity(self):
         w = masking.rotation_unitary([0.0, 0.0, 1.0])
@@ -455,6 +546,20 @@ class TestNoHiding:
     def test_non_unit_message_prints_a_plain_float(self):
         with pytest.raises(NotUnitVectorError, match=r"\|n\| = 2\.0 is not 1"):
             masking.verify_nohiding([0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "n, norm",
+        [([np.nan, 0.0, 1.0], "nan"), ([0.0, -np.inf, 0.0], "inf"), ([np.inf, np.nan, 0.0], "nan"),
+         ([0.6, 0.8, 1e-4], r"1\.000000005"), ([0.0, 0.0, 0.5], r"0\.5"),
+         ([1e200, 0.0, 0.0], r"1e\+200")],
+        ids=["nan", "inf", "inf-and-nan", "off-unit", "half", "overflowing-square"],
+    )
+    def test_refusals_name_the_norm(self, n, norm):
+        # the norm is algebra._norm's: np.linalg.norm's where n . n is finite,
+        # and rescaled, not inf, where it overflows
+        for func in (masking.verify_nohiding, masking.rotation_unitary):
+            with pytest.raises(NotUnitVectorError, match=rf"^\|n\| = {norm}\d* is not 1$"):
+                func(n)
 
     def test_validates_each_matrix_once(self, monkeypatch):
         # user u0/u1 are validated once each, U' not at all, the direction
